@@ -12,12 +12,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 
 from .field import FieldSpec, make_field
 from .geometry import (
     Direction,
-    dot,
+    _level_kernel,
+    _level_mask,
     enumerate_directions,
     enumerate_subspaces,
     null_space_basis,
@@ -25,6 +27,10 @@ from .geometry import (
     point_index,
 )
 from .pointset import PointSet
+
+# level_masks holds |S| * q * q^n bits (512 MiB here); larger tables are
+# refused before any mask is built.
+MASK_BITS_CAP = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -67,23 +73,25 @@ class KakeyaVerdict:
     failing_index: int | None
 
 
-def _all_coords(q: int, n: int) -> list[tuple[int, ...]]:
-    return [point_coords(i, q, n) for i in range(q**n)]
+def _check_mask_bits(q: int, n: int, directions: int) -> None:
+    bits = directions * q * q**n
+    if bits > MASK_BITS_CAP:
+        raise ValueError(
+            f"level masks for q={q}, n={n} need {bits // 8} bytes,"
+            f" above the cap of {MASK_BITS_CAP // 8}"
+        )
 
 
 def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> list[list[int]]:
     """Per direction, per level: the bitmask of that hyperplane's points."""
     if dirs is None:
         dirs = enumerate_directions(f, n)
-    q = f.q
-    coords_list = _all_coords(q, n)
+    _check_mask_bits(f.q, n, len(dirs))
+    level_vector = _level_kernel(f)
     masks = []
     for d in dirs:
-        normal = d.normal
-        row = [0] * q
-        for idx, coords in enumerate(coords_list):
-            row[dot(f, normal, coords)] |= 1 << idx
-        masks.append(row)
+        levels = level_vector(d.normal)
+        masks.append([_level_mask(levels, c) for c in range(f.q)])
     return masks
 
 
@@ -99,19 +107,20 @@ def _check_assignment(f: FieldSpec, dirs, assignment: OffsetAssignment) -> tuple
     return levels
 
 
-def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
-    """Union over all directions of the assigned hyperplane."""
+def _assigned_masks(f: FieldSpec, n: int, assignment: OffsetAssignment) -> list[int]:
+    """Per direction, the bitmask of its assigned hyperplane."""
     dirs = enumerate_directions(f, n)
     levels = _check_assignment(f, dirs, assignment)
-    q = f.q
-    coords_list = _all_coords(q, n)
+    level_vector = _level_kernel(f)
+    return [_level_mask(level_vector(d.normal), lvl) for d, lvl in zip(dirs, levels)]
+
+
+def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
+    """Union over all directions of the assigned hyperplane."""
     bits = 0
-    for d, lvl in zip(dirs, levels):
-        normal = d.normal
-        for idx, coords in enumerate(coords_list):
-            if dot(f, normal, coords) == lvl:
-                bits |= 1 << idx
-    return PointSet(q, n, bits)
+    for mask in _assigned_masks(f, n, assignment):
+        bits |= mask
+    return PointSet(f.q, n, bits)
 
 
 def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
@@ -124,6 +133,19 @@ def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
 def random_kakeya(f: FieldSpec, n: int, seed: int) -> PointSet:
     """Union built from a seeded random assignment; Kakeya by construction."""
     return build_union(f, n, random_assignment(f, n, seed))
+
+
+_GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _coset_keys(level_vector, duals, q: int):
+    """Per point, its coset of the subspace cut out by the dual functionals:
+    one byte when q^len(duals) <= 256, else a tuple of levels."""
+    vectors = [level_vector(u) for u in duals]
+    if q ** len(vectors) <= 256:
+        key = sum(int.from_bytes(v, "little") * q**j for j, v in enumerate(vectors))
+        return key.to_bytes(len(vectors[0]), "little")
+    return list(zip(*vectors))
 
 
 def _resolve_plane_dim(n: int, plane_dim: int | None) -> int:
@@ -141,56 +163,49 @@ def _resolve_plane_dim(n: int, plane_dim: int | None) -> int:
 def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> KakeyaVerdict:
     """Check whether pset contains a full coset in every plane direction.
 
-    Points of E are bucket-counted by their level with respect to each
-    direction (the dual functionals for plane_dim < n-1); a coset is fully
-    contained exactly when its bucket reaches the coset size.  The witness
-    picks the smallest qualifying level per direction.
+    Directions (subspaces for plane_dim < n-1) are checked in enumeration
+    order, one level vector (one per dual functional) at a time, and the
+    check stops at the first one without a full coset.  A coset is full
+    exactly when no point outside E lies on it.  The witness picks the
+    smallest full level per direction, or the smallest point of any full
+    coset per subspace.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
     n = pset.n
     plane_dim = _resolve_plane_dim(n, plane_dim)
     q = f.q
-    members = [point_coords(i, q, n) for i in pset.indices()]
+    level_vector = _level_kernel(f)
+    # A coset lies in E exactly when none of its points is a gap (a point
+    # outside E); gaps[i] is 1 for those.
+    gaps = format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
 
     if plane_dim == n - 1 or n == 1:
-        target = q ** (n - 1)
         levels = []
         for pos, d in enumerate(enumerate_directions(f, n)):
-            counts = [0] * q
-            normal = d.normal
-            for coords in members:
-                counts[dot(f, normal, coords)] += 1
-            lvl = next((c for c in range(q) if counts[c] == target), None)
+            holes = set(compress(level_vector(d.normal), gaps))
+            lvl = next((c for c in range(q) if c not in holes), None)
             if lvl is None:
                 return KakeyaVerdict(False, plane_dim, None, pos)
             levels.append(lvl)
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
 
-    target = q**plane_dim
     reps = []
     for pos, sub in enumerate(enumerate_subspaces(f, n, plane_dim)):
-        duals = null_space_basis(f, sub.rows, n)
-        counts: dict[tuple[int, ...], int] = {}
-        first_point: dict[tuple[int, ...], int] = {}
-        for coords in members:
-            key = tuple(dot(f, u, coords) for u in duals)
-            counts[key] = counts.get(key, 0) + 1
-            if key not in first_point:
-                first_point[key] = point_index(coords, q)
-        hit = [key for key, c in counts.items() if c == target]
-        if not hit:
+        keys = _coset_keys(level_vector, null_space_basis(f, sub.rows, n), q)
+        holes = set(compress(keys, gaps))
+        # The first point whose coset has no gap is the smallest point of
+        # every full coset.
+        rep = bytes(map(holes.__contains__, keys)).find(0)
+        if rep < 0:
             return KakeyaVerdict(False, plane_dim, None, pos)
-        reps.append(min(first_point[key] for key in hit))
+        reps.append(rep)
     return KakeyaVerdict(True, plane_dim, tuple(reps), None)
 
 
 def hyperplane_coverage(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> list[int]:
     """Diagnostic |w' intersect E| per direction for the assigned hyperplanes."""
-    dirs = enumerate_directions(f, pset.n)
-    levels = _check_assignment(f, dirs, assignment)
-    masks = level_masks(f, pset.n, dirs)
-    return [(masks[i][levels[i]] & pset.bits).bit_count() for i in range(len(dirs))]
+    return [(mask & pset.bits).bit_count() for mask in _assigned_masks(f, pset.n, assignment)]
 
 
 def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> IncidenceReport:
@@ -205,20 +220,17 @@ def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) 
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
     q, n = pset.q, pset.n
-    dirs = enumerate_directions(f, n)
-    levels = _check_assignment(f, dirs, assignment)
-    masks = level_masks(f, n, dirs)
+    masks = _assigned_masks(f, n, assignment)
 
     i_count = 0
-    for pos in range(len(dirs)):
-        hp = masks[pos][levels[pos]]
+    for pos, hp in enumerate(masks):
         if hp & ~pset.bits:
             raise ValueError(
                 f"hyperplane for direction #{pos} is not contained in the set"
             )
         i_count += (hp & pset.bits).bit_count()
 
-    s = len(dirs)
+    s = len(masks)
     pairs_term = s * (s - 1) * q ** (n - 2) if n >= 2 else 0
     w_count = i_count + pairs_term
     return IncidenceReport(

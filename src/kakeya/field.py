@@ -9,7 +9,7 @@ k = 1 this is ordinary arithmetic mod p.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 DEFAULT_SIZE_CAP = 1 << 20
 SIZE_CAP_ENV = "KAKEYA_SIZE_CAP"
@@ -19,6 +19,9 @@ SIZE_CAP_ENV = "KAKEYA_SIZE_CAP"
 # back to on-the-fly polynomial computation.
 _LOG_TABLE_CAP = 1 << 16
 _INV_TABLE_CAP = 4096
+# The level kernel's byte tables (geometry._level_kernel) need every
+# element to fit in one byte.
+_BYTE_TABLE_CAP = 256
 
 
 def size_cap() -> int:
@@ -122,6 +125,10 @@ class FieldSpec:
     exp_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     log_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     inv_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    # mul_rows[c][x] = c*x (q bytes each); add_tables[r] is the
+    # bytes.translate table x -> r + x.  None when q > _BYTE_TABLE_CAP.
+    mul_rows: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
+    add_tables: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"F_{self.q}" if self.k == 1 else f"F_{self.p}^{self.k}"
@@ -182,7 +189,36 @@ def make_field(p: int, k: int) -> FieldSpec:
                 inv[a] = exp_table[(q - 1 - log_table[a]) % (q - 1)]
             inv_table = tuple(inv)
 
-    return FieldSpec(p, k, q, modulus, exp_table, log_table, inv_table)
+    f = FieldSpec(p, k, q, modulus, exp_table, log_table, inv_table)
+    if q > _BYTE_TABLE_CAP:
+        return f
+    if k == 1:
+        mul_rows = tuple(bytes(c * x % p for x in range(q)) for c in range(q))
+    else:
+        mul_rows = (bytes(q),) + tuple(
+            bytes([0]) + bytes(exp_table[(log_table[c] + log_table[x]) % (q - 1)]
+                               for x in range(1, q))
+            for c in range(1, q)
+        )
+    return replace(f, mul_rows=mul_rows, add_tables=_add_tables(p, k, q))
+
+
+def _add_tables(p: int, k: int, q: int) -> tuple[bytes, ...]:
+    """Translate tables x -> r + x, built by composing unit steps: adding
+    p^j raises digit j by one mod p, and r is r - p^j plus that step for the
+    lowest nonzero digit j of r.  Bytes >= q map to themselves."""
+    rest = bytes(range(q, 256))
+    steps = [
+        bytes(x - (p - 1) * p**j if x // p**j % p == p - 1 else x + p**j for x in range(q)) + rest
+        for j in range(k)
+    ]
+    tables = [bytes(range(256))]
+    for r in range(1, q):
+        j = 0
+        while r // p**j % p == 0:
+            j += 1
+        tables.append(tables[r - p**j].translate(steps[j]))
+    return tuple(tables)
 
 
 def factor_prime_power(q: int) -> tuple[int, int] | None:

@@ -131,13 +131,10 @@ def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
         raise ValueError(f"point space size {total} exceeds size cap {size_cap()}")
     if count_directions_formula(q, n) > ENUM_CAP:
         raise ValueError("direction count exceeds enumeration cap")
-    dirs = []
-    for idx in range(1, total):
-        coords = point_coords(idx, q, n)
-        first = next(a for a in coords if a)
-        if first == 1:
-            dirs.append(Direction(coords))
-    return dirs
+    # The normal with first nonzero coordinate i set to 1 has index q^i * m,
+    # m = 1 (mod q) and m < q^(n-i).
+    indices = sorted(q**i * m for i in range(n) for m in range(1, q ** (n - i), q))
+    return [Direction(point_coords(idx, q, n)) for idx in indices]
 
 
 def count_spanning_tuples(q: int, n: int) -> int:
@@ -270,20 +267,73 @@ def subspace_from_direction(f: FieldSpec, d: Direction) -> SubspaceBasis:
     return SubspaceBasis(reduced)
 
 
+# -- the level kernel ----------------------------------------------------------
+# The level of point x for a vector u is u . x.  One call of the kernel gives
+# the level of every point of F_q^n for one u; every "which points lie on
+# which hyperplane" question in geometry and core is answered from it.
+
+
+def _level_kernel(f: FieldSpec):
+    """Return levels(u): the level u . x of every point x of F_q^(len u),
+    in point-index order, as bytes (as a list of ints when q > 256).
+
+    Point indices put coordinate 0 lowest, so the vector for u_0..u_t is q
+    blocks, one per value of x_t, each the vector for u_0..u_(t-1) shifted
+    by u_t x_t.  With the field's byte tables a block is one translate
+    through add_tables[u_t x_t]; beyond one byte per element the blocks are
+    list lookups in add and mul tables built in the call.
+    """
+    q = f.q
+    if f.mul_rows is not None:
+        mul, add = f.mul_rows, f.add_tables
+
+        def levels(u) -> bytes:
+            out = mul[u[0]]
+            for c in u[1:]:
+                out = b"".join([out.translate(add[r]) for r in mul[c]])
+            return out
+
+        return levels
+
+    add_flat: list[int] = []  # add_flat[r*q + a] = r + a, built on first use
+
+    def levels(u) -> list[int]:
+        out = [field_mul(f, u[0], x) for x in range(q)]
+        for c in u[1:]:
+            if not add_flat:
+                add_flat.extend(field_add(f, r, a) for r in range(q) for a in range(q))
+            out = [add_flat[rq + a] for rq in (q * field_mul(f, c, x) for x in range(q))
+                   for a in out]
+        return out
+
+    return levels
+
+
+_BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _level_mask(levels, c: int) -> int:
+    """Bitmask (bit i = point index i) of the points whose level is c."""
+    if isinstance(levels, bytes):
+        digits = levels.translate(b"0" * c + b"1" + b"0" * (255 - c))
+    else:
+        digits = bytes(map(c.__eq__, levels)).translate(_BOOL_DIGITS)
+    return int(digits[::-1], 2)
+
+
 # -- hyperplane point sets ---------------------------------------------------
+
+
+def _check_level(f: FieldSpec, h: AffineHyperplane) -> None:
+    if not 0 <= h.level < f.q:
+        raise ValueError(f"level {h.level} out of range for {f}")
 
 
 def hyperplane_points(f: FieldSpec, n: int, h: AffineHyperplane) -> PointSet:
     """All q^(n-1) points x with normal . x = level."""
-    q = f.q
-    if not 0 <= h.level < q:
-        raise ValueError(f"level {h.level} out of range for {f}")
-    normal = h.direction.normal
-    bits = 0
-    for idx in range(q**n):
-        if dot(f, normal, point_coords(idx, q, n)) == h.level:
-            bits |= 1 << idx
-    return PointSet(q, n, bits)
+    _check_level(f, h)
+    levels = _level_kernel(f)
+    return PointSet(f.q, n, _level_mask(levels(h.direction.normal), h.level))
 
 
 def intersect_hyperplanes(
@@ -297,11 +347,9 @@ def intersect_hyperplanes(
     n = len(h1.direction.normal)
     if len(h2.direction.normal) != n:
         raise ValueError("hyperplanes live in different dimensions")
-    q = f.q
-    n1, n2 = h1.direction.normal, h2.direction.normal
-    bits = 0
-    for idx in range(q**n):
-        coords = point_coords(idx, q, n)
-        if dot(f, n1, coords) == h1.level and dot(f, n2, coords) == h2.level:
-            bits |= 1 << idx
-    return PointSet(q, n, bits)
+    _check_level(f, h1)
+    _check_level(f, h2)
+    levels = _level_kernel(f)
+    bits = (_level_mask(levels(h1.direction.normal), h1.level)
+            & _level_mask(levels(h2.direction.normal), h2.level))
+    return PointSet(f.q, n, bits)

@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import queue as queue_module
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import kakeya_lower_bound
-from .core import OffsetAssignment, build_union, is_kakeya, level_masks
+from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
 from .field import FieldSpec, parse_field_spec
 from .geometry import count_directions_formula, enumerate_directions
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
 _POWERSET_POINT_LIMIT = 16
+# How often the parent checks for dead workers while waiting for results.
+_WORKER_POLL_S = 0.1
 
 
 @dataclass(frozen=True)
@@ -238,12 +241,45 @@ def _search_worker(widx, q, masks, free_rest, levels, base_mask, d0, my_levels,
         queue.put((widx, None, None, 0, False, False, repr(exc)))
 
 
+def _collect_results(procs, queue) -> list[tuple]:
+    """One result per (worker index, process), then join them all.
+
+    A worker that exits without reporting (killed, out of memory) raises
+    RuntimeError; on that or an interrupt the other workers are terminated.
+    """
+    results: list[tuple] = []
+    try:
+        while len(results) < len(procs):
+            # A worker that exited before this wait has its result, if it
+            # sent one, in the pipe already, so the wait cannot miss it.
+            reported = {r[0] for r in results}
+            exited = [(widx, proc.exitcode) for widx, proc in procs
+                      if widx not in reported and proc.exitcode is not None]
+            try:
+                results.append(queue.get(timeout=_WORKER_POLL_S))
+            except queue_module.Empty:
+                if exited:
+                    widx, code = exited[0]
+                    raise RuntimeError(
+                        f"search worker {widx} exited with code {code} without a result"
+                    ) from None
+    except BaseException:
+        for _, proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc in procs:
+            proc.join()
+    return results
+
+
 def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) -> SearchResult:
     """Randomized-order greedy: per restart, assign each direction the
     level overlapping the current union most (ties to the smallest level).
     Always a valid upper bound; never a proof of optimality."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_mask_bits(f.q, n, count_directions_formula(f.q, n))
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
@@ -292,6 +328,7 @@ def minimal_kakeya_exact(
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_mask_bits(f.q, n, count_directions_formula(f.q, n))
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
@@ -346,10 +383,8 @@ def minimal_kakeya_exact(
                       per_budget, lb_ceil, best_size, shared, queue),
             )
             proc.start()
-            procs.append(proc)
-        results = [queue.get() for _ in procs]
-        for proc in procs:
-            proc.join()
+            procs.append((widx, proc))
+        results = _collect_results(procs, queue)
         results.sort()
         failures = [r for r in results if len(r) == 7]
         if failures:

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+from kakeya import search
 from kakeya.cli import main
 from kakeya.core import write_point_set
 from kakeya.field import make_field
@@ -188,6 +190,22 @@ def test_search_budget_exhaustion_exit_code(capsys):
     obj = json.loads(out)
     assert obj["proof_of_optimality"] is False
     assert obj["min_size"] >= 24
+
+
+def test_search_refuses_oversized_mask_tables(capsys, monkeypatch):
+    # F_2^19 passes the point and direction caps, but its level masks would
+    # take about 68 GB; the refusal comes before directions are listed.
+    def enumerate_directions(*args):
+        raise AssertionError("directions listed before the mask-size check")
+
+    monkeypatch.setattr(search, "enumerate_directions", enumerate_directions)
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["search", "--field", "2", "--n", "19"])
+    assert code == 2
+    assert "level masks" in err
+    assert time.perf_counter() - start < 0.5
+    rows = search.tightness_report([(2, 19)])
+    assert rows[0].method == "infeasible" and "level masks" in rows[0].note
 
 
 def test_search_heuristic_only(capsys):

@@ -62,6 +62,19 @@ def test_direction_count_formula_and_brute_force(p, k, n):
     assert len(dirs) == count_subspaces(f.q, n, n - 1)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_directions_equal_brute_filter(p, k, n):
+    f = make_field(p, k)
+    q = f.q
+    brute = []
+    for idx in range(1, q**n):
+        coords = point_coords(idx, q, n)
+        if next(a for a in coords if a) == 1:
+            brute.append(Direction(coords))
+    assert enumerate_directions(f, n) == brute
+
+
 @pytest.mark.parametrize("p,k,n", SMALL_GRID)
 def test_directions_canonical_and_ordered(p, k, n):
     f = make_field(p, k)

@@ -1,8 +1,12 @@
 import itertools
 import math
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from kakeya import search
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import OffsetAssignment, build_union, is_kakeya
 from kakeya.field import make_field
@@ -113,6 +117,21 @@ def test_witness_canonical_in_normalized_space():
         if build_union(f, 2, OffsetAssignment(levels)).cardinality == result.min_size:
             optima.append(levels)
     assert result.witness.levels == min(optima)
+
+
+def _killed_worker(widx, *args):
+    os._exit(9)
+
+
+def test_dead_worker_raises_instead_of_hanging(monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(search, "_search_worker", _killed_worker)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"worker \d+ exited with code 9"):
+        minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
+    assert time.perf_counter() - start < 10
+    assert not multiprocessing.active_children()
 
 
 def test_budget_exhaustion_degrades_gracefully():
