@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="exact minimum Kakeya set size")
     _add_common(p, field=True)
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="branch node budget for the exact search")
+                   help="node budget for branch and bound, and again for the "
+                        "canonical-witness pass")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                    help="fix the standard-basis directions to level 0")

@@ -279,9 +279,16 @@ def point_set_from_json(obj: dict) -> tuple[FieldSpec, PointSet]:
     if bits.bit_length() > total:
         raise ValueError("bits_hex sets bits beyond the point space")
     pset = PointSet(q, n, bits)
-    if obj.get("points") is not None:
-        listed = {point_index(tuple(c), q) for c in obj["points"]}
-        if listed != set(pset.indices()):
+    points = obj.get("points")
+    if points is not None:
+        # checked on the flattened coordinates: a per-entry loop costs about
+        # as much again as decoding the list
+        shape_ok = type(points) is list and all(type(c) is list and len(c) == n for c in points)
+        coords = [v for c in points for v in c] if shape_ok else []
+        if not (shape_ok and {type(v) for v in coords} <= {int}
+                and min(coords, default=0) >= 0 and max(coords, default=0) < q):
+            raise ValueError(f"points must be a list of lists of {n} integers in [0, {q})")
+        if {point_index(c, q) for c in points} != set(pset.indices()):
             raise ValueError("points list disagrees with bits_hex")
     return f, pset
 

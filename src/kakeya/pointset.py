@@ -46,11 +46,11 @@ class PointSet:
 
     def indices(self) -> Iterator[int]:
         """Yield member point indices in increasing order."""
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length() - 1
-            b ^= low
+        # one pass over the binary digits, lowest first (clearing one bit at
+        # a time would copy the whole int per member)
+        for i, digit in enumerate(bin(self.bits)[:1:-1]):
+            if digit == "1":
+                yield i
 
     def bits_hex(self) -> str:
         """Lowercase hex of the membership array, LSB = point index 0."""

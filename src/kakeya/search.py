@@ -3,9 +3,18 @@
 Any Kakeya set contains one full hyperplane per direction, and that union
 is itself Kakeya, so the global minimum is attained on unions determined
 by per-direction level assignments.  The search space is therefore q^|S|
-assignments rather than 2^(q^n) subsets; translations shift levels by
-normal . t, so fixing the n standard-basis directions to level 0 removes a
-further factor q^n without changing the minimum.
+assignments rather than 2^(q^n) subsets.  Two kinds of maps of F_q^n keep
+the union size and shrink it further:
+
+- translations shift levels by normal . t, so fixing the n standard-basis
+  directions to level 0 removes a factor q^n;
+- scalings x -> a*x (a != 0) send every level c to a*c, so while every
+  level on a search path is 0 a node tries only levels 0 and 1.
+
+Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
+of distinct directions meet in q^(n-2) points, so the open directions add
+at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
+Neither prune changes the minimum or the canonical witness.
 """
 
 from __future__ import annotations
@@ -62,19 +71,36 @@ class _ProvedOptimal(Exception):
 def _select_direction(mask: int, msize: int, free, masks, q: int):
     """Fail-first branching: the direction whose cheapest level adds the
     most new points, so partial unions grow (and prune) early.  Returns the
-    direction and its (added, level) options."""
+    direction, its (added, level) options indexed by level, and the
+    cheapest gain of every free direction."""
     best_d = None
     best_min = -1
     best_options = None
+    gains = []
     for d in free:
         row = masks[d]
         options = [((mask | row[lvl]).bit_count() - msize, lvl) for lvl in range(q)]
         mn = min(options)[0]
+        gains.append(mn)
         if mn > best_min:
             best_min = mn
             best_d = d
             best_options = options
-    return best_d, best_options
+    return best_d, best_options, gains
+
+
+def _overlap_bound(gains, pair: int) -> int:
+    """Fewest new points any completion adds, given each free direction's
+    cheapest gain.  Hyperplanes of distinct directions meet in `pair` =
+    q^(n-2) points, so the t largest gains add at least their sum less
+    C(t,2)*pair; the best t is where the next gain stops exceeding t*pair."""
+    total = 0
+    for t, gain in enumerate(sorted(gains, reverse=True)):
+        step = gain - t * pair
+        if step <= 0:
+            break
+        total += step
+    return total
 
 
 class _Searcher:
@@ -86,8 +112,10 @@ class _Searcher:
     witness.
     """
 
-    def __init__(self, q, masks, free, levels, base_mask, budget, lb_ceil, bound, shared=None):
+    def __init__(self, q, pair, masks, free, levels, base_mask, budget, lb_ceil, bound,
+                 shared=None):
         self.q = q
+        self.pair = pair
         self.masks = masks
         self.free = list(free)
         self.levels = list(levels)
@@ -109,7 +137,7 @@ class _Searcher:
                 if size < self.bound:
                     self._record(size)
             else:
-                self._node(self.base_mask, self.free)
+                self._node(self.base_mask, self.free, not any(self.levels))
             self.completed = True
         except _BudgetExhausted:
             self.completed = False
@@ -137,13 +165,20 @@ class _Searcher:
         if size <= self.lb_ceil:
             raise _ProvedOptimal
 
-    def _node(self, mask: int, free) -> None:
+    def _node(self, mask: int, free, zero: bool) -> None:
+        """Branch on one free direction.  `zero` is true while every level
+        on the path is 0: the mask is then fixed by the scalings x -> a*x,
+        which send level c to a*c, so levels 0 and 1 cover every orbit."""
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
         self._sync()
         msize = mask.bit_count()
-        d, options = _select_direction(mask, msize, free, self.masks, self.q)
+        d, options, gains = _select_direction(mask, msize, free, self.masks, self.q)
+        if msize + _overlap_bound(gains, self.pair) >= self.bound:
+            return
+        if zero:
+            options = options[:2]
         rest = [x for x in free if x != d]
         row = self.masks[d]
         for added, lvl in sorted(options):
@@ -152,7 +187,7 @@ class _Searcher:
                 continue
             self.levels[d] = lvl
             if rest:
-                self._node(mask | row[lvl], rest)
+                self._node(mask | row[lvl], rest, zero and lvl == 0)
             else:
                 self._record(csize)
 
@@ -166,19 +201,32 @@ def _standard_basis_positions(dirs, n: int) -> list[int]:
     return out
 
 
-def _lex_smallest_witness(q, masks, s, fixed, target) -> tuple[int, ...]:
+def _lex_smallest_witness(q, pair, masks, s, fixed, target, budget) -> tuple[int, ...] | None:
     """First (hence lexicographically smallest) assignment of the proven
     optimal size, scanning directions in enumeration order and levels
-    ascending; partial unions above the target are pruned."""
+    ascending.  A partial union is pruned once it, plus the overlap bound
+    of the free directions still open, exceeds the target.  Returns None once
+    more than `budget` nodes would be visited."""
     fixed_set = set(fixed)
+    choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
+    open_from = [[d for d in range(pos, s) if d not in fixed_set] for pos in range(s)]
     levels = [0] * s
+    nodes = 0
 
     def rec(pos: int, mask: int) -> bool:
+        nonlocal nodes
+        if nodes >= budget:
+            raise _BudgetExhausted
+        nodes += 1
+        msize = mask.bit_count()
         if pos == s:
-            return mask.bit_count() == target
-        choices = (0,) if pos in fixed_set else range(q)
-        for lvl in choices:
-            child = mask | masks[pos][lvl]
+            return msize == target
+        _, _, gains = _select_direction(mask, msize, open_from[pos], masks, q)
+        if msize + _overlap_bound(gains, pair) > target:
+            return False
+        row = masks[pos]
+        for lvl in choices[pos]:
+            child = mask | row[lvl]
             if child.bit_count() > target:
                 continue
             levels[pos] = lvl
@@ -186,7 +234,11 @@ def _lex_smallest_witness(q, masks, s, fixed, target) -> tuple[int, ...]:
                 return True
         return False
 
-    if not rec(0, 0):
+    try:
+        found = rec(0, 0)
+    except _BudgetExhausted:
+        return None
+    if not found:
         raise AssertionError("no assignment of the proven optimal size found")
     return tuple(levels)
 
@@ -210,7 +262,7 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
     return kakeya_lower_bound(q, n) if n >= 2 else Fraction(1)
 
 
-def _search_worker(widx, q, masks, free_rest, levels, base_mask, d0, my_levels,
+def _search_worker(widx, q, pair, masks, free_rest, levels, base_mask, d0, my_levels,
                    budget, lb_ceil, init_bound, shared, queue):
     try:
         found_size = None
@@ -222,7 +274,7 @@ def _search_worker(widx, q, masks, free_rest, levels, base_mask, d0, my_levels,
         for lvl in my_levels:
             lv = list(levels)
             lv[d0] = lvl
-            searcher = _Searcher(q, masks, free_rest, lv, base_mask | masks[d0][lvl],
+            searcher = _Searcher(q, pair, masks, free_rest, lv, base_mask | masks[d0][lvl],
                                  max(1, budget - nodes), lb_ceil, bound, shared)
             searcher.search()
             nodes += searcher.nodes
@@ -320,9 +372,10 @@ def minimal_kakeya_exact(
 
     Branch and bound over level assignments, seeded with a deterministic
     greedy incumbent.  With proof_of_optimality the witness is canonical
-    (lexicographically smallest optimal assignment in the searched space);
-    on budget exhaustion the best upper bound found is returned with the
-    flag false.
+    (lexicographically smallest optimal assignment in the searched space).
+    Branch and bound and the canonical-witness pass may each visit
+    node_budget nodes; if either runs out, the best upper bound found is
+    returned with the flag false.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
@@ -334,6 +387,7 @@ def minimal_kakeya_exact(
     masks = level_masks(f, n, dirs)
     lb = _instance_lower_bound(q, n)
     lb_ceil = math.ceil(lb)
+    pair = q ** max(0, n - 2)  # points shared by two hyperplanes of distinct directions
 
     fixed = _standard_basis_positions(dirs, n) if normalize else []
     fixed_set = set(fixed)
@@ -357,7 +411,7 @@ def minimal_kakeya_exact(
             best_size, best_levels = size, list(levels)
         optimal = True
     elif workers == 1:
-        searcher = _Searcher(q, masks, free, levels, base_mask, node_budget,
+        searcher = _Searcher(q, pair, masks, free, levels, base_mask, node_budget,
                              lb_ceil, best_size)
         searcher.search()
         nodes = searcher.nodes
@@ -365,9 +419,10 @@ def minimal_kakeya_exact(
             best_size, best_levels = searcher.found_size, searcher.found_levels
         optimal = searcher.completed
     else:
-        d0, options = _select_direction(base_mask, base_mask.bit_count(), free, masks, q)
+        d0, options, _ = _select_direction(base_mask, base_mask.bit_count(), free, masks, q)
         free_rest = [x for x in free if x != d0]
-        level_order = [lvl for _, lvl in sorted(options)]
+        # the root path is all zero, so scalar symmetry leaves levels 0 and 1
+        level_order = [lvl for _, lvl in sorted(options[:2])]
         buckets = [level_order[w::workers] for w in range(workers)]
         ctx = multiprocessing.get_context()
         shared = ctx.Value("q", best_size)
@@ -379,7 +434,7 @@ def minimal_kakeya_exact(
                 continue
             proc = ctx.Process(
                 target=_search_worker,
-                args=(widx, q, masks, free_rest, levels, base_mask, d0, bucket,
+                args=(widx, q, pair, masks, free_rest, levels, base_mask, d0, bucket,
                       per_budget, lb_ceil, best_size, shared, queue),
             )
             proc.start()
@@ -400,7 +455,12 @@ def minimal_kakeya_exact(
         optimal = completed_all or hit_lb_any
 
     if optimal:
-        best_levels = list(_lex_smallest_witness(q, masks, s, fixed, best_size))
+        canonical = _lex_smallest_witness(q, pair, masks, s, fixed, best_size, node_budget)
+        if canonical is None:
+            # a proof must come with the canonical witness, so report a bound
+            optimal = False
+        else:
+            best_levels = list(canonical)
     witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, lb_ceil)
     return SearchResult(best_size, witness, nodes, optimal, lb)

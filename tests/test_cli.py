@@ -7,7 +7,7 @@ import pytest
 
 from kakeya import search
 from kakeya.cli import main
-from kakeya.core import write_point_set
+from kakeya.core import point_set_to_json, write_point_set
 from kakeya.field import make_field
 from kakeya.pointset import PointSet
 
@@ -111,6 +111,49 @@ def test_verify_full_and_empty(tmp_path, capsys):
     assert code == 1
     assert "NOT KAKEYA" in out
     assert "direction #0" in out
+
+
+# Each bad entry stands in for the origin [0, 0] of the full F_2^2; the
+# ones that still encode index 0 would pass the bits_hex agreement check.
+@pytest.mark.parametrize("entry", [
+    ["0", 0],  # a string coordinate
+    [0, 0, 0],  # three coordinates when n = 2
+    [0],  # one coordinate
+    [0, 2],  # 2 is not in F_2
+    [False, False],  # a bool is not a coordinate
+    0,  # not a coordinate list
+])
+def test_verify_rejects_malformed_points(tmp_path, capsys, entry):
+    obj = point_set_to_json(make_field(2, 1), PointSet.full(2, 2), include_points=True)
+    assert obj["points"][0] == [0, 0]
+    obj["points"][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: points must be a list of lists of 2 integers in [0, 2)")
+
+
+def test_verify_rejects_points_that_are_not_a_list(tmp_path, capsys):
+    obj = point_set_to_json(make_field(2, 1), PointSet.full(2, 2))
+    obj["points"] = "xx"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert err.startswith("error: points must be a list of lists")
+
+
+def test_search_exits_3_when_the_witness_pass_runs_out(capsys):
+    # (2,2) is proven by the greedy seed alone; one node is too few for the
+    # canonical-witness pass, so the result is only an upper bound
+    code, out, _ = run(capsys, ["search", "--field", "2", "--n", "2", "--budget", "1"])
+    assert code == 3
+    assert out.startswith("upper bound: 3")
+    code, out, _ = run(capsys, ["search", "--field", "2", "--n", "2"])
+    assert code == 0
+    assert out.startswith("exact minimum: 3")
 
 
 def test_verify_minus_point_witness(tmp_path, capsys):

@@ -291,6 +291,17 @@ def test_assignment_roundtrip(tmp_path):
         assignment_from_json({"nope": 1})
 
 
+def test_indices_match_the_naive_order():
+    rng = random.Random(5)
+    for q, n in [(2, 5), (3, 4), (5, 3), (7, 2)]:
+        total = q**n
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            bits = sum(1 << i for i in range(total) if rng.random() < density)
+            naive = [i for i in range(total) if bits >> i & 1]
+            assert list(PointSet(q, n, bits).indices()) == naive
+    assert list(PointSet.full(2, 18).indices()) == list(range(1 << 18))
+
+
 def test_pointset_basics():
     pset = PointSet.from_indices(2, 2, [1, 3])
     assert pset.cardinality == 2

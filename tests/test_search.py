@@ -2,14 +2,15 @@ import itertools
 import math
 import multiprocessing
 import os
+import random
 import time
 
 import pytest
 
 from kakeya import search
 from kakeya.bounds import kakeya_lower_bound_ceiling
-from kakeya.core import OffsetAssignment, build_union, is_kakeya
-from kakeya.field import make_field
+from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
+from kakeya.field import field_mul, make_field
 from kakeya.geometry import enumerate_directions
 from kakeya.search import (
     greedy_upper_bound,
@@ -19,6 +20,10 @@ from kakeya.search import (
 )
 
 KNOWN_MINIMA = [(2, 2, 3), (2, 3, 7), (3, 2, 7)]
+# (p, k, n) cells small enough for _assignment_minimum_brute
+BRUTE_CELLS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
+# planar fields (p, k) whose minimum the search proves within a few seconds
+PLANAR_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (2, 2), (2, 3)]
 
 
 def _assignment_minimum_brute(f, n):
@@ -52,11 +57,116 @@ def test_bound_attained_at_2_2_and_2_3():
         assert minimal_kakeya_exact(f, n).min_size == kakeya_lower_bound_ceiling(p, n)
 
 
+def _search_from_scratch(f, n, normalize):
+    """Branch and bound with no greedy incumbent and no lower-bound exit,
+    so both prunes decide the whole tree."""
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    fixed = search._standard_basis_positions(dirs, n) if normalize else []
+    base_mask = 0
+    for pos in fixed:
+        base_mask |= masks[pos][0]
+    free = [i for i in range(len(dirs)) if i not in fixed]
+    searcher = search._Searcher(f.q, f.q ** (n - 2), masks, free, [0] * len(dirs),
+                                base_mask, 10**7, 0, f.q**n + 1)
+    searcher.search()
+    assert searcher.completed
+    witness = OffsetAssignment(tuple(searcher.found_levels))
+    assert build_union(f, n, witness).cardinality == searcher.found_size
+    return searcher.found_size
+
+
 def test_exact_matches_brute_force_assignment_scan():
-    for p, n, _ in KNOWN_MINIMA:
-        f = make_field(p, 1)
+    for p, k, n in BRUTE_CELLS:
+        f = make_field(p, k)
         brute, _ = _assignment_minimum_brute(f, n)
-        assert minimal_kakeya_exact(f, n).min_size == brute
+        for normalize in (True, False):
+            result = minimal_kakeya_exact(f, n, normalize=normalize)
+            assert result.proof_of_optimality
+            assert result.min_size == brute
+            assert _search_from_scratch(f, n, normalize) == brute
+
+
+def test_search_from_scratch_agrees_across_normalization():
+    for p, k, n in [(7, 1, 2), (3, 1, 3), (2, 2, 3)]:
+        f = make_field(p, k)
+        assert _search_from_scratch(f, n, True) == _search_from_scratch(f, n, False)
+
+
+def test_scaling_levels_keeps_the_union_size():
+    """x -> a*x maps level c of every direction to a*c: the symmetry
+    behind trying only levels 0 and 1 on an all-zero path."""
+    rng = random.Random(7)
+    for p, k, n in [(5, 1, 2), (7, 1, 2), (3, 2, 2), (2, 2, 3), (3, 1, 3)]:
+        f = make_field(p, k)
+        s = len(enumerate_directions(f, n))
+        for _ in range(5):
+            levels = [rng.randrange(f.q) for _ in range(s)]
+            size = build_union(f, n, OffsetAssignment(tuple(levels))).cardinality
+            for a in range(1, f.q):
+                scaled = tuple(field_mul(f, a, c) for c in levels)
+                assert build_union(f, n, OffsetAssignment(scaled)).cardinality == size
+
+
+def test_overlap_bound_on_hand_made_gains():
+    bound = search._overlap_bound
+    assert bound([], 3) == 0
+    assert bound([0, 0, 0], 1) == 0
+    assert bound([6], 4) == 6
+    assert bound([6, 6], 1) == 11  # one pair shares one point
+    assert bound([3, 9, 5], 3) == 11  # 9 + (5 - 3); adding 3 would cost 6
+    assert bound([4, 4, 4, 4], 2) == 6  # t = 2 and t = 3 tie, t = 4 gives 4
+    rng = random.Random(3)
+    for _ in range(300):
+        gains = [rng.randrange(30) for _ in range(rng.randrange(9))]
+        pair = rng.randrange(1, 7)
+        top = sorted(gains, reverse=True)
+        best = max(sum(top[:t]) - t * (t - 1) // 2 * pair for t in range(len(top) + 1))
+        assert bound(gains, pair) == best
+
+
+def test_overlap_bound_never_exceeds_what_a_completion_adds():
+    rng = random.Random(11)
+    for p, k, n in [(5, 1, 2), (7, 1, 2), (3, 1, 3), (2, 2, 3)]:
+        f = make_field(p, k)
+        masks = level_masks(f, n)
+        s = len(masks)
+        for _ in range(40):
+            order = rng.sample(range(s), s)
+            cut = rng.randrange(s)
+            mask = 0
+            for d in order[:cut]:
+                mask |= masks[d][rng.randrange(f.q)]
+            msize = mask.bit_count()
+            _, _, gains = search._select_direction(mask, msize, order[cut:], masks, f.q)
+            for _ in range(5):
+                full = mask
+                for d in order[cut:]:
+                    full |= masks[d][rng.randrange(f.q)]
+                assert full.bit_count() - msize >= search._overlap_bound(gains, f.q ** (n - 2))
+
+
+def _planar_minimum(q):
+    """Blokhuis and Mazzocca (2008): q(q+1)/2 + (q-1)/2 for odd q and
+    q(q+1)/2 for even q.  A test expectation only."""
+    return q * (q + 1) // 2 + ((q - 1) // 2 if q % 2 else 0)
+
+
+@pytest.mark.parametrize("p,k", PLANAR_FIELDS)
+def test_planar_minima_match_the_literature(p, k):
+    f = make_field(p, k)
+    result = minimal_kakeya_exact(f, 2)
+    assert result.proof_of_optimality
+    assert result.min_size == _planar_minimum(f.q)
+    union = build_union(f, 2, result.witness)
+    assert union.cardinality == result.min_size
+    assert is_kakeya(f, union).ok
+
+
+def test_9_2_node_count_guard():
+    result = minimal_kakeya_exact(make_field(3, 2), 2)
+    assert result.proof_of_optimality and result.min_size == 49
+    assert result.nodes_explored <= 10_000
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -143,6 +253,20 @@ def test_budget_exhaustion_degrades_gracefully():
     assert union.cardinality == result.min_size
     assert is_kakeya(f, union).ok
     assert result.min_size >= kakeya_lower_bound_ceiling(3, 3)
+
+
+def test_witness_pass_out_of_budget_reports_a_bound():
+    f = make_field(2, 1)
+    # the greedy seed meets the lower-bound ceiling, so branch and bound
+    # visits no node and only the canonical-witness pass hits the budget
+    result = minimal_kakeya_exact(f, 2, node_budget=1)
+    assert result.nodes_explored == 0
+    assert not result.proof_of_optimality
+    assert result.min_size == 3
+    union = build_union(f, 2, result.witness)
+    assert union.cardinality == 3 and is_kakeya(f, union).ok
+    proven = minimal_kakeya_exact(f, 2)
+    assert proven.proof_of_optimality and proven.nodes_explored == 0
 
 
 def test_budget_validation():
