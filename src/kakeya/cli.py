@@ -34,7 +34,12 @@ from .core import (
 )
 from .field import FieldSpec, factor_prime_power, parse_field_spec
 from .geometry import count_directions_formula, enumerate_directions, point_coords
-from .search import greedy_upper_bound, minimal_kakeya_exact, minimal_kakeya_powerset
+from .search import (
+    MAX_WORKERS,
+    greedy_upper_bound,
+    minimal_kakeya_exact,
+    minimal_kakeya_powerset,
+)
 
 SCHEMA_VERSION = 1
 
@@ -488,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="node budget for branch and bound, and again for the "
                         "canonical-witness pass")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"processes for branch and bound; at most {MAX_WORKERS}; the top "
+                        "of the tree is split into open nodes that workers pull")
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                    help="fix the standard-basis directions to level 0")
     p.add_argument("--heuristic-only", action="store_true",

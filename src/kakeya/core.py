@@ -263,7 +263,10 @@ def point_set_from_json(obj: dict) -> tuple[FieldSpec, PointSet]:
     for key in ("q", "p", "k", "n", "bits_hex"):
         if key not in obj:
             raise ValueError(f"point set file missing key {key!r}")
-    q, p, k, n = (int(obj[key]) for key in ("q", "p", "k", "n"))
+    for key in ("q", "p", "k", "n"):
+        if type(obj[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+    q, p, k, n = (obj[key] for key in ("q", "p", "k", "n"))
     f = make_field(p, k)
     if f.q != q:
         raise ValueError(f"q={q} does not equal p^k={f.q}")
@@ -313,7 +316,9 @@ def assignment_from_json(obj) -> OffsetAssignment:
         levels = obj["levels"]
     else:
         raise ValueError("witness file must be a list of levels or have a 'levels' key")
-    return OffsetAssignment(tuple(int(v) for v in levels))
+    if type(levels) is not list or any(type(v) is not int for v in levels):
+        raise ValueError("witness levels must be a list of integers")
+    return OffsetAssignment(tuple(levels))
 
 
 def write_assignment(path, f: FieldSpec, n: int, assignment: OffsetAssignment) -> None:

@@ -15,6 +15,12 @@ Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
 of distinct directions meet in q^(n-2) points, so the open directions add
 at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
 Neither prune changes the minimum or the canonical witness.
+
+With workers > 1 the parent expands the top of the tree, with the same
+cuts, into a list of open nodes in depth-first order (about 8 per worker).
+At most MAX_WORKERS processes pull them one at a time through a shared
+index and share the incumbent size, so a worker that finishes a small
+subtree takes the next node instead of idling.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from .geometry import count_directions_formula, enumerate_directions
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
+# Most processes one parallel search may start.
+MAX_WORKERS = 64
 _POWERSET_POINT_LIMIT = 16
 # How often the parent checks for dead workers while waiting for results.
 _WORKER_POLL_S = 0.1
@@ -129,6 +137,7 @@ class _Searcher:
         self.nodes = 0
         self.completed = False
         self.hit_lb = False
+        self._child = self._node
 
     def search(self) -> None:
         try:
@@ -166,9 +175,11 @@ class _Searcher:
             raise _ProvedOptimal
 
     def _node(self, mask: int, free, zero: bool) -> None:
-        """Branch on one free direction.  `zero` is true while every level
-        on the path is 0: the mask is then fixed by the scalings x -> a*x,
-        which send level c to a*c, so levels 0 and 1 cover every orbit."""
+        """Branch on one free direction; each child that survives the cuts
+        goes to self._child, which searches it (or, while the frontier is
+        built, keeps it open).  `zero` is true while every level on the path
+        is 0: the mask is then fixed by the scalings x -> a*x, which send
+        level c to a*c, so levels 0 and 1 cover every orbit."""
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
@@ -187,9 +198,43 @@ class _Searcher:
                 continue
             self.levels[d] = lvl
             if rest:
-                self._node(mask | row[lvl], rest, zero and lvl == 0)
+                self._child(mask | row[lvl], rest, zero and lvl == 0)
             else:
                 self._record(csize)
+
+    def _keep_open(self, mask: int, free, zero: bool) -> None:
+        self._opened.append((mask, free, self.levels.copy()))
+
+    def frontier(self, workers: int) -> list[tuple[int, list[int], list[int]]] | None:
+        """Expand the top of the tree level by level into open nodes
+        (mask, open directions, levels) in depth-first order, until there
+        are at least 8*workers of them.  A level is taken only if it leaves
+        at least min(workers, open nodes) open, so the frontier never
+        shrinks below the workers it can feed.  Leaves reached on the way
+        are recorded.  Returns None when the run ends here (budget spent or
+        lower bound met), with `completed` and `hit_lb` set as by `search`."""
+        level = [(self.base_mask, self.free, self.levels)]
+        self._child = self._keep_open
+        try:
+            while len(level) < 8 * workers:
+                nodes = self.nodes
+                self._opened = []
+                for mask, free, levels in level:
+                    self.levels = levels.copy()
+                    self._node(mask, free, not any(levels))
+                if len(self._opened) < min(workers, len(level)):
+                    self.nodes = nodes  # the workers visit these nodes again
+                    break
+                level = self._opened
+        except _BudgetExhausted:
+            self.completed = False
+            return None
+        except _ProvedOptimal:
+            self.completed = self.hit_lb = True
+            return None
+        finally:
+            self._child = self._node
+        return level
 
 
 def _standard_basis_positions(dirs, n: int) -> list[int]:
@@ -262,8 +307,10 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
     return kakeya_lower_bound(q, n) if n >= 2 else Fraction(1)
 
 
-def _search_worker(widx, q, pair, masks, free_rest, levels, base_mask, d0, my_levels,
-                   budget, lb_ceil, init_bound, shared, queue):
+def _search_worker(widx, q, pair, masks, tasks, next_task, budget, lb_ceil, init_bound,
+                   shared, queue):
+    """Pull open nodes by index from the shared counter until the list is
+    used up, the budget runs out or the lower bound is met; send one result."""
     try:
         found_size = None
         found_levels = None
@@ -271,10 +318,14 @@ def _search_worker(widx, q, pair, masks, free_rest, levels, base_mask, d0, my_le
         completed = True
         hit_lb = False
         bound = init_bound
-        for lvl in my_levels:
-            lv = list(levels)
-            lv[d0] = lvl
-            searcher = _Searcher(q, pair, masks, free_rest, lv, base_mask | masks[d0][lvl],
+        while True:
+            with next_task.get_lock():
+                i = next_task.value
+                next_task.value = i + 1
+            if i >= len(tasks):
+                break
+            mask, free, levels = tasks[i]
+            searcher = _Searcher(q, pair, masks, free, levels, mask,
                                  max(1, budget - nodes), lb_ceil, bound, shared)
             searcher.search()
             nodes += searcher.nodes
@@ -323,6 +374,43 @@ def _collect_results(procs, queue) -> list[tuple]:
         for _, proc in procs:
             proc.join()
     return results
+
+
+def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound):
+    """Search the open nodes on min(workers, len(tasks)) processes that pull
+    them in order and share the incumbent.  Returns the best size and levels
+    found (None if none beat `bound`), the nodes visited and whether the
+    run proves optimality."""
+    ctx = multiprocessing.get_context()
+    shared = ctx.Value("q", bound)
+    next_task = ctx.Value("q", 0)
+    queue = ctx.Queue()
+    per_budget = max(1, node_budget // workers)
+    procs = []
+    for widx in range(min(workers, len(tasks))):
+        proc = ctx.Process(
+            target=_search_worker,
+            args=(widx, q, pair, masks, tasks, next_task, per_budget, lb_ceil, bound,
+                  shared, queue),
+        )
+        proc.start()
+        procs.append((widx, proc))
+    results = _collect_results(procs, queue)
+    results.sort()
+    failures = [r for r in results if len(r) == 7]
+    if failures:
+        raise RuntimeError(f"search worker failed: {failures[0][6]}")
+    best_size, best_levels = bound, None
+    nodes = 0
+    completed_all = True
+    hit_lb_any = False
+    for _, fsize, flevels, wnodes, completed, hit_lb in results:
+        nodes += wnodes
+        completed_all = completed_all and completed
+        hit_lb_any = hit_lb_any or hit_lb
+        if flevels is not None and fsize < best_size:
+            best_size, best_levels = fsize, flevels
+    return best_size, best_levels, nodes, completed_all or hit_lb_any
 
 
 def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) -> SearchResult:
@@ -379,8 +467,8 @@ def minimal_kakeya_exact(
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     _check_mask_bits(f.q, n, count_directions_formula(f.q, n))
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
@@ -410,49 +498,24 @@ def minimal_kakeya_exact(
         if size < best_size:
             best_size, best_levels = size, list(levels)
         optimal = True
-    elif workers == 1:
+    else:
         searcher = _Searcher(q, pair, masks, free, levels, base_mask, node_budget,
                              lb_ceil, best_size)
-        searcher.search()
+        if workers == 1:
+            searcher.search()
+            tasks = None
+        else:
+            tasks = searcher.frontier(workers)
         nodes = searcher.nodes
         if searcher.found_levels is not None:
             best_size, best_levels = searcher.found_size, searcher.found_levels
         optimal = searcher.completed
-    else:
-        d0, options, _ = _select_direction(base_mask, base_mask.bit_count(), free, masks, q)
-        free_rest = [x for x in free if x != d0]
-        # the root path is all zero, so scalar symmetry leaves levels 0 and 1
-        level_order = [lvl for _, lvl in sorted(options[:2])]
-        buckets = [level_order[w::workers] for w in range(workers)]
-        ctx = multiprocessing.get_context()
-        shared = ctx.Value("q", best_size)
-        queue = ctx.Queue()
-        procs = []
-        per_budget = max(1, node_budget // workers)
-        for widx, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            proc = ctx.Process(
-                target=_search_worker,
-                args=(widx, q, pair, masks, free_rest, levels, base_mask, d0, bucket,
-                      per_budget, lb_ceil, best_size, shared, queue),
-            )
-            proc.start()
-            procs.append((widx, proc))
-        results = _collect_results(procs, queue)
-        results.sort()
-        failures = [r for r in results if len(r) == 7]
-        if failures:
-            raise RuntimeError(f"search worker failed: {failures[0][6]}")
-        completed_all = True
-        hit_lb_any = False
-        for _, fsize, flevels, wnodes, completed, hit_lb in results:
+        if tasks:
+            found_size, found_levels, wnodes, optimal = _run_workers(
+                tasks, workers, q, pair, masks, node_budget, lb_ceil, best_size)
             nodes += wnodes
-            completed_all = completed_all and completed
-            hit_lb_any = hit_lb_any or hit_lb
-            if flevels is not None and fsize < best_size:
-                best_size, best_levels = fsize, flevels
-        optimal = completed_all or hit_lb_any
+            if found_levels is not None:
+                best_size, best_levels = found_size, found_levels
 
     if optimal:
         canonical = _lex_smallest_witness(q, pair, masks, s, fixed, best_size, node_budget)

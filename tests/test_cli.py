@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -145,6 +146,36 @@ def test_verify_rejects_points_that_are_not_a_list(tmp_path, capsys):
     assert err.startswith("error: points must be a list of lists")
 
 
+@pytest.mark.parametrize("key", ["q", "p", "k", "n"])
+@pytest.mark.parametrize("value", [None, 2.0, 2.5, True, "2"])
+def test_verify_rejects_fields_that_are_not_integers(tmp_path, capsys, key, value):
+    obj = point_set_to_json(make_field(2, 1), PointSet.full(2, 2))
+    obj[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key} must be an integer")
+
+
+@pytest.mark.parametrize("level", [None, 1.0, True, "1"])
+def test_stats_rejects_witness_levels_that_are_not_integers(tmp_path, capsys, level):
+    set_path = tmp_path / "set.json"
+    wit_path = tmp_path / "wit.json"
+    code, _, _ = run(capsys, ["construct", "--field", "2", "--n", "2", "--seed", "1",
+                              "--output", str(set_path), "--witness-out", str(wit_path)])
+    assert code == 0
+    witness = json.loads(wit_path.read_text())
+    for levels in ([level] + witness["levels"][1:], "".join(map(str, witness["levels"]))):
+        witness["levels"] = levels
+        wit_path.write_text(json.dumps(witness))
+        code, out, err = run(capsys, ["stats", str(set_path), "--witness", str(wit_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: witness levels must be a list of integers")
+
+
 def test_search_exits_3_when_the_witness_pass_runs_out(capsys):
     # (2,2) is proven by the greedy seed alone; one node is too few for the
     # canonical-witness pass, so the result is only an upper bound
@@ -249,6 +280,26 @@ def test_search_refuses_oversized_mask_tables(capsys, monkeypatch):
     assert time.perf_counter() - start < 0.5
     rows = search.tightness_report([(2, 19)])
     assert rows[0].method == "infeasible" and "level masks" in rows[0].note
+
+
+def test_parallel_search_out_of_budget_exits_3(capsys):
+    code, out, _ = run(capsys, ["search", "--field", "9", "--n", "2", "--workers", "2",
+                                "--budget", "100"])
+    assert code == 3
+    assert out.startswith("upper bound: ")
+
+
+def test_search_refuses_too_many_workers(capsys, monkeypatch):
+    def refuse(proc):
+        raise AssertionError("no process may start")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for workers in (search.MAX_WORKERS + 1, 100_000):
+        code, out, err = run(capsys, ["search", "--field", "7", "--n", "2",
+                                      "--workers", str(workers)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: workers must be in [1, {search.MAX_WORKERS}]")
 
 
 def test_search_heuristic_only(capsys):

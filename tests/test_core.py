@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.core import (
     OffsetAssignment,
@@ -243,6 +245,21 @@ def test_point_set_json_roundtrip(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["bits_hex"] == format(pset.bits, "03x")
     assert len(raw["bits_hex"]) == (9 + 3) // 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_point_set_json_round_trip_on_random_sets(data):
+    p, k, n = data.draw(st.sampled_from(
+        [(2, 1, 1), (2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2), (7, 1, 3), (2, 3, 3)]))
+    f = make_field(p, k)
+    pset = PointSet(f.q, n, data.draw(st.integers(0, (1 << f.q**n) - 1)))
+    for include_points in (False, True):
+        obj = json.loads(json.dumps(point_set_to_json(f, pset, include_points)))
+        assert ("points" in obj) == include_points
+        f2, back = point_set_from_json(obj)
+        assert (f2.p, f2.k, f2.q) == (p, k, f.q)
+        assert back == pset
 
 
 def test_point_set_json_validation():

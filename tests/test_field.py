@@ -1,8 +1,12 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.field import (
+    DEFAULT_SIZE_CAP,
     factor_prime_power,
     field_add,
     field_inv,
@@ -192,3 +196,47 @@ def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("KAKEYA_SIZE_CAP", "bogus")
     with pytest.raises(ValueError):
         make_field(2, 2)
+
+
+# Random fields p^k up to the size cap.  Extension fields of order in
+# (2^12, 2^16] are left out: make_field builds their log tables in pure
+# Python, which takes up to 10 s for one field.
+_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 31, 257, 1021]
+
+
+def _next_prime(m):
+    while not is_prime(m):
+        m += 1
+    return m
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_field(p, k):
+    return make_field(p, k)
+
+
+@st.composite
+def fields(draw):
+    p = draw(st.one_of(st.sampled_from(_SMALL_PRIMES),
+                       st.integers(2, DEFAULT_SIZE_CAP - 3).map(_next_prime)))
+    degrees = [k for k in range(1, 21)
+               if p**k <= DEFAULT_SIZE_CAP and (k == 1 or not 1 << 12 < p**k <= 1 << 16)]
+    return _cached_field(p, draw(st.sampled_from(degrees)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_axioms_on_random_fields(data):
+    f = data.draw(fields())
+    a, b, c = (data.draw(st.integers(0, f.q - 1)) for _ in range(3))
+    add = functools.partial(field_add, f)
+    mul = functools.partial(field_mul, f)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(a, field_neg(f, a)) == 0 and field_sub(f, add(a, b), b) == a
+    if a:
+        assert mul(a, field_inv(f, a)) == 1
+    # Frobenius x -> x^p is additive in characteristic p
+    assert field_pow(f, add(a, b), f.p) == add(field_pow(f, a, f.p), field_pow(f, b, f.p))

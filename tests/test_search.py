@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -193,13 +194,131 @@ def test_normalization_does_not_change_minimum():
 
 
 def test_worker_counts_agree():
-    for p, n in [(3, 2), (2, 3)]:
-        f = make_field(p, 1)
-        results = [minimal_kakeya_exact(f, n, workers=w) for w in (1, 2, 4)]
-        sizes = {r.min_size for r in results}
-        assert len(sizes) == 1
-        witnesses = {r.witness for r in results}
-        assert len(witnesses) == 1  # canonical witness once optimality is proven
+    for p, k, n in [(3, 1, 2), (2, 1, 3), (5, 1, 2), (7, 1, 2), (3, 2, 2), (2, 2, 3)]:
+        f = make_field(p, k)
+        results = [minimal_kakeya_exact(f, n, workers=w) for w in (1, 2, 3, 4)]
+        assert all(r.proof_of_optimality for r in results)
+        assert len({r.min_size for r in results}) == 1
+        # the canonical witness once optimality is proven
+        assert len({r.witness for r in results}) == 1
+
+
+def test_every_worker_gets_open_nodes(monkeypatch):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    result = minimal_kakeya_exact(make_field(7, 1), 2, workers=4)
+    assert result.proof_of_optimality and result.min_size == 31
+    assert len(started) == 4
+
+
+def test_too_many_workers_are_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nothing may be built or started")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(search, "level_masks", refuse)
+    for workers in (search.MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ValueError, match="workers must be in"):
+            minimal_kakeya_exact(make_field(7, 1), 2, workers=workers)
+
+
+def test_parallel_budget_exhaustion_reports_a_verified_bound():
+    f = make_field(3, 2)
+    # 5 nodes run out while the parent splits the tree; with 100 it expands
+    # a few and each of the 2 workers may visit 50
+    for budget in (5, 100):
+        result = minimal_kakeya_exact(f, 2, node_budget=budget, workers=2)
+        assert not result.proof_of_optimality
+        union = build_union(f, 2, result.witness)
+        assert union.cardinality == result.min_size >= 49
+        assert is_kakeya(f, union).ok
+
+
+_JOIN_TIMEOUT_S = 30
+
+
+class _TimedJoinProcess(multiprocessing.get_context("fork").Process):
+    def join(self, timeout=None):
+        super().join(_JOIN_TIMEOUT_S if timeout is None else timeout)
+
+
+class _SlowReadValue:
+    """A shared value whose reads take 5 ms, which widens the window in
+    which an unlocked read-then-write loses an update."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def get_lock(self):
+        return self._inner.get_lock()
+
+    @property
+    def value(self):
+        v = self._inner.value
+        time.sleep(0.005)
+        return v
+
+    @value.setter
+    def value(self, v):
+        self._inner.value = v
+
+
+class _RecordingContext:
+    """A fork context that keeps the processes it makes, with their
+    arguments, bounds every join by a timeout and slows shared reads."""
+
+    def __init__(self):
+        self._ctx = multiprocessing.get_context("fork")
+        self.started = []
+
+    def Value(self, typecode, value):
+        shared = self._ctx.Value(typecode, value)
+        # the task counter starts at 0; the incumbent size never does
+        return _SlowReadValue(shared) if value == 0 else shared
+
+    def Process(self, target, args):
+        proc = _TimedJoinProcess(target=target, args=args)
+        self.started.append((proc, args))
+        return proc
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+
+def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
+    f = make_field(3, 2)
+    expected = minimal_kakeya_exact(f, 2)
+    ctx = _RecordingContext()
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: ctx)
+    out = {}
+    runner = threading.Thread(target=lambda: out.setdefault(
+        "result", minimal_kakeya_exact(f, 2, workers=8)))
+    runner.start()
+    runner.join(60)
+    hung = runner.is_alive()
+    for proc, _ in ctx.started:
+        proc.join(5)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(5)
+    runner.join(10)
+    assert not hung
+    assert not multiprocessing.active_children()
+    assert len(ctx.started) == 8
+    result = out["result"]
+    assert (result.min_size, result.witness) == (expected.min_size, expected.witness)
+    # (9,2) is not closed by its lower bound, so every worker ran out of
+    # open nodes: each node was taken once, plus one read past the end per worker
+    _, args = ctx.started[0]
+    tasks, next_task = args[4], args[5]
+    assert len(tasks) >= 8 * 8
+    assert next_task.value == len(tasks) + 8
 
 
 def test_witness_is_lexicographically_smallest():
@@ -275,6 +394,8 @@ def test_budget_validation():
         minimal_kakeya_exact(f, 2, node_budget=0)
     with pytest.raises(ValueError):
         minimal_kakeya_exact(f, 2, workers=0)
+    # (8,2) closes on its greedy bound, so the largest worker count starts none
+    assert minimal_kakeya_exact(make_field(2, 3), 2, workers=search.MAX_WORKERS).min_size == 36
 
 
 def test_greedy_dominates_exact_minimum():
