@@ -140,20 +140,53 @@ def _mul_raw(a: int, b: int, p: int, k: int, modulus: tuple[int, ...]) -> int:
     return _undigits(_poly_mul_mod(pa, pb, list(modulus), p), p)
 
 
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def _poly_pow_mod(a: list[int], e: int, modulus: list[int], p: int) -> list[int]:
+    """a^e modulo the modulus, for e >= 1."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else _poly_mul_mod(result, a, modulus, p)
+        e >>= 1
+        if not e:
+            return result
+        a = _poly_mul_mod(a, a, modulus, p)
+
+
 def _build_log_tables(p: int, k: int, q: int, modulus: tuple[int, ...]):
-    """Find a multiplicative generator and tabulate its powers."""
+    """Tabulate the powers of the smallest multiplicative generator g >= 2.
+    g has order q-1 exactly when g^((q-1)/r) != 1 for every prime r | q-1;
+    the smallest exponents go first, as they reject elements of small order
+    (those of a subfield) soonest."""
+    cofactors = [(q - 1) // r for r in reversed(_prime_factors(q - 1))]
+    mod, one = list(modulus), _digits(1, p, k)
     for g in range(2, q):
-        exp = [1]
-        e = g
-        while e != 1:
-            exp.append(e)
-            e = _mul_raw(e, g, p, k, modulus)
-        if len(exp) == q - 1:
-            log = [0] * q
-            for i, v in enumerate(exp):
-                log[v] = i
-            return tuple(exp), tuple(log)
-    raise AssertionError(f"no generator found for q={q}")
+        g_coeffs = _digits(g, p, k)
+        if all(_poly_pow_mod(g_coeffs, e, mod, p) != one for e in cofactors):
+            break
+    else:
+        raise AssertionError(f"no generator found for q={q}")
+    exp = [1] * (q - 1)
+    log = [0] * q
+    power = one
+    for i in range(1, q - 1):
+        power = _poly_mul_mod(power, g_coeffs, mod, p)
+        exp[i] = _undigits(power, p)
+        log[exp[i]] = i
+    return tuple(exp), tuple(log)
 
 
 def make_field(p: int, k: int) -> FieldSpec:

@@ -9,12 +9,16 @@ the union size and shrink it further:
 - translations shift levels by normal . t, so fixing the n standard-basis
   directions to level 0 removes a factor q^n;
 - scalings x -> a*x (a != 0) send every level c to a*c, so while every
-  level on a search path is 0 a node tries only levels 0 and 1.
+  level on a search path is 0 a node tries only levels 0 and 1;
+- the maps that permute the n axis hyperplanes (a coordinate permutation,
+  nonzero diagonal scalings and a Frobenius power) send a node two levels
+  down to another with the same subtree minimum, so a node whose orbit
+  was met before at that depth is skipped.
 
 Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
 of distinct directions meet in q^(n-2) points, so the open directions add
 at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
-Neither prune changes the minimum or the canonical witness.
+No prune changes the minimum or the canonical witness.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -25,6 +29,8 @@ subtree takes the next node instead of idling.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import multiprocessing
 import queue as queue_module
@@ -111,6 +117,92 @@ def _overlap_bound(gains, pair: int) -> int:
     return total
 
 
+class _AxisMaps:
+    """The maps of F_q^n that permute the n axis hyperplanes x_i = 0, taken
+    modulo the scalings: x -> y with y[perm[i]] = phi(x_i)/mu_i for a
+    coordinate permutation perm, nonzero mu with mu_0 = 1, and the Frobenius
+    power phi(x) = x^(p^j).  The hyperplane u . x = c goes to u' . y =
+    phi(c) with u'[perm[i]] = mu_i phi(u_i); dividing by the first nonzero
+    entry alpha of u' gives the canonical normal and the level phi(c)/alpha.
+
+    The images of a direction under every map are tabulated on its first
+    use, from the field's byte tables (the mask cap keeps every searchable q
+    below 256).  `open` lists the free directions at the root of the tree.
+    """
+
+    def __init__(self, f: FieldSpec, dirs, open_dirs):
+        self.f = f
+        self.dirs = dirs
+        self.open = tuple(open_dirs)
+        self._images: dict[int, list[tuple[int, bytes]]] = {}
+        self._level_maps: dict[tuple[int, int], bytes] = {}
+
+    @functools.cached_property
+    def maps(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """(perm, mu, j) for all n! (q-1)^(n-1) k maps."""
+        n = len(self.dirs[0].normal)
+        units = range(1, self.f.q)
+        return [(perm, (1,) + mu, j)
+                for j in range(self.f.k)
+                for mu in itertools.product(units, repeat=n - 1)
+                for perm in itertools.permutations(range(n))]
+
+    @functools.cached_property
+    def _frobenius(self) -> list[bytes]:
+        f = self.f
+        if f.k == 1:
+            return [bytes(range(f.q))]
+        exp, log = f.exp_table, f.log_table
+        return [bytes([0]) + bytes(exp[log[x] * f.p**j % (f.q - 1)] for x in range(1, f.q))
+                for j in range(f.k)]
+
+    @functools.cached_property
+    def _position(self) -> dict[tuple[int, ...], int]:
+        return {d.normal: pos for pos, d in enumerate(self.dirs)}
+
+    @functools.cached_property
+    def _scale(self) -> list[bytes]:
+        """_scale[c][x] = x/c, and the identity for c = 0."""
+        f = self.f
+        return [bytes(range(f.q))] + [f.mul_rows[f.inv_table[c]] for c in range(1, f.q)]
+
+    def image(self, d: int) -> list[tuple[int, bytes]]:
+        """(direction, level table) of direction d under each map, in the
+        order of `maps`: level c goes to table[c]."""
+        out = self._images.get(d)
+        if out is not None:
+            return out
+        mul, inv = self.f.mul_rows, self.f.inv_table
+        u = self.dirs[d].normal
+        v = [0] * len(u)
+        out = []
+        for perm, mu, j in self.maps:
+            frob = self._frobenius[j]
+            for i, x in enumerate(u):
+                v[perm[i]] = mul[mu[i]][frob[x]]
+            alpha = next(x for x in v if x)
+            row = mul[inv[alpha]]
+            levels = self._level_maps.get((j, alpha))
+            if levels is None:
+                levels = self._level_maps[j, alpha] = bytes(row[x] for x in frob)
+            out.append((self._position[tuple(row[x] for x in v)], levels))
+        self._images[d] = out
+        return out
+
+    def key(self, d1: int, c1: int, d2: int, c2: int) -> tuple[int, int, int, int]:
+        """Name of the orbit of the pairs {(d1, c1), (d2, c2)} of distinct
+        directions: the least image under the maps, each image sorted by
+        direction and scaled so that its first nonzero level is 1."""
+        keys = []
+        for (e1, t1), (e2, t2) in zip(self.image(d1), self.image(d2)):
+            a, b = t1[c1], t2[c2]
+            if e2 < e1:
+                e1, a, e2, b = e2, b, e1, a
+            row = self._scale[a or b]
+            keys.append((e1, row[a], e2, row[b]))
+        return min(keys)
+
+
 class _Searcher:
     """Depth-first branch and bound over the free directions.
 
@@ -121,7 +213,7 @@ class _Searcher:
     """
 
     def __init__(self, q, pair, masks, free, levels, base_mask, budget, lb_ceil, bound,
-                 shared=None):
+                 shared=None, axes=None):
         self.q = q
         self.pair = pair
         self.masks = masks
@@ -137,6 +229,9 @@ class _Searcher:
         self.nodes = 0
         self.completed = False
         self.hit_lb = False
+        self.axes = axes
+        # orbit keys of the nodes two levels down met so far
+        self.seen: set[tuple[int, int, int, int]] = set()
         self._child = self._node
 
     def search(self) -> None:
@@ -179,7 +274,9 @@ class _Searcher:
         goes to self._child, which searches it (or, while the frontier is
         built, keeps it open).  `zero` is true while every level on the path
         is 0: the mask is then fixed by the scalings x -> a*x, which send
-        level c to a*c, so levels 0 and 1 cover every orbit."""
+        level c to a*c, so levels 0 and 1 cover every orbit.  Two levels
+        down, a child is dropped when an axis map sends it to a node met
+        before (see `_seen_before`)."""
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
@@ -192,15 +289,30 @@ class _Searcher:
             options = options[:2]
         rest = [x for x in free if x != d]
         row = self.masks[d]
+        two_down = self.axes is not None and len(rest) == len(self.axes.open) - 2
         for added, lvl in sorted(options):
             csize = msize + added
             if csize >= self.bound:
                 continue
             self.levels[d] = lvl
             if rest:
+                if two_down and self._seen_before(free, d, lvl):
+                    continue
                 self._child(mask | row[lvl], rest, zero and lvl == 0)
             else:
                 self._record(csize)
+
+    def _seen_before(self, free, d: int, lvl: int) -> bool:
+        """Whether an axis map sends the child with d at level lvl, two
+        levels down, to a node met before at that depth; if not, record its
+        orbit.  Related nodes have equal subtree minima, and a node met
+        before was searched, cut by the bound or kept open."""
+        d1 = next(x for x in self.axes.open if x not in free)
+        key = self.axes.key(d1, self.levels[d1], d, lvl)
+        if key in self.seen:
+            return True
+        self.seen.add(key)
+        return False
 
     def _keep_open(self, mask: int, free, zero: bool) -> None:
         self._opened.append((mask, free, self.levels.copy()))
@@ -308,7 +420,7 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
 
 
 def _search_worker(widx, q, pair, masks, tasks, next_task, budget, lb_ceil, init_bound,
-                   shared, queue):
+                   shared, queue, axes):
     """Pull open nodes by index from the shared counter until the list is
     used up, the budget runs out or the lower bound is met; send one result."""
     try:
@@ -326,7 +438,7 @@ def _search_worker(widx, q, pair, masks, tasks, next_task, budget, lb_ceil, init
                 break
             mask, free, levels = tasks[i]
             searcher = _Searcher(q, pair, masks, free, levels, mask,
-                                 max(1, budget - nodes), lb_ceil, bound, shared)
+                                 max(1, budget - nodes), lb_ceil, bound, shared, axes)
             searcher.search()
             nodes += searcher.nodes
             bound = searcher.bound
@@ -376,7 +488,7 @@ def _collect_results(procs, queue) -> list[tuple]:
     return results
 
 
-def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound):
+def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound, axes):
     """Search the open nodes on min(workers, len(tasks)) processes that pull
     them in order and share the incumbent.  Returns the best size and levels
     found (None if none beat `bound`), the nodes visited and whether the
@@ -391,7 +503,7 @@ def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound):
         proc = ctx.Process(
             target=_search_worker,
             args=(widx, q, pair, masks, tasks, next_task, per_budget, lb_ceil, bound,
-                  shared, queue),
+                  shared, queue, axes),
         )
         proc.start()
         procs.append((widx, proc))
@@ -499,8 +611,9 @@ def minimal_kakeya_exact(
             best_size, best_levels = size, list(levels)
         optimal = True
     else:
+        axes = _AxisMaps(f, dirs, free) if normalize else None
         searcher = _Searcher(q, pair, masks, free, levels, base_mask, node_budget,
-                             lb_ceil, best_size)
+                             lb_ceil, best_size, axes=axes)
         if workers == 1:
             searcher.search()
             tasks = None
@@ -512,7 +625,7 @@ def minimal_kakeya_exact(
         optimal = searcher.completed
         if tasks:
             found_size, found_levels, wnodes, optimal = _run_workers(
-                tasks, workers, q, pair, masks, node_budget, lb_ceil, best_size)
+                tasks, workers, q, pair, masks, node_budget, lb_ceil, best_size, axes)
             nodes += wnodes
             if found_levels is not None:
                 best_size, best_levels = found_size, found_levels

@@ -125,6 +125,33 @@ def test_multiplicative_group_order(p, k):
         assert field_pow(f, a, f.q - 1) == 1
 
 
+def _power_walk_tables(p, k, modulus):
+    """Exp and log tables of the first g >= 2 whose powers reach all q - 1
+    units, found by walking the powers of each candidate in turn."""
+    q = p**k
+    for g in range(2, q):
+        exp = [1]
+        e = g
+        while e != 1:
+            exp.append(e)
+            e = _slow_mul(e, g, p, k, modulus)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return tuple(exp), tuple(log)
+    raise AssertionError(f"no generator of F_{p}^{k}")
+
+
+def test_log_tables_match_the_power_walk():
+    # every extension field up to 2^12: 40 fields
+    cells = [(p, k) for p in range(2, 65) if is_prime(p) for k in range(2, 13) if p**k <= 1 << 12]
+    assert len(cells) == 40
+    for p, k in cells:
+        f = make_field(p, k)
+        assert (f.exp_table, f.log_table) == _power_walk_tables(p, k, f.modulus)
+
+
 def test_inverses_multiply_to_one():
     for p, k in [(7, 1), (2, 3), (3, 2)]:
         f = make_field(p, k)

@@ -11,8 +11,8 @@ import pytest
 from kakeya import search
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
-from kakeya.field import field_mul, make_field
-from kakeya.geometry import enumerate_directions
+from kakeya.field import field_inv, field_mul, field_pow, make_field
+from kakeya.geometry import enumerate_directions, point_coords, point_index
 from kakeya.search import (
     greedy_upper_bound,
     minimal_kakeya_exact,
@@ -25,6 +25,16 @@ KNOWN_MINIMA = [(2, 2, 3), (2, 3, 7), (3, 2, 7)]
 BRUTE_CELLS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
 # planar fields (p, k) whose minimum the search proves within a few seconds
 PLANAR_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (2, 2), (2, 3)]
+# canonical witnesses of proven cells, which no prune may change
+CANONICAL_WITNESSES = {
+    (5, 1, 2): (0, 0, 0, 1, 2, 4),
+    (7, 1, 2): (0, 0, 0, 1, 3, 6, 3, 1),
+    (3, 2, 2): (0, 0, 0, 1, 4, 7, 2, 7, 4, 2),
+    (2, 2, 3): (0, 0, 0, 0, 1, 0, 1, 3, 2, 3, 0, 3, 2, 1, 2, 0, 2, 1, 3, 1, 0),
+    (11, 1, 2): (0, 0, 0, 1, 3, 6, 10, 4, 10, 6, 3, 1),
+}
+# (p, k, n) cells on which the axis maps are checked point by point
+AXIS_CELLS = [(5, 1, 2), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3), (2, 1, 4)]
 
 
 def _assignment_minimum_brute(f, n):
@@ -58,9 +68,10 @@ def test_bound_attained_at_2_2_and_2_3():
         assert minimal_kakeya_exact(f, n).min_size == kakeya_lower_bound_ceiling(p, n)
 
 
-def _search_from_scratch(f, n, normalize):
+def _search_from_scratch(f, n, normalize, axes=True):
     """Branch and bound with no greedy incumbent and no lower-bound exit,
-    so both prunes decide the whole tree."""
+    so the prunes decide the whole tree.  `axes` turns the isomorph check
+    two levels down on or off (it needs `normalize`)."""
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
     fixed = search._standard_basis_positions(dirs, n) if normalize else []
@@ -68,8 +79,9 @@ def _search_from_scratch(f, n, normalize):
     for pos in fixed:
         base_mask |= masks[pos][0]
     free = [i for i in range(len(dirs)) if i not in fixed]
+    maps = search._AxisMaps(f, dirs, free) if normalize and axes else None
     searcher = search._Searcher(f.q, f.q ** (n - 2), masks, free, [0] * len(dirs),
-                                base_mask, 10**7, 0, f.q**n + 1)
+                                base_mask, 10**7, 0, f.q**n + 1, axes=maps)
     searcher.search()
     assert searcher.completed
     witness = OffsetAssignment(tuple(searcher.found_levels))
@@ -81,17 +93,104 @@ def test_exact_matches_brute_force_assignment_scan():
     for p, k, n in BRUTE_CELLS:
         f = make_field(p, k)
         brute, _ = _assignment_minimum_brute(f, n)
+        # minimal_kakeya_exact checks isomorphs only when it normalizes
         for normalize in (True, False):
             result = minimal_kakeya_exact(f, n, normalize=normalize)
             assert result.proof_of_optimality
             assert result.min_size == brute
             assert _search_from_scratch(f, n, normalize) == brute
+        assert _search_from_scratch(f, n, True, axes=False) == brute
 
 
 def test_search_from_scratch_agrees_across_normalization():
     for p, k, n in [(7, 1, 2), (3, 1, 3), (2, 2, 3)]:
         f = make_field(p, k)
-        assert _search_from_scratch(f, n, True) == _search_from_scratch(f, n, False)
+        plain = _search_from_scratch(f, n, False)
+        assert _search_from_scratch(f, n, True) == plain
+        assert _search_from_scratch(f, n, True, axes=False) == plain
+
+
+def _point_map(f, n, perm, mu, j):
+    """Point index x -> y, y[perm[i]] = x_i^(p^j) / mu_i, by per-element
+    field arithmetic on coordinates."""
+    out = []
+    for idx in range(f.q**n):
+        x = point_coords(idx, f.q, n)
+        y = [0] * n
+        for i in range(n):
+            y[perm[i]] = field_mul(f, field_inv(f, mu[i]), field_pow(f, x[i], f.p**j))
+        out.append(point_index(y, f.q))
+    return out
+
+
+@pytest.mark.parametrize("p,k,n", AXIS_CELLS)
+def test_axis_maps_match_their_point_maps(p, k, n):
+    """The closed formula for the image of (direction, level) agrees with
+    pushing every point of the hyperplane through the map."""
+    f = make_field(p, k)
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    axes = search._AxisMaps(f, dirs, range(len(dirs)))
+    assert len(axes.maps) == math.factorial(n) * (f.q - 1) ** (n - 1) * k
+    for m, (perm, mu, j) in enumerate(axes.maps):
+        to = _point_map(f, n, perm, mu, j)
+        for d in range(len(dirs)):
+            e, levels = axes.image(d)[m]
+            for c in range(f.q):
+                image = 0
+                for idx in range(f.q**n):
+                    if masks[d][c] >> idx & 1:
+                        image |= 1 << to[idx]
+                assert image == masks[e][levels[c]]
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_axis_key_names_the_orbit(p, k, n):
+    """Every image of a pair of (direction, level) pairs under the maps and
+    the scalings has the pair's key, and the key is one of those images."""
+    f = make_field(p, k)
+    dirs = enumerate_directions(f, n)
+    axes = search._AxisMaps(f, dirs, range(len(dirs)))
+    rng = random.Random(5)
+    for _ in range(8):
+        d1, d2 = rng.sample(range(len(dirs)), 2)
+        c1, c2 = rng.randrange(f.q), rng.randrange(f.q)
+        key = axes.key(d1, c1, d2, c2)
+        images = set()
+        for (e1, t1), (e2, t2) in zip(axes.image(d1), axes.image(d2)):
+            for a in range(1, f.q):
+                b1, b2 = field_mul(f, a, t1[c1]), field_mul(f, a, t2[c2])
+                assert axes.key(e1, b1, e2, b2) == key
+                images.add(min((e1, b1, e2, b2), (e2, b2, e1, b1)))
+        assert key in images
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (7, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)])
+def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
+    """Every node two levels below the normalized root, searched to the
+    end on its own: nodes that share a key share the subtree minimum."""
+    f = make_field(p, k)
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    fixed = search._standard_basis_positions(dirs, n)
+    free = [i for i in range(len(dirs)) if i not in fixed]
+    axes = search._AxisMaps(f, dirs, free)
+    base_mask = 0
+    for pos in fixed:
+        base_mask |= masks[pos][0]
+    minima = {}
+    for d1, d2 in itertools.combinations(free, 2):
+        rest = [d for d in free if d not in (d1, d2)]
+        for c1, c2 in itertools.product(range(f.q), repeat=2):
+            levels = [0] * len(dirs)
+            levels[d1], levels[d2] = c1, c2
+            searcher = search._Searcher(f.q, f.q ** (n - 2), masks, rest, levels,
+                                        base_mask | masks[d1][c1] | masks[d2][c2],
+                                        10**6, 0, f.q**n + 1)
+            searcher.search()
+            minima.setdefault(axes.key(d1, c1, d2, c2), set()).add(searcher.found_size)
+    assert all(len(found) == 1 for found in minima.values())
+    assert len(minima) < len(free) * (len(free) - 1) // 2 * f.q**2
 
 
 def test_scaling_levels_keeps_the_union_size():
@@ -167,7 +266,15 @@ def test_planar_minima_match_the_literature(p, k):
 def test_9_2_node_count_guard():
     result = minimal_kakeya_exact(make_field(3, 2), 2)
     assert result.proof_of_optimality and result.min_size == 49
-    assert result.nodes_explored <= 10_000
+    assert result.nodes_explored <= 3_000
+
+
+def test_11_2_node_count_guard():
+    # prime q has no Frobenius: the merges come from swaps and diagonal maps
+    result = minimal_kakeya_exact(make_field(11, 1), 2)
+    assert result.proof_of_optimality and result.min_size == 71
+    assert result.nodes_explored <= 65_000
+    assert result.witness.levels == CANONICAL_WITNESSES[11, 1, 2]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
@@ -201,6 +308,8 @@ def test_worker_counts_agree():
         assert len({r.min_size for r in results}) == 1
         # the canonical witness once optimality is proven
         assert len({r.witness for r in results}) == 1
+        if (p, k, n) in CANONICAL_WITNESSES:
+            assert results[0].witness.levels == CANONICAL_WITNESSES[p, k, n]
 
 
 def test_every_worker_gets_open_nodes(monkeypatch):
