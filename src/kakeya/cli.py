@@ -23,12 +23,12 @@ from .bounds import kakeya_lower_bound, planar_lower_bound
 from .core import (
     IncidenceReport,
     OffsetAssignment,
+    assignment_from_json,
     build_union,
     incidence_stats,
     is_kakeya,
     point_set_to_json,
     random_assignment,
-    read_assignment,
     read_point_set,
     write_assignment,
 )
@@ -286,10 +286,23 @@ def _stats_json(q: int, n: int, report: IncidenceReport) -> dict:
     }
 
 
+def _read_witness(path, q: int, n: int) -> OffsetAssignment:
+    """The witness file's levels; the object form must name the point
+    set's space, whose direction count alone does not identify it."""
+    obj = json.loads(Path(path).read_text())
+    if isinstance(obj, dict):
+        for key, want in (("q", q), ("n", n)):
+            got = obj.get(key)
+            if type(got) is not int or got != want:
+                raise ValueError(
+                    f"witness {key}={got!r} does not match the point set's {key}={want}")
+    return assignment_from_json(obj)
+
+
 def cmd_stats(args) -> int:
     cfg = _config(args)
     f, pset = read_point_set(args.file)
-    assignment = read_assignment(args.witness)
+    assignment = _read_witness(args.witness, pset.q, pset.n)
     report = incidence_stats(f, pset, assignment)
     obj = _stats_json(pset.q, pset.n, report)
     if cfg.fmt == "json":

@@ -15,11 +15,12 @@ from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
-from .field import FieldSpec, make_field
+from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
     _level_kernel,
     _level_mask,
+    count_directions_formula,
     enumerate_directions,
     enumerate_subspaces,
     null_space_basis,
@@ -73,8 +74,12 @@ class KakeyaVerdict:
     failing_index: int | None
 
 
-def _check_mask_bits(q: int, n: int, directions: int) -> None:
-    bits = directions * q * q**n
+def _check_mask_bits(q: int, n: int) -> None:
+    """Refuse F_q^n above the size cap, then level masks for all of its
+    directions above MASK_BITS_CAP.  The size cap goes first, so a huge n
+    is refused before q^n is built."""
+    total = check_space(q, n)
+    bits = count_directions_formula(q, n) * q * total
     if bits > MASK_BITS_CAP:
         raise ValueError(
             f"level masks for q={q}, n={n} need {bits // 8} bytes,"
@@ -84,9 +89,9 @@ def _check_mask_bits(q: int, n: int, directions: int) -> None:
 
 def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> list[list[int]]:
     """Per direction, per level: the bitmask of that hyperplane's points."""
+    _check_mask_bits(f.q, n)
     if dirs is None:
         dirs = enumerate_directions(f, n)
-    _check_mask_bits(f.q, n, len(dirs))
     level_vector = _level_kernel(f)
     masks = []
     for d in dirs:
@@ -128,11 +133,6 @@ def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
     rng = random.Random(seed)
     count = len(enumerate_directions(f, n))
     return OffsetAssignment(tuple(rng.randrange(f.q) for _ in range(count)))
-
-
-def random_kakeya(f: FieldSpec, n: int, seed: int) -> PointSet:
-    """Union built from a seeded random assignment; Kakeya by construction."""
-    return build_union(f, n, random_assignment(f, n, seed))
 
 
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
@@ -203,11 +203,6 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     return KakeyaVerdict(True, plane_dim, tuple(reps), None)
 
 
-def hyperplane_coverage(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> list[int]:
-    """Diagnostic |w' intersect E| per direction for the assigned hyperplanes."""
-    return [(mask & pset.bits).bit_count() for mask in _assigned_masks(f, pset.n, assignment)]
-
-
 def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> IncidenceReport:
     """Exact |I| and |W| for a set containing every assigned hyperplane.
 
@@ -270,7 +265,7 @@ def point_set_from_json(obj: dict) -> tuple[FieldSpec, PointSet]:
     f = make_field(p, k)
     if f.q != q:
         raise ValueError(f"q={q} does not equal p^k={f.q}")
-    total = q**n
+    total = check_space(q, n)
     width = (total + 3) // 4
     hx = obj["bits_hex"]
     if not isinstance(hx, str) or len(hx) != width:

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field, replace
 DEFAULT_SIZE_CAP = 1 << 20
 SIZE_CAP_ENV = "KAKEYA_SIZE_CAP"
 
-# Multiplication via log/antilog tables up to this order; inverse table
-# kept separately for small fields.  Above _LOG_TABLE_CAP arithmetic falls
-# back to on-the-fly polynomial computation.
+# Multiplication via log/antilog tables up to this order.  Above
+# _LOG_TABLE_CAP arithmetic falls back to on-the-fly polynomial computation.
 _LOG_TABLE_CAP = 1 << 16
-_INV_TABLE_CAP = 4096
 # The level kernel's byte tables (geometry._level_kernel) need every
 # element to fit in one byte.
 _BYTE_TABLE_CAP = 256
@@ -36,6 +34,18 @@ def size_cap() -> int:
     if cap < 2:
         raise ValueError(f"{SIZE_CAP_ENV} must be at least 2, got {cap}")
     return cap
+
+
+def check_space(q: int, n: int) -> int:
+    """Return q^n after refusing q < 2, n < 1 and q^n above size_cap().
+    A dimension of at least the cap's bit length is refused without
+    building q^n, since then q^n >= 2^n > cap."""
+    if q < 2 or n < 1:
+        raise ValueError(f"invalid ambient parameters q={q}, n={n}")
+    cap = size_cap()
+    if n >= cap.bit_length() or q**n > cap:
+        raise ValueError(f"point space {q}^{n} exceeds size cap {cap}")
+    return q**n
 
 
 def is_prime(p: int) -> bool:
@@ -124,7 +134,6 @@ class FieldSpec:
     modulus: tuple[int, ...]
     exp_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     log_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    inv_table: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     # mul_rows[c][x] = c*x (q bytes each); add_tables[r] is the
     # bytes.translate table x -> r + x.  None when q > _BYTE_TABLE_CAP.
     mul_rows: tuple[bytes, ...] | None = field(default=None, repr=False, compare=False)
@@ -212,17 +221,7 @@ def make_field(p: int, k: int) -> FieldSpec:
     if k > 1 and q <= _LOG_TABLE_CAP:
         exp_table, log_table = _build_log_tables(p, k, q, modulus)
 
-    inv_table = None
-    if q <= _INV_TABLE_CAP:
-        if k == 1:
-            inv_table = tuple(pow(a, p - 2, p) if a else 0 for a in range(q))
-        else:
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = exp_table[(q - 1 - log_table[a]) % (q - 1)]
-            inv_table = tuple(inv)
-
-    f = FieldSpec(p, k, q, modulus, exp_table, log_table, inv_table)
+    f = FieldSpec(p, k, q, modulus, exp_table, log_table)
     if q > _BYTE_TABLE_CAP:
         return f
     if k == 1:
@@ -352,8 +351,6 @@ def field_inv(f: FieldSpec, a: int) -> int:
     _check(f, a)
     if a == 0:
         raise ZeroDivisionError(f"0 has no multiplicative inverse in {f}")
-    if f.inv_table is not None:
-        return f.inv_table[a]
     if f.k == 1:
         return pow(a, f.p - 2, f.p)
     if f.exp_table is not None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import FieldSpec, field_add, field_inv, field_mul, field_neg, field_sub, size_cap
-from .pointset import PointSet
+from .field import FieldSpec, check_space, field_add, field_inv, field_mul, field_neg, field_sub
 
 ENUM_CAP = 10**6
 
@@ -40,22 +39,7 @@ def point_coords(index: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Point:
-    coords: tuple[int, ...]
-    index: int
-
-    @classmethod
-    def from_coords(cls, coords, q: int) -> "Point":
-        coords = tuple(coords)
-        return cls(coords, point_index(coords, q))
-
-    @classmethod
-    def from_index(cls, index: int, q: int, n: int) -> "Point":
-        return cls(point_coords(index, q, n), index)
-
-
-# -- directions and hyperplanes ---------------------------------------------
+# -- directions and subspaces -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -69,14 +53,6 @@ class Direction:
 
 
 @dataclass(frozen=True)
-class AffineHyperplane:
-    """The coset { x : normal . x = level } of a direction's subspace."""
-
-    direction: Direction
-    level: int
-
-
-@dataclass(frozen=True)
 class SubspaceBasis:
     """A k-dimensional subspace as its unique RREF basis (k x n rows)."""
 
@@ -85,18 +61,6 @@ class SubspaceBasis:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-
-def canonical_normal(f: FieldSpec, vec) -> tuple[int, ...]:
-    """Scale so the first nonzero coordinate is 1; rejects the zero vector."""
-    vec = tuple(vec)
-    for a in vec:
-        if a:
-            if a == 1:
-                return vec
-            inv = field_inv(f, a)
-            return tuple(field_mul(f, inv, x) for x in vec)
-    raise ValueError("zero vector spans no direction")
 
 
 def dot(f: FieldSpec, u, v) -> int:
@@ -123,12 +87,8 @@ def count_directions_formula(q: int, n: int) -> int:
 
 def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
     """All canonical normals, ascending by their point index."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
     q = f.q
-    total = q**n
-    if total > size_cap():
-        raise ValueError(f"point space size {total} exceeds size cap {size_cap()}")
+    check_space(q, n)
     if count_directions_formula(q, n) > ENUM_CAP:
         raise ValueError("direction count exceeds enumeration cap")
     # The normal with first nonzero coordinate i set to 1 has index q^i * m,
@@ -259,18 +219,10 @@ def enumerate_subspaces(f: FieldSpec, n: int, k: int) -> list[SubspaceBasis]:
     return out
 
 
-def subspace_from_direction(f: FieldSpec, d: Direction) -> SubspaceBasis:
-    """The (n-1)-dim subspace { x : normal . x = 0 } in RREF form."""
-    n = len(d.normal)
-    basis = null_space_basis(f, [d.normal], n)
-    reduced, _ = rref(f, basis)
-    return SubspaceBasis(reduced)
-
-
 # -- the level kernel ----------------------------------------------------------
 # The level of point x for a vector u is u . x.  One call of the kernel gives
 # the level of every point of F_q^n for one u; every "which points lie on
-# which hyperplane" question in geometry and core is answered from it.
+# which hyperplane" question in core is answered from it.
 
 
 def _level_kernel(f: FieldSpec):
@@ -319,37 +271,3 @@ def _level_mask(levels, c: int) -> int:
     else:
         digits = bytes(map(c.__eq__, levels)).translate(_BOOL_DIGITS)
     return int(digits[::-1], 2)
-
-
-# -- hyperplane point sets ---------------------------------------------------
-
-
-def _check_level(f: FieldSpec, h: AffineHyperplane) -> None:
-    if not 0 <= h.level < f.q:
-        raise ValueError(f"level {h.level} out of range for {f}")
-
-
-def hyperplane_points(f: FieldSpec, n: int, h: AffineHyperplane) -> PointSet:
-    """All q^(n-1) points x with normal . x = level."""
-    _check_level(f, h)
-    levels = _level_kernel(f)
-    return PointSet(f.q, n, _level_mask(levels(h.direction.normal), h.level))
-
-
-def intersect_hyperplanes(
-    f: FieldSpec, h1: AffineHyperplane, h2: AffineHyperplane
-) -> PointSet:
-    """Intersection of two hyperplanes.
-
-    Distinct directions meet in exactly q^(n-2) points; parallel distinct
-    cosets are disjoint; equal hyperplanes coincide.
-    """
-    n = len(h1.direction.normal)
-    if len(h2.direction.normal) != n:
-        raise ValueError("hyperplanes live in different dimensions")
-    _check_level(f, h1)
-    _check_level(f, h2)
-    levels = _level_kernel(f)
-    bits = (_level_mask(levels(h1.direction.normal), h1.level)
-            & _level_mask(levels(h2.direction.normal), h2.level))
-    return PointSet(f.q, n, bits)

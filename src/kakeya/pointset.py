@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .field import size_cap
+from .field import check_space
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,7 @@ class PointSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.n < 1:
-            raise ValueError(f"invalid ambient parameters q={self.q}, n={self.n}")
-        total = self.q**self.n
-        cap = size_cap()
-        if total > cap:
-            raise ValueError(f"point space size {total} exceeds size cap {cap}")
+        total = check_space(self.q, self.n)
         if self.bits < 0 or self.bits.bit_length() > total:
             raise ValueError("membership bits out of range for the point space")
 

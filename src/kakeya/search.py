@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
-from .field import FieldSpec, parse_field_spec
-from .geometry import count_directions_formula, enumerate_directions
+from .field import FieldSpec
+from .geometry import enumerate_directions
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -59,19 +59,6 @@ class SearchResult:
     nodes_explored: int
     proof_of_optimality: bool
     lower_bound_used: Fraction
-
-
-@dataclass(frozen=True)
-class TightnessCell:
-    q: int
-    n: int
-    bound: Fraction | None
-    bound_ceiling: int | None
-    size: int | None
-    optimal: bool
-    gap: int | None
-    method: str  # "exact" | "greedy" | "infeasible"
-    note: str = ""
 
 
 class _BudgetExhausted(Exception):
@@ -161,10 +148,15 @@ class _AxisMaps:
         return {d.normal: pos for pos, d in enumerate(self.dirs)}
 
     @functools.cached_property
+    def _inv(self) -> list[int]:
+        """_inv[c] = 1/c for c != 0, read off the multiplication rows."""
+        return [0] + [row.index(1) for row in self.f.mul_rows[1:]]
+
+    @functools.cached_property
     def _scale(self) -> list[bytes]:
         """_scale[c][x] = x/c, and the identity for c = 0."""
         f = self.f
-        return [bytes(range(f.q))] + [f.mul_rows[f.inv_table[c]] for c in range(1, f.q)]
+        return [bytes(range(f.q))] + [f.mul_rows[c] for c in self._inv[1:]]
 
     def image(self, d: int) -> list[tuple[int, bytes]]:
         """(direction, level table) of direction d under each map, in the
@@ -172,7 +164,7 @@ class _AxisMaps:
         out = self._images.get(d)
         if out is not None:
             return out
-        mul, inv = self.f.mul_rows, self.f.inv_table
+        mul, inv = self.f.mul_rows, self._inv
         u = self.dirs[d].normal
         v = [0] * len(u)
         out = []
@@ -236,12 +228,7 @@ class _Searcher:
 
     def search(self) -> None:
         try:
-            if not self.free:
-                size = self.base_mask.bit_count()
-                if size < self.bound:
-                    self._record(size)
-            else:
-                self._node(self.base_mask, self.free, not any(self.levels))
+            self._node(self.base_mask, self.free, not any(self.levels))
             self.completed = True
         except _BudgetExhausted:
             self.completed = False
@@ -531,7 +518,7 @@ def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) 
     Always a valid upper bound; never a proof of optimality."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    _check_mask_bits(f.q, n, count_directions_formula(f.q, n))
+    _check_mask_bits(f.q, n)
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
@@ -581,7 +568,7 @@ def minimal_kakeya_exact(
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    _check_mask_bits(f.q, n, count_directions_formula(f.q, n))
+    _check_mask_bits(f.q, n)
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
@@ -604,11 +591,6 @@ def minimal_kakeya_exact(
     optimal = False
 
     if best_size <= lb_ceil:
-        optimal = True
-    elif not free:
-        size = base_mask.bit_count()
-        if size < best_size:
-            best_size, best_levels = size, list(levels)
         optimal = True
     else:
         axes = _AxisMaps(f, dirs, free) if normalize else None
@@ -666,42 +648,3 @@ def minimal_kakeya_powerset(f: FieldSpec, n: int) -> tuple[int, PointSet]:
             best_size = pc
             best_bits = subset
     return best_size, PointSet(q, n, best_bits)
-
-
-def tightness_report(
-    cells,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    exact_space_limit: int = 10**6,
-    restarts: int = 64,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[TightnessCell]:
-    """Bound vs. achieved minimum per (q, n) cell.
-
-    Cells whose normalized assignment space exceeds exact_space_limit run
-    the greedy heuristic only; cells that cannot be set up at all are
-    reported as infeasible.
-    """
-    out = []
-    for q, n in cells:
-        try:
-            f = parse_field_spec(str(q))
-            bound = _instance_lower_bound(q, n)
-            ceiling = math.ceil(bound)
-            s = count_directions_formula(q, n)
-            space = q ** max(0, s - n)
-            if space <= exact_space_limit:
-                res = minimal_kakeya_exact(f, n, node_budget=node_budget, workers=workers)
-                method = "exact"
-            else:
-                res = greedy_upper_bound(f, n, restarts=restarts, seed=seed)
-                method = "greedy"
-        except (ValueError, OverflowError) as exc:
-            out.append(TightnessCell(q, n, None, None, None, False, None,
-                                     "infeasible", str(exc)))
-            continue
-        out.append(TightnessCell(
-            q, n, bound, ceiling, res.min_size, res.proof_of_optimality,
-            res.min_size - ceiling, method,
-        ))
-    return out

@@ -246,6 +246,46 @@ def test_stats_rejects_nonconforming_witness(tmp_path, capsys):
     assert "not contained" in err
 
 
+def test_stats_refuses_a_witness_for_another_space(tmp_path, capsys):
+    # F_2^5 and F_5^3 both have 31 directions: only the file's q and n tell
+    # a witness for one from a witness for the other
+    set_path = tmp_path / "set.json"
+    wit_path = tmp_path / "wit.json"
+    write_point_set(set_path, make_field(5, 1), PointSet.full(5, 3))
+    levels = [0] * 31
+    for witness in ({"q": 2, "n": 5, "levels": levels}, {"q": 5, "n": 2, "levels": levels},
+                    {"q": 5, "n": 3.0, "levels": levels}, {"q": "5", "n": 3, "levels": levels},
+                    {"q": True, "n": 3, "levels": levels}, {"levels": levels}):
+        wit_path.write_text(json.dumps(witness))
+        code, out, err = run(capsys, ["stats", str(set_path), "--witness", str(wit_path)])
+        assert code == 2, witness
+        assert out == ""
+        assert err.startswith("error: witness ") and "does not match" in err
+    for witness in ({"q": 5, "n": 3, "levels": levels}, levels):
+        wit_path.write_text(json.dumps(witness))
+        code, out, _ = run(capsys, ["stats", str(set_path), "--witness", str(wit_path)])
+        assert code == 0
+        assert "set size |E| = 125" in out
+
+
+def test_oversized_dimension_refused_before_q_pow_n(tmp_path, capsys):
+    # 3^(10^7) has millions of digits; every command refuses the space from
+    # the dimension alone, with the cap in the message
+    set_path = tmp_path / "set.json"
+    set_path.write_text(json.dumps({"q": 3, "p": 3, "k": 1, "n": 10**7, "bits_hex": "0"}))
+    wit_path = tmp_path / "wit.json"
+    wit_path.write_text("[]")
+    big = ["--field", "3", "--n", str(10**7)]
+    for argv in (["directions", *big], ["construct", *big, "--seed", "1"],
+                 ["search", *big], ["search", *big, "--heuristic-only"],
+                 ["verify", str(set_path)], ["stats", str(set_path), "--witness", str(wit_path)]):
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert "point space 3^10000000 exceeds size cap" in err
+
+
 def test_search_json(capsys):
     code, out, _ = run(capsys, ["search", "--field", "2", "--n", "2", "--format", "json"])
     assert code == 0
@@ -278,8 +318,6 @@ def test_search_refuses_oversized_mask_tables(capsys, monkeypatch):
     assert code == 2
     assert "level masks" in err
     assert time.perf_counter() - start < 0.5
-    rows = search.tightness_report([(2, 19)])
-    assert rows[0].method == "infeasible" and "level masks" in rows[0].note
 
 
 def test_parallel_search_out_of_budget_exits_3(capsys):

@@ -9,14 +9,12 @@ from kakeya.core import (
     OffsetAssignment,
     assignment_from_json,
     build_union,
-    hyperplane_coverage,
     incidence_stats,
     is_kakeya,
     level_masks,
     point_set_from_json,
     point_set_to_json,
     random_assignment,
-    random_kakeya,
     read_assignment,
     read_point_set,
     write_assignment,
@@ -111,7 +109,7 @@ def test_monotonicity_supersets_stay_kakeya():
     f = make_field(3, 1)
     rng = random.Random(11)
     for seed in range(10):
-        base = random_kakeya(f, 2, seed)
+        base = build_union(f, 2, random_assignment(f, 2, seed))
         extra = base.bits
         for _ in range(3):
             extra |= 1 << rng.randrange(9)
@@ -195,20 +193,9 @@ def test_incidence_stats_degenerate_n_1():
     assert report.cs_bound == 1
 
 
-def test_hyperplane_coverage_diagnostics():
-    f = make_field(2, 1)
-    assignment = OffsetAssignment((0, 0, 0))
-    pset = build_union(f, 2, assignment)
-    assert hyperplane_coverage(f, pset, assignment) == [2, 2, 2]
-    half = PointSet(2, 2, 0b0001)  # only the origin
-    assert hyperplane_coverage(f, half, assignment) == [1, 1, 1]
-
-
 def test_random_kakeya_deterministic_and_valid():
     f = make_field(3, 1)
-    a = random_kakeya(f, 2, 123)
-    b = random_kakeya(f, 2, 123)
-    c = random_kakeya(f, 2, 124)
+    a, b, c = (build_union(f, 2, random_assignment(f, 2, seed)) for seed in (123, 123, 124))
     assert a.bits == b.bits
     assert a.bits != c.bits or a.cardinality == c.cardinality
     assert is_kakeya(f, a).ok
@@ -217,7 +204,7 @@ def test_random_kakeya_deterministic_and_valid():
 def test_random_kakeya_3_3_sizes_meet_bound():
     f = make_field(3, 1)
     for seed in range(100):
-        assert random_kakeya(f, 3, seed).cardinality >= 24
+        assert build_union(f, 3, random_assignment(f, 3, seed)).cardinality >= 24
 
 
 def test_level_masks_partition_space():

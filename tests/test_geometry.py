@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from kakeya.core import level_masks
 from kakeya.field import field_mul, make_field
 from kakeya.geometry import (
-    AffineHyperplane,
     Direction,
-    Point,
+    SubspaceBasis,
     count_directions_formula,
     count_fiber,
     count_spanning_tuples,
@@ -14,27 +14,35 @@ from kakeya.geometry import (
     dot,
     enumerate_directions,
     enumerate_subspaces,
-    hyperplane_points,
-    intersect_hyperplanes,
     null_space_basis,
     point_coords,
     point_index,
     rank,
     rref,
-    subspace_from_direction,
 )
 from kakeya.oracles import span_count_brute, spanning_tuple_census
 
 SMALL_GRID = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
+# (p, k, n) cells on which the hyperplane facts are checked on the level
+# masks the search uses
+MASK_GRID = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 2), (3, 2, 2)]
+
+
+def _hyperplane(f, n, normal, level):
+    """Bitmask of the points x with normal . x = level."""
+    return level_masks(f, n, [Direction(normal)])[0][level]
+
+
+def _members(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def test_point_index_roundtrip():
     for q, n in [(2, 3), (3, 2), (5, 2)]:
         for idx in range(q**n):
             assert point_index(point_coords(idx, q, n), q) == idx
-    p = Point.from_coords((1, 2), 3)
-    assert p.index == 7
-    assert Point.from_index(7, 3, 2).coords == (1, 2)
+    assert point_index((1, 2), 3) == 7
+    assert point_coords(7, 3, 2) == (1, 2)
     with pytest.raises(ValueError):
         point_index((3, 0), 3)
     with pytest.raises(ValueError):
@@ -170,13 +178,14 @@ def test_direction_subspace_duality_bijection():
     f = make_field(3, 1)
     n = 3
     dirs = enumerate_directions(f, n)
-    via_duality = {subspace_from_direction(f, d) for d in dirs}
+    # the null space of each normal, in RREF
+    via_duality = {SubspaceBasis(rref(f, null_space_basis(f, [d.normal], n))[0]) for d in dirs}
     enumerated = set(enumerate_subspaces(f, n, n - 1))
     assert via_duality == enumerated
     assert len(via_duality) == len(dirs)
     # each normal annihilates its null space
     for d in dirs:
-        for row in subspace_from_direction(f, d).rows:
+        for row in null_space_basis(f, [d.normal], n):
             assert dot(f, d.normal, row) == 0
 
 
@@ -189,63 +198,60 @@ def test_direction_subspace_has_rank_n_minus_1():
 
 def test_hyperplane_points_example_2_2():
     f = make_field(2, 1)
-    h = AffineHyperplane(Direction((1, 0)), 0)
-    pts = hyperplane_points(f, 2, h)
-    assert sorted(pts.indices()) == [0, 2]  # (0,0) and (0,1)
+    assert _members(_hyperplane(f, 2, (1, 0), 0)) == [0, 2]  # (0,0) and (0,1)
 
 
 def test_hyperplane_points_example_3_2():
     f = make_field(3, 1)
-    h = AffineHyperplane(Direction((1, 1)), 2)
-    pts = hyperplane_points(f, 2, h)
-    expected = {
+    expected = sorted(
         point_index(c, 3)
         for c in itertools.product(range(3), repeat=2)
         if sum(c) % 3 == 2
-    }
-    assert set(pts.indices()) == expected
-    assert pts.cardinality == 3
+    )
+    assert _members(_hyperplane(f, 2, (1, 1), 2)) == expected
+    assert len(expected) == 3
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), *MASK_GRID])
 def test_hyperplane_size_is_q_pow_n_minus_1(p, k, n):
+    """Every level mask has q^(n-1) points, and the q levels of one
+    direction partition F_q^n."""
     f = make_field(p, k)
-    for d in enumerate_directions(f, n):
-        for level in range(f.q):
-            pts = hyperplane_points(f, n, AffineHyperplane(d, level))
-            assert pts.cardinality == f.q ** (n - 1)
+    q = f.q
+    for row in level_masks(f, n):
+        assert [m.bit_count() for m in row] == [q ** (n - 1)] * q
+        union = 0
+        for m in row:
+            union |= m
+        assert union == (1 << q**n) - 1  # q sets of q^(n-1) points cover q^n
 
 
 def test_intersect_hyperplanes_example_3_2():
     f = make_field(3, 1)
-    h1 = AffineHyperplane(Direction((1, 0)), 0)
-    h2 = AffineHyperplane(Direction((0, 1)), 0)
-    inter = intersect_hyperplanes(f, h1, h2)
-    assert list(inter.indices()) == [0]  # just the origin
+    inter = _hyperplane(f, 2, (1, 0), 0) & _hyperplane(f, 2, (0, 1), 0)
+    assert _members(inter) == [0]  # just the origin
 
 
 def test_intersect_hyperplanes_cases():
     f = make_field(3, 1)
-    d = Direction((1, 2))
-    parallel = intersect_hyperplanes(
-        f, AffineHyperplane(d, 0), AffineHyperplane(d, 1)
-    )
-    assert parallel.cardinality == 0
-    same = intersect_hyperplanes(f, AffineHyperplane(d, 1), AffineHyperplane(d, 1))
-    assert same.cardinality == 3
+    parallel = _hyperplane(f, 2, (1, 2), 0) & _hyperplane(f, 2, (1, 2), 1)
+    assert parallel == 0
+    same = _hyperplane(f, 2, (1, 2), 1) & _hyperplane(f, 2, (1, 2), 1)
+    assert same.bit_count() == 3
 
 
-def test_intersect_all_distinct_direction_pairs_2_3():
-    f = make_field(2, 1)
-    dirs = enumerate_directions(f, 3)
-    assert len(list(itertools.combinations(dirs, 2))) == 21
-    for d1, d2 in itertools.combinations(dirs, 2):
-        for l1 in range(2):
-            for l2 in range(2):
-                inter = intersect_hyperplanes(
-                    f, AffineHyperplane(d1, l1), AffineHyperplane(d2, l2)
-                )
-                assert inter.cardinality == 2  # q^(n-2)
+@pytest.mark.parametrize("p,k,n", MASK_GRID)
+def test_intersect_all_distinct_direction_pairs(p, k, n):
+    """Masks of distinct directions meet in exactly q^(n-2) points: the
+    `pair` the search's overlap bound relies on."""
+    f = make_field(p, k)
+    pair = f.q ** (n - 2)
+    masks = level_masks(f, n)
+    assert len(masks) == count_directions_formula(f.q, n)
+    for row1, row2 in itertools.combinations(masks, 2):
+        for m1 in row1:
+            for m2 in row2:
+                assert (m1 & m2).bit_count() == pair
 
 
 def test_rref_reproduces_known_form():

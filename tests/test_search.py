@@ -17,7 +17,6 @@ from kakeya.search import (
     greedy_upper_bound,
     minimal_kakeya_exact,
     minimal_kakeya_powerset,
-    tightness_report,
 )
 
 KNOWN_MINIMA = [(2, 2, 3), (2, 3, 7), (3, 2, 7)]
@@ -542,30 +541,15 @@ def test_exact_3_3_value():
 
 
 def test_degenerate_n_1():
+    # greedy meets the lower bound 1, with or without normalization, so no
+    # searcher is ever built (with normalization no direction is left free)
     f = make_field(5, 1)
-    result = minimal_kakeya_exact(f, 1)
-    assert result.min_size == 1
-    assert result.proof_of_optimality
-
-
-def test_tightness_report_rows():
-    cells = [(2, 2), (2, 3), (3, 2)]
-    rows = tightness_report(cells)
-    assert [row.gap for row in rows] == [0, 0, 1]
-    assert all(row.optimal for row in rows)
-    assert all(row.method == "exact" for row in rows)
-    assert rows[0].bound_ceiling == 3
-    assert rows[2].size == 7
-
-
-def test_tightness_report_heuristic_and_infeasible():
-    rows = tightness_report([(3, 2), (6, 2)], exact_space_limit=1, restarts=4)
-    assert rows[0].method == "greedy"
-    assert not rows[0].optimal
-    assert rows[0].size >= 7
-    assert rows[1].method == "infeasible"
-    assert rows[1].size is None and rows[1].gap is None
-    assert "prime power" in rows[1].note
+    for normalize in (True, False):
+        for workers in (1, 2):
+            result = minimal_kakeya_exact(f, 1, workers=workers, normalize=normalize)
+            assert result.min_size == 1
+            assert result.proof_of_optimality
+            assert result.nodes_explored == 0
 
 
 def test_search_result_lower_bound_consistency():
