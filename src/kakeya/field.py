@@ -207,14 +207,16 @@ def make_field(p: int, k: int) -> FieldSpec:
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise ValueError("p and k must be integers")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    q = p**k
+    # Refused before the primality test, and before p^k is built when k is
+    # large: p^k >= 2^k exceeds the cap once k reaches its bit length.
     cap = size_cap()
-    if q > cap:
-        raise ValueError(f"field order {q} exceeds size cap {cap}")
+    if k >= cap.bit_length() or p**k > cap:
+        raise ValueError(f"field order {p}^{k} exceeds size cap {cap}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    q = p**k
     modulus = _find_modulus(p, k)
 
     exp_table = log_table = None
@@ -286,6 +288,10 @@ def parse_field_spec(text: str) -> FieldSpec:
         q = int(s)
     except ValueError:
         raise ValueError(f"cannot parse field spec {text!r}") from None
+    cap = size_cap()
+    if q > cap:
+        # before the trial division in factor_prime_power
+        raise ValueError(f"field order {q} exceeds size cap {cap}")
     factored = factor_prime_power(q)
     if factored is None:
         raise ValueError(f"{q} is not a prime power")

@@ -20,6 +20,14 @@ of distinct directions meet in q^(n-2) points, so the open directions add
 at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
 No prune changes the minimum or the canonical witness.
 
+Each node carries, beside its union mask, one packed integer of counts:
+for every (direction, level), the points of that hyperplane the union has
+not covered yet (`_Counts`).  A level's gain is its count, so a node reads
+its branching direction, its options and the gains of the overlap bound
+off one `to_bytes` of the counts instead of recounting q*|free| unions; a
+child subtracts one precomputed per-point row for each point it covers.
+The table of rows is charged with the masks against core.MASK_BITS_CAP.
+
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
 At most MAX_WORKERS processes pull them one at a time through a shared
@@ -29,15 +37,18 @@ subtree takes the next node instead of idling.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
 import multiprocessing
 import queue as queue_module
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import core
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
 from .field import FieldSpec
@@ -69,25 +80,86 @@ class _ProvedOptimal(Exception):
     pass
 
 
-def _select_direction(mask: int, msize: int, free, masks, q: int):
-    """Fail-first branching: the direction whose cheapest level adds the
-    most new points, so partial unions grow (and prune) early.  Returns the
-    direction, its (added, level) options indexed by level, and the
-    cheapest gain of every free direction."""
-    best_d = None
-    best_min = -1
-    best_options = None
-    gains = []
-    for d in free:
-        row = masks[d]
-        options = [((mask | row[lvl]).bit_count() - msize, lvl) for lvl in range(q)]
-        mn = min(options)[0]
-        gains.append(mn)
-        if mn > best_min:
-            best_min = mn
-            best_d = d
-            best_options = options
-    return best_d, best_options, gains
+def _lane_width(most: int) -> int:
+    """Bytes per count lane that hold every value up to `most`."""
+    return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
+
+
+def _check_count_table(q: int, n: int, s: int) -> None:
+    """Refuse a count table that, with the level masks, would exceed
+    MASK_BITS_CAP.  The table holds q^n packed counts of s*q lanes each."""
+    npoints = q**n
+    mask_bits = s * q * npoints
+    table_bits = 8 * _lane_width(npoints // q) * s * q * npoints
+    if mask_bits + table_bits > core.MASK_BITS_CAP:
+        raise ValueError(
+            f"level masks and uncovered-point counts for q={q}, n={n} need"
+            f" {(mask_bits + table_bits) // 8} bytes, above the cap of"
+            f" {core.MASK_BITS_CAP // 8} (core.MASK_BITS_CAP)"
+        )
+
+
+class _Counts:
+    """Counts of the points a partial union has not covered yet, one per
+    (direction d, level l), packed into one integer: lane d*q + l, w bytes
+    wide, holds the uncovered points of hyperplane (d, l).  The cost of a
+    level is its lane, so no node recounts a union.
+
+    pts[x] has a 1 in the lane of each hyperplane through point x, so
+    covering x subtracts pts[x]; a lane never goes below 0 and never
+    borrows from the next.  `full` is the count of the empty union: q^(n-1)
+    in every lane.
+    """
+
+    def __init__(self, masks, q: int, n: int):
+        s = len(masks)
+        _check_count_table(q, n, s)
+        npoints = q**n
+        self.q = q
+        self.masks = masks
+        self.w = w = _lane_width(npoints // q)
+        self.nbytes = nbytes = s * q * w
+        level = [bytearray(npoints) for _ in range(s)]
+        for d, row in enumerate(masks):
+            at = level[d]
+            for lvl, m in enumerate(row[1:], 1):
+                while m:
+                    x = m.bit_length() - 1
+                    at[x] = lvl
+                    m ^= 1 << x
+        self.pts = []
+        for x in range(npoints):
+            buf = bytearray(nbytes)
+            for d in range(s):
+                buf[(d * q + level[d][x]) * w] = 1
+            self.pts.append(int.from_bytes(buf, "little"))
+        self.full = int.from_bytes((npoints // q).to_bytes(w, "little") * (s * q), "little")
+
+    def cover(self, counts: int, new: int) -> int:
+        """The counts once the points of `new`, none of them covered
+        before, join the union."""
+        pts = self.pts
+        while new:
+            x = new.bit_length() - 1
+            counts -= pts[x]
+            new ^= 1 << x
+        return counts
+
+    def lanes(self, counts: int):
+        """The counts as a sequence indexed by d*q + l."""
+        raw = counts.to_bytes(self.nbytes, "little")
+        if self.w == 1:
+            return raw
+        lanes = array.array("H" if self.w == 2 else "I", raw)
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        return lanes
+
+    def gains(self, lanes, free) -> list[int]:
+        """Each free direction's cheapest gain: the fewest new points any of
+        its levels adds."""
+        q = self.q
+        return [min(lanes[d * q:d * q + q]) for d in free]
 
 
 def _overlap_bound(gains, pair: int) -> int:
@@ -204,14 +276,14 @@ class _Searcher:
     witness.
     """
 
-    def __init__(self, q, pair, masks, free, levels, base_mask, budget, lb_ceil, bound,
-                 shared=None, axes=None):
-        self.q = q
+    def __init__(self, table, pair, free, levels, base_mask, base_counts, budget, lb_ceil,
+                 bound, shared=None, axes=None):
+        self.table = table
         self.pair = pair
-        self.masks = masks
         self.free = list(free)
         self.levels = list(levels)
         self.base_mask = base_mask
+        self.base_counts = base_counts
         self.budget = budget
         self.lb_ceil = lb_ceil
         self.bound = bound
@@ -228,7 +300,7 @@ class _Searcher:
 
     def search(self) -> None:
         try:
-            self._node(self.base_mask, self.free, not any(self.levels))
+            self._node(self.base_mask, self.base_counts, self.free, not any(self.levels))
             self.completed = True
         except _BudgetExhausted:
             self.completed = False
@@ -256,36 +328,43 @@ class _Searcher:
         if size <= self.lb_ceil:
             raise _ProvedOptimal
 
-    def _node(self, mask: int, free, zero: bool) -> None:
-        """Branch on one free direction; each child that survives the cuts
-        goes to self._child, which searches it (or, while the frontier is
-        built, keeps it open).  `zero` is true while every level on the path
-        is 0: the mask is then fixed by the scalings x -> a*x, which send
-        level c to a*c, so levels 0 and 1 cover every orbit.  Two levels
-        down, a child is dropped when an axis map sends it to a node met
-        before (see `_seen_before`)."""
+    def _node(self, mask: int, counts: int, free, zero: bool) -> None:
+        """Branch on one free direction: fail-first, the one whose cheapest
+        level adds the most new points (the first such), so partial unions
+        grow and prune early.  Each child that survives the cuts goes to
+        self._child, which searches it (or, while the frontier is built,
+        keeps it open).  `zero` is true while every level on the path is 0:
+        the mask is then fixed by the scalings x -> a*x, which send level c
+        to a*c, so levels 0 and 1 cover every orbit.  Two levels down, a
+        child is dropped when an axis map sends it to a node met before
+        (see `_seen_before`)."""
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
         self._sync()
         msize = mask.bit_count()
-        d, options, gains = _select_direction(mask, msize, free, self.masks, self.q)
+        table = self.table
+        lanes = table.lanes(counts)
+        gains = table.gains(lanes, free)
         if msize + _overlap_bound(gains, self.pair) >= self.bound:
             return
-        if zero:
-            options = options[:2]
-        rest = [x for x in free if x != d]
-        row = self.masks[d]
+        i = gains.index(max(gains))
+        d = free[i]
+        q = table.q
+        added = lanes[d * q:d * q + q]
+        rest = free[:i] + free[i + 1:]
+        row = table.masks[d]
         two_down = self.axes is not None and len(rest) == len(self.axes.open) - 2
-        for added, lvl in sorted(options):
-            csize = msize + added
+        for lvl in sorted(range(2 if zero else q), key=added.__getitem__):
+            csize = msize + added[lvl]
             if csize >= self.bound:
-                continue
+                break  # the levels are in ascending order of size
             self.levels[d] = lvl
             if rest:
                 if two_down and self._seen_before(free, d, lvl):
                     continue
-                self._child(mask | row[lvl], rest, zero and lvl == 0)
+                self._child(mask | row[lvl], table.cover(counts, row[lvl] & ~mask), rest,
+                            zero and lvl == 0)
             else:
                 self._record(csize)
 
@@ -301,26 +380,26 @@ class _Searcher:
         self.seen.add(key)
         return False
 
-    def _keep_open(self, mask: int, free, zero: bool) -> None:
-        self._opened.append((mask, free, self.levels.copy()))
+    def _keep_open(self, mask: int, counts: int, free, zero: bool) -> None:
+        self._opened.append((mask, counts, free, self.levels.copy()))
 
-    def frontier(self, workers: int) -> list[tuple[int, list[int], list[int]]] | None:
+    def frontier(self, workers: int) -> list[tuple[int, int, list[int], list[int]]] | None:
         """Expand the top of the tree level by level into open nodes
-        (mask, open directions, levels) in depth-first order, until there
-        are at least 8*workers of them.  A level is taken only if it leaves
-        at least min(workers, open nodes) open, so the frontier never
+        (mask, counts, open directions, levels) in depth-first order, until
+        there are at least 8*workers of them.  A level is taken only if it
+        leaves at least min(workers, open nodes) open, so the frontier never
         shrinks below the workers it can feed.  Leaves reached on the way
         are recorded.  Returns None when the run ends here (budget spent or
         lower bound met), with `completed` and `hit_lb` set as by `search`."""
-        level = [(self.base_mask, self.free, self.levels)]
+        level = [(self.base_mask, self.base_counts, self.free, self.levels)]
         self._child = self._keep_open
         try:
             while len(level) < 8 * workers:
                 nodes = self.nodes
                 self._opened = []
-                for mask, free, levels in level:
+                for mask, counts, free, levels in level:
                     self.levels = levels.copy()
-                    self._node(mask, free, not any(levels))
+                    self._node(mask, counts, free, not any(levels))
                 if len(self._opened) < min(workers, len(level)):
                     self.nodes = nodes  # the workers visit these nodes again
                     break
@@ -345,19 +424,20 @@ def _standard_basis_positions(dirs, n: int) -> list[int]:
     return out
 
 
-def _lex_smallest_witness(q, pair, masks, s, fixed, target, budget) -> tuple[int, ...] | None:
+def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, ...] | None:
     """First (hence lexicographically smallest) assignment of the proven
     optimal size, scanning directions in enumeration order and levels
     ascending.  A partial union is pruned once it, plus the overlap bound
     of the free directions still open, exceeds the target.  Returns None once
     more than `budget` nodes would be visited."""
+    q, masks = table.q, table.masks
     fixed_set = set(fixed)
     choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
     open_from = [[d for d in range(pos, s) if d not in fixed_set] for pos in range(s)]
     levels = [0] * s
     nodes = 0
 
-    def rec(pos: int, mask: int) -> bool:
+    def rec(pos: int, mask: int, counts: int) -> bool:
         nonlocal nodes
         if nodes >= budget:
             raise _BudgetExhausted
@@ -365,21 +445,23 @@ def _lex_smallest_witness(q, pair, masks, s, fixed, target, budget) -> tuple[int
         msize = mask.bit_count()
         if pos == s:
             return msize == target
-        _, _, gains = _select_direction(mask, msize, open_from[pos], masks, q)
-        if msize + _overlap_bound(gains, pair) > target:
+        lanes = table.lanes(counts)
+        if msize + _overlap_bound(table.gains(lanes, open_from[pos]), pair) > target:
             return False
         row = masks[pos]
+        added = lanes[pos * q:pos * q + q]
         for lvl in choices[pos]:
-            child = mask | row[lvl]
-            if child.bit_count() > target:
+            if msize + added[lvl] > target:
                 continue
             levels[pos] = lvl
-            if rec(pos + 1, child):
+            # a leaf reads only its mask
+            child = table.cover(counts, row[lvl] & ~mask) if pos + 1 < s else 0
+            if rec(pos + 1, mask | row[lvl], child):
                 return True
         return False
 
     try:
-        found = rec(0, 0)
+        found = rec(0, 0, table.full)
     except _BudgetExhausted:
         return None
     if not found:
@@ -406,8 +488,8 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
     return kakeya_lower_bound(q, n) if n >= 2 else Fraction(1)
 
 
-def _search_worker(widx, q, pair, masks, tasks, next_task, budget, lb_ceil, init_bound,
-                   shared, queue, axes):
+def _search_worker(widx, table, pair, axes, tasks, next_task, budget, lb_ceil, init_bound,
+                   shared, queue):
     """Pull open nodes by index from the shared counter until the list is
     used up, the budget runs out or the lower bound is met; send one result."""
     try:
@@ -423,8 +505,8 @@ def _search_worker(widx, q, pair, masks, tasks, next_task, budget, lb_ceil, init
                 next_task.value = i + 1
             if i >= len(tasks):
                 break
-            mask, free, levels = tasks[i]
-            searcher = _Searcher(q, pair, masks, free, levels, mask,
+            mask, counts, free, levels = tasks[i]
+            searcher = _Searcher(table, pair, free, levels, mask, counts,
                                  max(1, budget - nodes), lb_ceil, bound, shared, axes)
             searcher.search()
             nodes += searcher.nodes
@@ -475,7 +557,7 @@ def _collect_results(procs, queue) -> list[tuple]:
     return results
 
 
-def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound, axes):
+def _run_workers(tasks, workers, table, pair, node_budget, lb_ceil, bound, axes):
     """Search the open nodes on min(workers, len(tasks)) processes that pull
     them in order and share the incumbent.  Returns the best size and levels
     found (None if none beat `bound`), the nodes visited and whether the
@@ -489,8 +571,8 @@ def _run_workers(tasks, workers, q, pair, masks, node_budget, lb_ceil, bound, ax
     for widx in range(min(workers, len(tasks))):
         proc = ctx.Process(
             target=_search_worker,
-            args=(widx, q, pair, masks, tasks, next_task, per_budget, lb_ceil, bound,
-                  shared, queue, axes),
+            args=(widx, table, pair, axes, tasks, next_task, per_budget, lb_ceil, bound,
+                  shared, queue),
         )
         proc.start()
         procs.append((widx, proc))
@@ -589,12 +671,15 @@ def minimal_kakeya_exact(
     best_levels = list(seed_result.witness.levels)
     nodes = 0
     optimal = False
+    # branch and bound and the canonical-witness pass both read these
+    table = _Counts(masks, q, n)
 
     if best_size <= lb_ceil:
         optimal = True
     else:
         axes = _AxisMaps(f, dirs, free) if normalize else None
-        searcher = _Searcher(q, pair, masks, free, levels, base_mask, node_budget,
+        searcher = _Searcher(table, pair, free, levels, base_mask,
+                             table.cover(table.full, base_mask), node_budget,
                              lb_ceil, best_size, axes=axes)
         if workers == 1:
             searcher.search()
@@ -607,13 +692,13 @@ def minimal_kakeya_exact(
         optimal = searcher.completed
         if tasks:
             found_size, found_levels, wnodes, optimal = _run_workers(
-                tasks, workers, q, pair, masks, node_budget, lb_ceil, best_size, axes)
+                tasks, workers, table, pair, node_budget, lb_ceil, best_size, axes)
             nodes += wnodes
             if found_levels is not None:
                 best_size, best_levels = found_size, found_levels
 
     if optimal:
-        canonical = _lex_smallest_witness(q, pair, masks, s, fixed, best_size, node_budget)
+        canonical = _lex_smallest_witness(table, pair, s, fixed, best_size, node_budget)
         if canonical is None:
             # a proof must come with the canonical witness, so report a bound
             optimal = False

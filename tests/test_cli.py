@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from kakeya import search
+from kakeya import core, search
 from kakeya.cli import main
 from kakeya.core import point_set_to_json, write_point_set
 from kakeya.field import make_field
@@ -318,6 +318,47 @@ def test_search_refuses_oversized_mask_tables(capsys, monkeypatch):
     assert code == 2
     assert "level masks" in err
     assert time.perf_counter() - start < 0.5
+
+
+def test_search_refuses_oversized_count_tables(capsys, monkeypatch):
+    # (9,2): 7,290 bits of level masks plus 58,320 bits of counts (81 points,
+    # 90 one-byte lanes each); (8,2): 4,608 plus 36,864 bits
+    monkeypatch.setattr(core, "MASK_BITS_CAP", 50_000)
+    seeded = []
+    greedy = search.greedy_upper_bound
+
+    def recording_greedy(*args, **kwargs):
+        seeded.append(args[:2])
+        return greedy(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no node may be visited")
+
+    monkeypatch.setattr(search, "greedy_upper_bound", recording_greedy)
+    monkeypatch.setattr(search, "_Searcher", refuse)
+    code, out, err = run(capsys, ["search", "--field", "9", "--n", "2"])
+    assert code == 2
+    assert out == ""
+    assert "uncovered-point counts for q=9, n=2 need 8201 bytes" in err
+    assert "above the cap of 6250 (core.MASK_BITS_CAP)" in err
+    assert len(seeded) == 1  # refused after the greedy seed
+    # (8,2) closes on its greedy bound and its counts fit
+    code, out, _ = run(capsys, ["search", "--field", "8", "--n", "2", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["min_size"], obj["proof_of_optimality"]) == (36, True)
+
+
+@pytest.mark.parametrize("spec", ["2^100000", "1000000000000000003", "1000000000000000003^1"])
+def test_oversized_fields_refused_before_slow_work(capsys, spec):
+    # 2^100000 has over 4,300 digits; the prime 10^18 + 3 would take
+    # trial division up to 10^9
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["directions", "--field", spec, "--n", "2"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"field order {spec} exceeds size cap" in err
 
 
 def test_parallel_search_out_of_budget_exits_3(capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import multiprocessing
@@ -7,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya import search
 from kakeya.bounds import kakeya_lower_bound_ceiling
@@ -34,6 +37,13 @@ CANONICAL_WITNESSES = {
 }
 # (p, k, n) cells on which the axis maps are checked point by point
 AXIS_CELLS = [(5, 1, 2), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3), (2, 1, 4)]
+# (p, k, n) cells for the carried counts; a hyperplane of F_2^9 (q = 2,
+# n = 9) has 256 points, so that cell's counts take two bytes each
+COUNT_CELLS = [(2, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
+               (2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 4), (2, 1, 9)]
+# nodes_explored with workers=1; the prunes and the branching order fix them
+NODE_COUNTS = [((5, 1, 2), 12), ((7, 1, 2), 204), ((2, 3, 2), 0), ((3, 2, 2), 2_568),
+               ((3, 1, 3), 10), ((2, 2, 3), 236), ((2, 1, 4), 0)]
 
 
 def _assignment_minimum_brute(f, n):
@@ -79,8 +89,10 @@ def _search_from_scratch(f, n, normalize, axes=True):
         base_mask |= masks[pos][0]
     free = [i for i in range(len(dirs)) if i not in fixed]
     maps = search._AxisMaps(f, dirs, free) if normalize and axes else None
-    searcher = search._Searcher(f.q, f.q ** (n - 2), masks, free, [0] * len(dirs),
-                                base_mask, 10**7, 0, f.q**n + 1, axes=maps)
+    table = search._Counts(masks, f.q, n)
+    searcher = search._Searcher(table, f.q ** (n - 2), free, [0] * len(dirs), base_mask,
+                                table.cover(table.full, base_mask), 10**7, 0, f.q**n + 1,
+                                axes=maps)
     searcher.search()
     assert searcher.completed
     witness = OffsetAssignment(tuple(searcher.found_levels))
@@ -174,6 +186,7 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
     fixed = search._standard_basis_positions(dirs, n)
     free = [i for i in range(len(dirs)) if i not in fixed]
     axes = search._AxisMaps(f, dirs, free)
+    table = search._Counts(masks, f.q, n)
     base_mask = 0
     for pos in fixed:
         base_mask |= masks[pos][0]
@@ -183,9 +196,9 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
         for c1, c2 in itertools.product(range(f.q), repeat=2):
             levels = [0] * len(dirs)
             levels[d1], levels[d2] = c1, c2
-            searcher = search._Searcher(f.q, f.q ** (n - 2), masks, rest, levels,
-                                        base_mask | masks[d1][c1] | masks[d2][c2],
-                                        10**6, 0, f.q**n + 1)
+            mask = base_mask | masks[d1][c1] | masks[d2][c2]
+            searcher = search._Searcher(table, f.q ** (n - 2), rest, levels, mask,
+                                        table.cover(table.full, mask), 10**6, 0, f.q**n + 1)
             searcher.search()
             minima.setdefault(axes.key(d1, c1, d2, c2), set()).add(searcher.found_size)
     assert all(len(found) == 1 for found in minima.values())
@@ -237,12 +250,48 @@ def test_overlap_bound_never_exceeds_what_a_completion_adds():
             for d in order[:cut]:
                 mask |= masks[d][rng.randrange(f.q)]
             msize = mask.bit_count()
-            _, _, gains = search._select_direction(mask, msize, order[cut:], masks, f.q)
+            gains = [min((mask | row[lvl]).bit_count() - msize for lvl in range(f.q))
+                     for row in (masks[d] for d in order[cut:])]
             for _ in range(5):
                 full = mask
                 for d in order[cut:]:
                     full |= masks[d][rng.randrange(f.q)]
                 assert full.bit_count() - msize >= search._overlap_bound(gains, f.q ** (n - 2))
+
+
+@functools.cache
+def _count_table(p, k, n):
+    f = make_field(p, k)
+    masks = level_masks(f, n)
+    return f, masks, search._Counts(masks, f.q, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_carried_counts_match_popcounts(data):
+    """Counts carried down a random partial assignment, one direction at a
+    time, equal the uncovered points of every hyperplane, and the cheapest
+    gains they give equal those counted on the union."""
+    p, k, n = data.draw(st.sampled_from(COUNT_CELLS))
+    f, masks, table = _count_table(p, k, n)
+    s = len(masks)
+    if (p, k, n) == (2, 1, 9):
+        assert table.w == 2
+    order = data.draw(st.permutations(range(s)))
+    cut = data.draw(st.integers(0, min(s, 12)))
+    mask, counts = 0, table.full
+    for d in order[:cut]:
+        row = masks[d][data.draw(st.integers(0, f.q - 1))]
+        counts = table.cover(counts, row & ~mask)
+        mask |= row
+    lanes = table.lanes(counts)
+    for d in range(s):
+        for lvl in range(f.q):
+            assert lanes[d * f.q + lvl] == (masks[d][lvl] & ~mask).bit_count()
+    free = order[cut:]
+    msize = mask.bit_count()
+    assert table.gains(lanes, free) == [
+        min((mask | masks[d][lvl]).bit_count() - msize for lvl in range(f.q)) for d in free]
 
 
 def _planar_minimum(q):
@@ -273,7 +322,13 @@ def test_11_2_node_count_guard():
     result = minimal_kakeya_exact(make_field(11, 1), 2)
     assert result.proof_of_optimality and result.min_size == 71
     assert result.nodes_explored <= 65_000
+    assert result.nodes_explored == 60_355
     assert result.witness.levels == CANONICAL_WITNESSES[11, 1, 2]
+
+
+@pytest.mark.parametrize("cell,nodes", NODE_COUNTS)
+def test_node_counts_are_pinned(cell, nodes):
+    assert minimal_kakeya_exact(make_field(*cell[:2]), cell[2], workers=1).nodes_explored == nodes
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
