@@ -32,7 +32,10 @@ With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
 At most MAX_WORKERS processes pull them one at a time through a shared
 index and share the incumbent size, so a worker that finishes a small
-subtree takes the next node instead of idling.
+subtree takes the next node instead of idling.  One `_Searcher` serves
+every node a process takes.  The node budget covers the parent and the
+workers: the processes split what the parent left of it, so a run never
+visits more nodes than the budget.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import core
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
-from .field import FieldSpec
-from .geometry import enumerate_directions
+from .field import FieldSpec, check_space
+from .geometry import _level_kernel, count_directions_formula, enumerate_directions
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -85,10 +89,13 @@ def _lane_width(most: int) -> int:
     return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
 
 
-def _check_count_table(q: int, n: int, s: int) -> None:
-    """Refuse a count table that, with the level masks, would exceed
-    MASK_BITS_CAP.  The table holds q^n packed counts of s*q lanes each."""
-    npoints = q**n
+def _check_count_table(q: int, n: int) -> None:
+    """Refuse F_q^n above the size cap, then level masks and a count table
+    that together would exceed MASK_BITS_CAP.  The table holds q^n packed
+    counts of |S|*q lanes each; both sizes follow from (q, n), so the check
+    comes before any direction is listed."""
+    npoints = check_space(q, n)
+    s = count_directions_formula(q, n)
     mask_bits = s * q * npoints
     table_bits = 8 * _lane_width(npoints // q) * s * q * npoints
     if mask_bits + table_bits > core.MASK_BITS_CAP:
@@ -111,22 +118,14 @@ class _Counts:
     in every lane.
     """
 
-    def __init__(self, masks, q: int, n: int):
-        s = len(masks)
-        _check_count_table(q, n, s)
+    def __init__(self, f: FieldSpec, n: int, dirs, masks):
+        q, s = f.q, len(dirs)
         npoints = q**n
         self.q = q
         self.masks = masks
         self.w = w = _lane_width(npoints // q)
         self.nbytes = nbytes = s * q * w
-        level = [bytearray(npoints) for _ in range(s)]
-        for d, row in enumerate(masks):
-            at = level[d]
-            for lvl, m in enumerate(row[1:], 1):
-                while m:
-                    x = m.bit_length() - 1
-                    at[x] = lvl
-                    m ^= 1 << x
+        level = list(map(_level_kernel(f), (d.normal for d in dirs)))
         self.pts = []
         for x in range(npoints):
             buf = bytearray(nbytes)
@@ -267,46 +266,60 @@ class _AxisMaps:
         return min(keys)
 
 
+class _Outcome(NamedTuple):
+    """What one searcher found and how its search ended."""
+    size: int | None  # the best size it found itself, if any
+    levels: list[int] | None  # the levels of that size
+    nodes: int
+    completed: bool  # false once the budget ran out
+    hit_lb: bool  # an incumbent met the lower bound
+
+
 class _Searcher:
-    """Depth-first branch and bound over the free directions.
+    """Depth-first branch and bound over the free directions of open nodes.
 
     `bound` is the strictest known incumbent size (shared across workers
     when `shared` is set); own discoveries are kept in found_size /
     found_levels so a foreign incumbent never gets paired with a local
-    witness.
+    witness.  The nodes, the incumbent and the orbit keys in `seen` build
+    up over the calls of `run`, and `budget` caps the nodes of all of them.
     """
 
-    def __init__(self, table, pair, free, levels, base_mask, base_counts, budget, lb_ceil,
-                 bound, shared=None, axes=None):
+    def __init__(self, table, pair, budget, lb_ceil, bound, shared=None, axes=None):
         self.table = table
         self.pair = pair
-        self.free = list(free)
-        self.levels = list(levels)
-        self.base_mask = base_mask
-        self.base_counts = base_counts
         self.budget = budget
         self.lb_ceil = lb_ceil
         self.bound = bound
         self.shared = shared
+        self.axes = axes
+        self.levels: list[int] = []
         self.found_size: int | None = None
         self.found_levels: list[int] | None = None
         self.nodes = 0
-        self.completed = False
+        self.completed = True
         self.hit_lb = False
-        self.axes = axes
         # orbit keys of the nodes two levels down met so far
         self.seen: set[tuple[int, int, int, int]] = set()
         self._child = self._node
 
-    def search(self) -> None:
+    def run(self, mask: int, counts: int, free, levels) -> bool:
+        """Search the subtree of one open node.  Returns False when the
+        search must stop: the budget is spent (`completed` turns false) or
+        an incumbent meets the lower bound (`hit_lb` turns true)."""
+        self.levels = list(levels)
         try:
-            self._node(self.base_mask, self.base_counts, self.free, not any(self.levels))
-            self.completed = True
+            self._node(mask, counts, free, not any(levels))
         except _BudgetExhausted:
             self.completed = False
+            return False
         except _ProvedOptimal:
-            self.completed = True
             self.hit_lb = True
+            return False
+        return True
+
+    def outcome(self) -> _Outcome:
+        return _Outcome(self.found_size, self.found_levels, self.nodes, self.completed, self.hit_lb)
 
     def _sync(self) -> None:
         if self.shared is not None:
@@ -383,33 +396,27 @@ class _Searcher:
     def _keep_open(self, mask: int, counts: int, free, zero: bool) -> None:
         self._opened.append((mask, counts, free, self.levels.copy()))
 
-    def frontier(self, workers: int) -> list[tuple[int, int, list[int], list[int]]] | None:
-        """Expand the top of the tree level by level into open nodes
-        (mask, counts, open directions, levels) in depth-first order, until
-        there are at least 8*workers of them.  A level is taken only if it
-        leaves at least min(workers, open nodes) open, so the frontier never
-        shrinks below the workers it can feed.  Leaves reached on the way
-        are recorded.  Returns None when the run ends here (budget spent or
-        lower bound met), with `completed` and `hit_lb` set as by `search`."""
-        level = [(self.base_mask, self.base_counts, self.free, self.levels)]
+    def frontier(self, root, workers: int) -> list[tuple[int, int, list[int], list[int]]] | None:
+        """Expand the tree from the open node `root` level by level into
+        open nodes (mask, counts, open directions, levels) in depth-first
+        order, until there are at least 8*workers of them.  A level is taken
+        only if it leaves at least min(workers, open nodes) open, so the
+        frontier never shrinks below the workers it can feed.  Leaves
+        reached on the way are recorded.  Returns None when `run` stops the
+        search here."""
+        level = [root]
         self._child = self._keep_open
         try:
             while len(level) < 8 * workers:
                 nodes = self.nodes
                 self._opened = []
-                for mask, counts, free, levels in level:
-                    self.levels = levels.copy()
-                    self._node(mask, counts, free, not any(levels))
+                for node in level:
+                    if not self.run(*node):
+                        return None
                 if len(self._opened) < min(workers, len(level)):
                     self.nodes = nodes  # the workers visit these nodes again
                     break
                 level = self._opened
-        except _BudgetExhausted:
-            self.completed = False
-            return None
-        except _ProvedOptimal:
-            self.completed = self.hit_lb = True
-            return None
         finally:
             self._child = self._node
         return level
@@ -417,11 +424,7 @@ class _Searcher:
 
 def _standard_basis_positions(dirs, n: int) -> list[int]:
     index_of = {d.normal: pos for pos, d in enumerate(dirs)}
-    out = []
-    for i in range(n):
-        normal = tuple(1 if j == i else 0 for j in range(n))
-        out.append(index_of[normal])
-    return out
+    return [index_of[tuple(int(j == i) for j in range(n))] for i in range(n)]
 
 
 def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, ...] | None:
@@ -488,65 +491,48 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
     return kakeya_lower_bound(q, n) if n >= 2 else Fraction(1)
 
 
-def _search_worker(widx, table, pair, axes, tasks, next_task, budget, lb_ceil, init_bound,
-                   shared, queue):
-    """Pull open nodes by index from the shared counter until the list is
-    used up, the budget runs out or the lower bound is met; send one result."""
+def _search_worker(widx, searcher, tasks, next_task, queue):
+    """Feed open nodes, pulled by index from the shared counter, into one
+    searcher until the list is used up or `run` stops; send its outcome."""
     try:
-        found_size = None
-        found_levels = None
-        nodes = 0
-        completed = True
-        hit_lb = False
-        bound = init_bound
         while True:
             with next_task.get_lock():
                 i = next_task.value
                 next_task.value = i + 1
-            if i >= len(tasks):
+            if i >= len(tasks) or not searcher.run(*tasks[i]):
                 break
-            mask, counts, free, levels = tasks[i]
-            searcher = _Searcher(table, pair, free, levels, mask, counts,
-                                 max(1, budget - nodes), lb_ceil, bound, shared, axes)
-            searcher.search()
-            nodes += searcher.nodes
-            bound = searcher.bound
-            if searcher.found_levels is not None:
-                found_size = searcher.found_size
-                found_levels = searcher.found_levels
-            hit_lb = hit_lb or searcher.hit_lb
-            if not searcher.completed:
-                completed = False
-                break
-            if hit_lb:
-                break
-        queue.put((widx, found_size, found_levels, nodes, completed, hit_lb))
+        queue.put((widx, searcher.outcome()))
     except Exception as exc:  # surface the failure instead of hanging the parent
-        queue.put((widx, None, None, 0, False, False, repr(exc)))
+        queue.put((widx, repr(exc)))
 
 
-def _collect_results(procs, queue) -> list[tuple]:
-    """One result per (worker index, process), then join them all.
+def _collect_results(procs, queue) -> list[_Outcome]:
+    """The outcome of each (worker index, process), in that order, once all
+    have joined.
 
-    A worker that exits without reporting (killed, out of memory) raises
-    RuntimeError; on that or an interrupt the other workers are terminated.
+    A worker that reports a failure or exits without reporting (killed, out
+    of memory) raises RuntimeError; on that or an interrupt the other
+    workers are terminated.
     """
-    results: list[tuple] = []
+    results: dict[int, _Outcome] = {}
     try:
         while len(results) < len(procs):
             # A worker that exited before this wait has its result, if it
             # sent one, in the pipe already, so the wait cannot miss it.
-            reported = {r[0] for r in results}
             exited = [(widx, proc.exitcode) for widx, proc in procs
-                      if widx not in reported and proc.exitcode is not None]
+                      if widx not in results and proc.exitcode is not None]
             try:
-                results.append(queue.get(timeout=_WORKER_POLL_S))
+                widx, result = queue.get(timeout=_WORKER_POLL_S)
             except queue_module.Empty:
                 if exited:
                     widx, code = exited[0]
                     raise RuntimeError(
                         f"search worker {widx} exited with code {code} without a result"
                     ) from None
+                continue
+            if isinstance(result, str):
+                raise RuntimeError(f"search worker {widx} failed: {result}")
+            results[widx] = result
     except BaseException:
         for _, proc in procs:
             proc.terminate()
@@ -554,44 +540,28 @@ def _collect_results(procs, queue) -> list[tuple]:
     finally:
         for _, proc in procs:
             proc.join()
-    return results
+    return [results[widx] for widx, _ in procs]
 
 
-def _run_workers(tasks, workers, table, pair, node_budget, lb_ceil, bound, axes):
+def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_Outcome]:
     """Search the open nodes on min(workers, len(tasks)) processes that pull
-    them in order and share the incumbent.  Returns the best size and levels
-    found (None if none beat `bound`), the nodes visited and whether the
-    run proves optimality."""
+    them in order and share the incumbent.  The processes split what the
+    parent left of node_budget.  Returns each worker's outcome, in worker
+    order."""
     ctx = multiprocessing.get_context()
-    shared = ctx.Value("q", bound)
+    nprocs = min(workers, len(tasks))
+    searcher = _Searcher(parent.table, parent.pair, (node_budget - parent.nodes) // nprocs,
+                         parent.lb_ceil, parent.bound, ctx.Value("q", parent.bound),
+                         parent.axes)
     next_task = ctx.Value("q", 0)
     queue = ctx.Queue()
-    per_budget = max(1, node_budget // workers)
     procs = []
-    for widx in range(min(workers, len(tasks))):
-        proc = ctx.Process(
-            target=_search_worker,
-            args=(widx, table, pair, axes, tasks, next_task, per_budget, lb_ceil, bound,
-                  shared, queue),
-        )
+    for widx in range(nprocs):
+        proc = ctx.Process(target=_search_worker,
+                           args=(widx, searcher, tasks, next_task, queue))
         proc.start()
         procs.append((widx, proc))
-    results = _collect_results(procs, queue)
-    results.sort()
-    failures = [r for r in results if len(r) == 7]
-    if failures:
-        raise RuntimeError(f"search worker failed: {failures[0][6]}")
-    best_size, best_levels = bound, None
-    nodes = 0
-    completed_all = True
-    hit_lb_any = False
-    for _, fsize, flevels, wnodes, completed, hit_lb in results:
-        nodes += wnodes
-        completed_all = completed_all and completed
-        hit_lb_any = hit_lb_any or hit_lb
-        if flevels is not None and fsize < best_size:
-            best_size, best_levels = fsize, flevels
-    return best_size, best_levels, nodes, completed_all or hit_lb_any
+    return _collect_results(procs, queue)
 
 
 def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) -> SearchResult:
@@ -644,13 +614,15 @@ def minimal_kakeya_exact(
     (lexicographically smallest optimal assignment in the searched space).
     Branch and bound and the canonical-witness pass may each visit
     node_budget nodes; if either runs out, the best upper bound found is
-    returned with the flag false.
+    returned with the flag false.  With workers > 1 the budget of branch
+    and bound covers the parent's nodes plus the workers', so
+    nodes_explored <= node_budget for every worker count.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    _check_mask_bits(f.q, n)
+    _check_count_table(f.q, n)
     dirs = enumerate_directions(f, n)
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
@@ -659,43 +631,36 @@ def minimal_kakeya_exact(
     pair = q ** max(0, n - 2)  # points shared by two hyperplanes of distinct directions
 
     fixed = _standard_basis_positions(dirs, n) if normalize else []
-    fixed_set = set(fixed)
     base_mask = 0
-    levels = [0] * s
     for pos in fixed:
         base_mask |= masks[pos][0]
-    free = [i for i in range(s) if i not in fixed_set]
+    free = [i for i in range(s) if i not in fixed]
 
     seed_result = greedy_upper_bound(f, n, restarts=min(16, 4 * s), seed=0)
     best_size = seed_result.min_size
     best_levels = list(seed_result.witness.levels)
     nodes = 0
-    optimal = False
+    optimal = best_size <= lb_ceil
     # branch and bound and the canonical-witness pass both read these
-    table = _Counts(masks, q, n)
+    table = _Counts(f, n, dirs, masks)
 
-    if best_size <= lb_ceil:
-        optimal = True
-    else:
+    if not optimal:
         axes = _AxisMaps(f, dirs, free) if normalize else None
-        searcher = _Searcher(table, pair, free, levels, base_mask,
-                             table.cover(table.full, base_mask), node_budget,
-                             lb_ceil, best_size, axes=axes)
+        searcher = _Searcher(table, pair, node_budget, lb_ceil, best_size, axes=axes)
+        root = (base_mask, table.cover(table.full, base_mask), free, [0] * s)
         if workers == 1:
-            searcher.search()
+            searcher.run(*root)
             tasks = None
         else:
-            tasks = searcher.frontier(workers)
-        nodes = searcher.nodes
-        if searcher.found_levels is not None:
-            best_size, best_levels = searcher.found_size, searcher.found_levels
-        optimal = searcher.completed
+            tasks = searcher.frontier(root, workers)
+        outcomes = [searcher.outcome()]
         if tasks:
-            found_size, found_levels, wnodes, optimal = _run_workers(
-                tasks, workers, table, pair, node_budget, lb_ceil, best_size, axes)
-            nodes += wnodes
-            if found_levels is not None:
-                best_size, best_levels = found_size, found_levels
+            outcomes += _run_workers(tasks, workers, searcher, node_budget)
+        nodes = sum(o.nodes for o in outcomes)
+        optimal = all(o.completed for o in outcomes) or any(o.hit_lb for o in outcomes)
+        for o in outcomes:
+            if o.levels is not None and o.size < best_size:
+                best_size, best_levels = o.size, o.levels
 
     if optimal:
         canonical = _lex_smallest_witness(table, pair, s, fixed, best_size, node_budget)

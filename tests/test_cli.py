@@ -341,12 +341,22 @@ def test_search_refuses_oversized_count_tables(capsys, monkeypatch):
     assert out == ""
     assert "uncovered-point counts for q=9, n=2 need 8201 bytes" in err
     assert "above the cap of 6250 (core.MASK_BITS_CAP)" in err
-    assert len(seeded) == 1  # refused after the greedy seed
+    assert not seeded  # refused before the greedy seed
     # (8,2) closes on its greedy bound and its counts fit
     code, out, _ = run(capsys, ["search", "--field", "8", "--n", "2", "--format", "json"])
     assert code == 0
     obj = json.loads(out)
     assert (obj["min_size"], obj["proof_of_optimality"]) == (36, True)
+
+
+def test_search_refuses_31_3_before_building_masks(capsys):
+    # 1.95 GB of masks and counts; the refusal comes from (q, n) alone
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["search", "--field", "31", "--n", "3"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "uncovered-point counts for q=31, n=3 need 1948744750 bytes" in err
 
 
 @pytest.mark.parametrize("spec", ["2^100000", "1000000000000000003", "1000000000000000003^1"])

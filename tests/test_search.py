@@ -77,10 +77,10 @@ def test_bound_attained_at_2_2_and_2_3():
         assert minimal_kakeya_exact(f, n).min_size == kakeya_lower_bound_ceiling(p, n)
 
 
-def _search_from_scratch(f, n, normalize, axes=True):
-    """Branch and bound with no greedy incumbent and no lower-bound exit,
-    so the prunes decide the whole tree.  `axes` turns the isomorph check
-    two levels down on or off (it needs `normalize`)."""
+def _open_root(f, n, normalize=True):
+    """The directions, the count table and the root node (mask, counts,
+    free directions, levels) of the search; `normalize` fixes the
+    standard-basis directions at level 0."""
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
     fixed = search._standard_basis_positions(dirs, n) if normalize else []
@@ -88,12 +88,18 @@ def _search_from_scratch(f, n, normalize, axes=True):
     for pos in fixed:
         base_mask |= masks[pos][0]
     free = [i for i in range(len(dirs)) if i not in fixed]
-    maps = search._AxisMaps(f, dirs, free) if normalize and axes else None
-    table = search._Counts(masks, f.q, n)
-    searcher = search._Searcher(table, f.q ** (n - 2), free, [0] * len(dirs), base_mask,
-                                table.cover(table.full, base_mask), 10**7, 0, f.q**n + 1,
-                                axes=maps)
-    searcher.search()
+    table = search._Counts(f, n, dirs, masks)
+    return dirs, table, (base_mask, table.cover(table.full, base_mask), free, [0] * len(dirs))
+
+
+def _search_from_scratch(f, n, normalize, axes=True):
+    """Branch and bound with no greedy incumbent and no lower-bound exit,
+    so the prunes decide the whole tree.  `axes` turns the isomorph check
+    two levels down on or off (it needs `normalize`)."""
+    dirs, table, root = _open_root(f, n, normalize)
+    maps = search._AxisMaps(f, dirs, root[2]) if normalize and axes else None
+    searcher = search._Searcher(table, f.q ** (n - 2), 10**7, 0, f.q**n + 1, axes=maps)
+    assert searcher.run(*root)
     assert searcher.completed
     witness = OffsetAssignment(tuple(searcher.found_levels))
     assert build_union(f, n, witness).cardinality == searcher.found_size
@@ -111,6 +117,24 @@ def test_exact_matches_brute_force_assignment_scan():
             assert result.min_size == brute
             assert _search_from_scratch(f, n, normalize) == brute
         assert _search_from_scratch(f, n, True, axes=False) == brute
+
+
+def test_run_stops_on_a_spent_budget_or_a_met_lower_bound():
+    f = make_field(7, 1)
+    _, table, root = _open_root(f, 2)
+    spent = search._Searcher(table, 1, 5, 0, 50)
+    assert not spent.run(*root)
+    assert (spent.nodes, spent.completed, spent.hit_lb) == (5, False, False)
+    assert not spent.run(*root)  # the budget covers every call
+    assert spent.nodes == 5
+    # with the lower bound at q^n the first leaf meets it
+    met = search._Searcher(table, 1, 10**6, 49, 50)
+    assert not met.run(*root)
+    assert met.completed and met.hit_lb and met.found_size <= 49
+    done = search._Searcher(table, 1, 10**6, 0, 50)
+    assert done.run(*root) and done.run(*root)
+    assert done.completed and not done.hit_lb
+    assert done.outcome() == (31, done.found_levels, done.nodes, True, False)
 
 
 def test_search_from_scratch_agrees_across_normalization():
@@ -186,7 +210,7 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
     fixed = search._standard_basis_positions(dirs, n)
     free = [i for i in range(len(dirs)) if i not in fixed]
     axes = search._AxisMaps(f, dirs, free)
-    table = search._Counts(masks, f.q, n)
+    table = search._Counts(f, n, dirs, masks)
     base_mask = 0
     for pos in fixed:
         base_mask |= masks[pos][0]
@@ -197,9 +221,8 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
             levels = [0] * len(dirs)
             levels[d1], levels[d2] = c1, c2
             mask = base_mask | masks[d1][c1] | masks[d2][c2]
-            searcher = search._Searcher(table, f.q ** (n - 2), rest, levels, mask,
-                                        table.cover(table.full, mask), 10**6, 0, f.q**n + 1)
-            searcher.search()
+            searcher = search._Searcher(table, f.q ** (n - 2), 10**6, 0, f.q**n + 1)
+            searcher.run(mask, table.cover(table.full, mask), rest, levels)
             minima.setdefault(axes.key(d1, c1, d2, c2), set()).add(searcher.found_size)
     assert all(len(found) == 1 for found in minima.values())
     assert len(minima) < len(free) * (len(free) - 1) // 2 * f.q**2
@@ -262,8 +285,9 @@ def test_overlap_bound_never_exceeds_what_a_completion_adds():
 @functools.cache
 def _count_table(p, k, n):
     f = make_field(p, k)
-    masks = level_masks(f, n)
-    return f, masks, search._Counts(masks, f.q, n)
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    return f, masks, search._Counts(f, n, dirs, masks)
 
 
 @settings(max_examples=80, deadline=None)
@@ -403,6 +427,28 @@ def test_parallel_budget_exhaustion_reports_a_verified_bound():
         assert is_kakeya(f, union).ok
 
 
+@pytest.mark.parametrize("budget", [20, 100, 800, 2400])
+def test_parallel_runs_stay_within_the_node_budget(budget):
+    # (9,2) takes 2,568 nodes on one core, so every budget here runs out
+    f = make_field(3, 2)
+    for workers in (1, 2, 3, 4):
+        result = minimal_kakeya_exact(f, 2, node_budget=budget, workers=workers)
+        assert result.nodes_explored <= budget
+        assert result.min_size >= 49
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_workers_started_without_fork_agree(monkeypatch, method):
+    f = make_field(3, 2)
+    expected = minimal_kakeya_exact(f, 2)
+    ctx = multiprocessing.get_context(method)
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: ctx)
+    result = minimal_kakeya_exact(f, 2, workers=2)
+    assert result.proof_of_optimality
+    assert (result.min_size, result.witness) == (expected.min_size, expected.witness)
+    assert not multiprocessing.active_children()
+
+
 _JOIN_TIMEOUT_S = 30
 
 
@@ -479,7 +525,7 @@ def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
     # (9,2) is not closed by its lower bound, so every worker ran out of
     # open nodes: each node was taken once, plus one read past the end per worker
     _, args = ctx.started[0]
-    tasks, next_task = args[4], args[5]
+    tasks, next_task = args[2], args[3]
     assert len(tasks) >= 8 * 8
     assert next_task.value == len(tasks) + 8
 
@@ -523,6 +569,24 @@ def test_dead_worker_raises_instead_of_hanging(monkeypatch):
     with pytest.raises(RuntimeError, match=r"worker \d+ exited with code 9"):
         minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
     assert time.perf_counter() - start < 10
+    assert not multiprocessing.active_children()
+
+
+_run = search._Searcher.run
+
+
+def _run_failing_in_workers(self, *node):
+    if multiprocessing.parent_process() is not None:
+        raise ValueError("broken node")
+    return _run(self, *node)
+
+
+def test_failed_worker_raises_its_error(monkeypatch):
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(search._Searcher, "run", _run_failing_in_workers)
+    with pytest.raises(RuntimeError, match=r"worker \d+ failed: ValueError\('broken node'\)"):
+        minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
     assert not multiprocessing.active_children()
 
 
