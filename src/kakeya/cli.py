@@ -18,7 +18,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import oracles
 from .bounds import kakeya_lower_bound, planar_lower_bound
 from .core import (
     IncidenceReport,
@@ -365,7 +364,9 @@ def cmd_search(args) -> int:
 
 
 def _selftest_checks():
+    from . import oracles, search
     from .field import make_field
+    from .pointset import PointSet
 
     def directions_vs_brute(p, k, n):
         f = make_field(p, k)
@@ -399,7 +400,6 @@ def _selftest_checks():
     def coset_check(p, k, n, plane_dim):
         import random as _random
         from .geometry import enumerate_subspaces
-        from .pointset import PointSet
         f = make_field(p, k)
         rng = _random.Random(7)
         for _ in range(5):
@@ -411,6 +411,18 @@ def _selftest_checks():
                 oracles.coset_containment_brute(f, pset, sub.rows, n) for sub in subs
             )
             assert verdict.ok == brute
+
+    def gap_engine_vs_level_search(p, k, n):
+        f = make_field(p, k)
+        gap, _ = search._gap_size(f, n, 10**6)
+        assert search._level_minimum(f, n, 10**6)[0] == f.q**n - gap
+
+    def complement_duality(p, k, n):
+        f = make_field(p, k)
+        total = f.q**n
+        for bits in range(1 << total):
+            gaps = [x for x in range(total) if not bits >> x & 1]
+            assert is_kakeya(f, PointSet(f.q, n, bits)).ok == oracles.is_gap_set_brute(f, n, gaps)
 
     checks = [
         ("field axioms F_2", lambda: oracles.check_field_axioms(make_field(2, 1))),
@@ -433,6 +445,8 @@ def _selftest_checks():
         ("coset containment brute force (2,3,k=2)", lambda: coset_check(2, 1, 3, 2)),
         ("powerset oracle vs exact search (2,2)", lambda: powerset_vs_exact(2, 1, 2)),
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
+        ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),
+        ("complement duality F_3^2", lambda: complement_duality(3, 1, 2)),
     ]
     return checks
 
@@ -504,11 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="exact minimum Kakeya set size")
     _add_common(p, field=True)
     p.add_argument("--budget", type=int, default=10_000_000,
-                   help="node budget for branch and bound, and again for the "
+                   help="node budget for the search (for n >= 3 the gap-set search and "
+                        "the planar search under it), and again for the "
                         "canonical-witness pass")
     p.add_argument("--workers", type=int, default=1,
-                   help=f"processes for branch and bound; at most {MAX_WORKERS}; the top "
-                        "of the tree is split into open nodes that workers pull")
+                   help=f"processes for branch and bound when n <= 2; at most {MAX_WORKERS};"
+                        " the top of the tree is split into open nodes that workers pull;"
+                        " for n >= 3 the gap-set search runs on one core")
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True,
                    help="fix the standard-basis directions to level 0")
     p.add_argument("--heuristic-only", action="store_true",

@@ -123,6 +123,19 @@ def coset_containment_brute(f: FieldSpec, pset: PointSet, sub_rows, n: int) -> b
     return False
 
 
+def is_gap_set_brute(f: FieldSpec, n: int, points) -> bool:
+    """Does every nonzero functional u of F_q^n miss some value on the
+    points (indices)?  Exactly then is their complement Kakeya.  Levels are
+    per-element dot products over every nonzero u, not only the canonical
+    normals."""
+    q = f.q
+    coords = [point_coords(i, q, n) for i in points]
+    for u in itertools.product(range(q), repeat=n):
+        if any(u) and len({dot(f, u, x) for x in coords}) == q:
+            return False
+    return True
+
+
 def check_field_axioms(f: FieldSpec, triple_sample: int = 2000, seed: int = 0) -> None:
     """Exhaustive field-axiom check; raises AssertionError on any failure.
 

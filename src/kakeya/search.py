@@ -1,5 +1,12 @@
 """Exact minimum size of a Kakeya set w.r.t. hyperplanes, by search.
 
+For n >= 3 the minimum is q^n - g(q, n), where g is the most points of a
+gap set: a set on which every direction's functional misses a value, so
+that its complement is Kakeya.  `_gap_size` computes g from the planar
+value and a few lemmas, with a small branch and bound over gap sets that
+hold a fixed frame of n+1 points when n < q-1.  The rest of this module is
+the level search, which proves the planar minima (n <= 2).
+
 Any Kakeya set contains one full hyperplane per direction, and that union
 is itself Kakeya, so the global minimum is attained on unions determined
 by per-direction level assignments.  The search space is therefore q^|S|
@@ -34,8 +41,9 @@ At most MAX_WORKERS processes pull them one at a time through a shared
 index and share the incumbent size, so a worker that finishes a small
 subtree takes the next node instead of idling.  One `_Searcher` serves
 every node a process takes.  The node budget covers the parent and the
-workers: the processes split what the parent left of it, so a run never
-visits more nodes than the budget.
+workers: the processes draw what the parent left of it from one shared
+count, _NODE_BATCH nodes at a time, so a run never visits more nodes than
+the budget, and a worker runs out only once that count is empty.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import multiprocessing
 import queue as queue_module
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -56,7 +65,7 @@ from . import core
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
 from .field import FieldSpec, check_space
-from .geometry import _level_kernel, count_directions_formula, enumerate_directions
+from .geometry import _level_kernel, _level_mask, count_directions_formula, enumerate_directions
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -65,6 +74,8 @@ MAX_WORKERS = 64
 _POWERSET_POINT_LIMIT = 16
 # How often the parent checks for dead workers while waiting for results.
 _WORKER_POLL_S = 0.1
+# Nodes a worker draws at a time from the budget the workers share.
+_NODE_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -283,12 +294,15 @@ class _Searcher:
     found_levels so a foreign incumbent never gets paired with a local
     witness.  The nodes, the incumbent and the orbit keys in `seen` build
     up over the calls of `run`, and `budget` caps the nodes of all of them.
+    With `pool`, a shared count of nodes left, a searcher whose budget is
+    spent draws up to _NODE_BATCH more from it.
     """
 
-    def __init__(self, table, pair, budget, lb_ceil, bound, shared=None, axes=None):
+    def __init__(self, table, pair, budget, lb_ceil, bound, shared=None, axes=None, pool=None):
         self.table = table
         self.pair = pair
         self.budget = budget
+        self.pool = pool
         self.lb_ceil = lb_ceil
         self.bound = bound
         self.shared = shared
@@ -321,6 +335,17 @@ class _Searcher:
     def outcome(self) -> _Outcome:
         return _Outcome(self.found_size, self.found_levels, self.nodes, self.completed, self.hit_lb)
 
+    def _draw(self) -> bool:
+        """Add up to _NODE_BATCH nodes from the pool to the budget; False
+        when there is no pool or it is empty."""
+        if self.pool is None:
+            return False
+        with self.pool.get_lock():
+            take = min(_NODE_BATCH, self.pool.value)
+            self.pool.value -= take
+        self.budget += take
+        return take > 0
+
     def _sync(self) -> None:
         if self.shared is not None:
             v = self.shared.value
@@ -351,7 +376,7 @@ class _Searcher:
         to a*c, so levels 0 and 1 cover every orbit.  Two levels down, a
         child is dropped when an axis map sends it to a node met before
         (see `_seen_before`)."""
-        if self.nodes >= self.budget:
+        if self.nodes >= self.budget and not self._draw():
             raise _BudgetExhausted
         self.nodes += 1
         self._sync()
@@ -503,7 +528,7 @@ def _search_worker(widx, searcher, tasks, next_task, queue):
                 break
         queue.put((widx, searcher.outcome()))
     except Exception as exc:  # surface the failure instead of hanging the parent
-        queue.put((widx, repr(exc)))
+        queue.put((widx, f"{exc!r}\n{traceback.format_exc()}"))
 
 
 def _collect_results(procs, queue) -> list[_Outcome]:
@@ -545,14 +570,14 @@ def _collect_results(procs, queue) -> list[_Outcome]:
 
 def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_Outcome]:
     """Search the open nodes on min(workers, len(tasks)) processes that pull
-    them in order and share the incumbent.  The processes split what the
-    parent left of node_budget.  Returns each worker's outcome, in worker
-    order."""
+    them in order and share the incumbent.  The processes draw their nodes
+    in batches from what the parent left of node_budget.  Returns each
+    worker's outcome, in worker order."""
     ctx = multiprocessing.get_context()
     nprocs = min(workers, len(tasks))
-    searcher = _Searcher(parent.table, parent.pair, (node_budget - parent.nodes) // nprocs,
-                         parent.lb_ceil, parent.bound, ctx.Value("q", parent.bound),
-                         parent.axes)
+    searcher = _Searcher(parent.table, parent.pair, 0, parent.lb_ceil, parent.bound,
+                         ctx.Value("q", parent.bound), parent.axes,
+                         ctx.Value("q", node_budget - parent.nodes))
     next_task = ctx.Value("q", 0)
     queue = ctx.Queue()
     procs = []
@@ -600,6 +625,183 @@ def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) 
     return SearchResult(best_size, witness, restarts, False, lb)
 
 
+def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
+    """The greedy incumbent of the exact search: size and levels."""
+    seed = greedy_upper_bound(f, n, restarts=min(16, 4 * s), seed=0)
+    return seed.min_size, list(seed.witness.levels)
+
+
+def _level_search(f: FieldSpec, n: int, dirs, masks, table, fixed, node_budget: int,
+                  workers: int) -> tuple[int, list[int], int, bool]:
+    """Branch and bound over level assignments from the greedy incumbent,
+    stopped early once the incumbent meets the ceiling of the lower bound.
+    `fixed` lists the directions held at level 0; the axis maps are used
+    when it is not empty.  Returns the best size and its levels, the nodes
+    visited and whether that size is proven minimal."""
+    s = len(dirs)
+    lb_ceil = math.ceil(_instance_lower_bound(f.q, n))
+    best_size, best_levels = _greedy_seed(f, n, s)
+    if best_size <= lb_ceil:
+        return best_size, best_levels, 0, True
+    base_mask = 0
+    for pos in fixed:
+        base_mask |= masks[pos][0]
+    free = [i for i in range(s) if i not in fixed]
+    axes = _AxisMaps(f, dirs, free) if fixed else None
+    searcher = _Searcher(table, f.q ** max(0, n - 2), node_budget, lb_ceil, best_size, axes=axes)
+    root = (base_mask, table.cover(table.full, base_mask), free, [0] * s)
+    if workers == 1:
+        searcher.run(*root)
+        tasks = None
+    else:
+        tasks = searcher.frontier(root, workers)
+    outcomes = [searcher.outcome()]
+    if tasks:
+        outcomes += _run_workers(tasks, workers, searcher, node_budget)
+    nodes = sum(o.nodes for o in outcomes)
+    optimal = all(o.completed for o in outcomes) or any(o.hit_lb for o in outcomes)
+    for o in outcomes:
+        if o.levels is not None and o.size < best_size:
+            best_size, best_levels = o.size, o.levels
+    return best_size, best_levels, nodes, optimal
+
+
+def _level_minimum(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
+    """The minimum of F_q^n that the level search proves on one core, with
+    the standard-basis directions fixed, and its nodes; None in place of the
+    minimum once the budget runs out.  No canonical-witness pass."""
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    size, _, nodes, optimal = _level_search(f, n, dirs, masks, _Counts(f, n, dirs, masks),
+                                            _standard_basis_positions(dirs, n), budget, 1)
+    return (size if optimal else None), nodes
+
+
+class _GapSearch:
+    """Branch and bound for the largest gap set of F_q^n that holds the
+    frame {0, e_1, ..., e_n}; see `_gap_size` for why the frame may be
+    assumed and why `cap`, g(q, n-1), bounds every hyperplane's share.
+
+    Points join in index order.  Per direction, `hit` is the q-bit mask of
+    the levels the set meets so far, and `counts[d*q + l]` its points on
+    hyperplane (d, l).  A candidate is a later point that fills no mask and
+    takes no count past the cap; a point that fails once fails below too,
+    so each child keeps a subset of its parent's candidates.  The incumbent
+    starts at `cap`: only a larger gap set changes g.
+    """
+
+    def __init__(self, f: FieldSpec, n: int, cap: int, budget: int):
+        q = self.q = f.q
+        kernel = _level_kernel(f)
+        self.levels = [kernel(d.normal) for d in enumerate_directions(f, n)]
+        self.masks = [[_level_mask(lv, c) for c in range(q)] for lv in self.levels]
+        self.frame = [0] + [q**i for i in range(n)]
+        self.npoints = q**n
+        self.cap = cap
+        self.budget = budget
+        self.best = cap
+        self.nodes = 0
+
+    def run(self) -> int | None:
+        """The most points of a gap set holding the frame, or cap if none
+        has more; None once the budget is spent."""
+        hit = [0] * len(self.levels)
+        counts = [0] * (len(self.levels) * self.q)
+        cands = (1 << self.npoints) - 1
+        for x in self.frame:
+            hit, counts, banned = self._add(x, hit, counts)
+            cands &= ~banned & ~(1 << x)
+        try:
+            self._node(len(self.frame), hit, counts, cands)
+        except _BudgetExhausted:
+            return None
+        return self.best
+
+    def _add(self, x: int, hit, counts):
+        """Masks and counts once point x joins, and the points that can no
+        longer join: those on a hyperplane at the cap, and those on the one
+        level a direction has left."""
+        q, cap, masks = self.q, self.cap, self.masks
+        hit, counts = hit.copy(), counts.copy()
+        banned = 0
+        for d, lv in enumerate(self.levels):
+            lvl = lv[x]
+            i = d * q + lvl
+            counts[i] += 1
+            if counts[i] == cap:
+                banned |= masks[d][lvl]
+            h = hit[d] | 1 << lvl
+            if h != hit[d]:
+                hit[d] = h
+                if h.bit_count() == q - 1:
+                    banned |= masks[d][((1 << q) - 1 ^ h).bit_length() - 1]
+        return hit, counts, banned
+
+    def _ceiling(self, hit, counts, cands: int) -> int:
+        """Most points a gap set between this one and it plus the
+        candidates can hold.  Per direction, each level holds at most its
+        points plus its candidates, and at most cap; one level the set has
+        not met must stay empty, so the least of those terms drops out."""
+        q, cap = self.q, self.cap
+        best = self.npoints
+        for d, row in enumerate(self.masks):
+            h = hit[d]
+            total, drop = 0, cap
+            for lvl in range(q):
+                term = min(cap, counts[d * q + lvl] + (cands & row[lvl]).bit_count())
+                total += term
+                if not h >> lvl & 1 and term < drop:
+                    drop = term
+            if total - drop < best:
+                best = total - drop
+                if best <= self.best:
+                    break
+        return best
+
+    def _node(self, size: int, hit, counts, cands: int) -> None:
+        if self.nodes >= self.budget:
+            raise _BudgetExhausted
+        self.nodes += 1
+        if size > self.best:
+            self.best = size
+        if not cands or self._ceiling(hit, counts, cands) <= self.best:
+            return
+        while size + cands.bit_count() > self.best:
+            low = cands & -cands
+            cands ^= low
+            child_hit, child_counts, banned = self._add(low.bit_length() - 1, hit, counts)
+            self._node(size + 1, child_hit, child_counts, cands & ~banned)
+
+
+def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
+    """g(q, n), the most points of a gap set of F_q^n, and the nodes spent
+    on it; None in place of g once `budget` nodes would be exceeded.
+
+    C is a gap set when every direction's functional u misses a value on
+    C, so the complement of C is Kakeya and the minimum is q^n - g(q, n).
+    Subsets and affine images of gap sets are gap sets, and a subset of a
+    hyperplane H is a gap set exactly when it is one of H = F_q^(n-1).  So
+    every hyperplane holds at most g(q, n-1) points of a gap set, and one
+    with more points spans F_q^n affinely: an affine map puts the frame
+    {0, e_1, ..., e_n} inside it.  When n >= q-1 the frame has q affinely
+    independent points, which some u sends onto F_q, so then
+    g(q, n) = g(q, n-1).  The planar value comes from the level search.
+    """
+    q = f.q
+    if n == 1:
+        return q - 1, 0
+    if n >= q - 1:
+        return _gap_size(f, n - 1, budget)
+    if n == 2:
+        size, nodes = _level_minimum(f, 2, budget)
+        return (None if size is None else q * q - size), nodes
+    cap, nodes = _gap_size(f, n - 1, budget)
+    if cap is None:
+        return None, nodes
+    engine = _GapSearch(f, n, cap, budget - nodes)
+    return engine.run(), nodes + engine.nodes
+
+
 def minimal_kakeya_exact(
     f: FieldSpec,
     n: int,
@@ -609,14 +811,15 @@ def minimal_kakeya_exact(
 ) -> SearchResult:
     """Exact minimum cardinality of a Kakeya set w.r.t. hyperplanes in F_q^n.
 
-    Branch and bound over level assignments, seeded with a deterministic
-    greedy incumbent.  With proof_of_optimality the witness is canonical
-    (lexicographically smallest optimal assignment in the searched space).
-    Branch and bound and the canonical-witness pass may each visit
-    node_budget nodes; if either runs out, the best upper bound found is
-    returned with the flag false.  With workers > 1 the budget of branch
-    and bound covers the parent's nodes plus the workers', so
-    nodes_explored <= node_budget for every worker count.
+    For n <= 2, branch and bound over level assignments, seeded with a
+    deterministic greedy incumbent.  For n >= 3 the minimum is q^n minus
+    the largest gap set (`_gap_size`), and workers start no process.  With
+    proof_of_optimality the witness is canonical (lexicographically
+    smallest optimal assignment in the searched space).  The search and
+    the canonical-witness pass may each visit node_budget nodes; if either
+    runs out, the best upper bound found (for n >= 3 the greedy one) is
+    returned with the flag false.  nodes_explored counts the search's nodes,
+    with those of every worker, and never exceeds node_budget.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
@@ -627,50 +830,31 @@ def minimal_kakeya_exact(
     q, s = f.q, len(dirs)
     masks = level_masks(f, n, dirs)
     lb = _instance_lower_bound(q, n)
-    lb_ceil = math.ceil(lb)
-    pair = q ** max(0, n - 2)  # points shared by two hyperplanes of distinct directions
-
     fixed = _standard_basis_positions(dirs, n) if normalize else []
-    base_mask = 0
-    for pos in fixed:
-        base_mask |= masks[pos][0]
-    free = [i for i in range(s) if i not in fixed]
-
-    seed_result = greedy_upper_bound(f, n, restarts=min(16, 4 * s), seed=0)
-    best_size = seed_result.min_size
-    best_levels = list(seed_result.witness.levels)
-    nodes = 0
-    optimal = best_size <= lb_ceil
-    # branch and bound and the canonical-witness pass both read these
+    # the search and the canonical-witness pass both read these
     table = _Counts(f, n, dirs, masks)
 
-    if not optimal:
-        axes = _AxisMaps(f, dirs, free) if normalize else None
-        searcher = _Searcher(table, pair, node_budget, lb_ceil, best_size, axes=axes)
-        root = (base_mask, table.cover(table.full, base_mask), free, [0] * s)
-        if workers == 1:
-            searcher.run(*root)
-            tasks = None
-        else:
-            tasks = searcher.frontier(root, workers)
-        outcomes = [searcher.outcome()]
-        if tasks:
-            outcomes += _run_workers(tasks, workers, searcher, node_budget)
-        nodes = sum(o.nodes for o in outcomes)
-        optimal = all(o.completed for o in outcomes) or any(o.hit_lb for o in outcomes)
-        for o in outcomes:
-            if o.levels is not None and o.size < best_size:
-                best_size, best_levels = o.size, o.levels
+    best_levels = None
+    if n >= 3:
+        gap, nodes = _gap_size(f, n, node_budget)
+        optimal = gap is not None
+        best_size = q**n - gap if optimal else None
+    else:
+        best_size, best_levels, nodes, optimal = _level_search(
+            f, n, dirs, masks, table, fixed, node_budget, workers)
 
     if optimal:
+        pair = q ** max(0, n - 2)  # points shared by two hyperplanes of distinct directions
         canonical = _lex_smallest_witness(table, pair, s, fixed, best_size, node_budget)
         if canonical is None:
             # a proof must come with the canonical witness, so report a bound
             optimal = False
         else:
             best_levels = list(canonical)
+    if best_levels is None:
+        best_size, best_levels = _greedy_seed(f, n, s)
     witness = OffsetAssignment(tuple(best_levels))
-    _verify_result(f, n, witness, best_size, lb_ceil)
+    _verify_result(f, n, witness, best_size, math.ceil(lb))
     return SearchResult(best_size, witness, nodes, optimal, lb)
 
 

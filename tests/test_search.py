@@ -41,9 +41,14 @@ AXIS_CELLS = [(5, 1, 2), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3), (2, 1, 4)]
 # n = 9) has 256 points, so that cell's counts take two bytes each
 COUNT_CELLS = [(2, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
                (2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 4), (2, 1, 9)]
-# nodes_explored with workers=1; the prunes and the branching order fix them
+# nodes_explored with workers=1; the prunes and the branching order fix them.
+# For n >= 3 they count the gap-set engine's nodes: (3,3) follows from the
+# lemmas alone, and (4,3) from them and (4,2), which closes on its greedy bound.
 NODE_COUNTS = [((5, 1, 2), 12), ((7, 1, 2), 204), ((2, 3, 2), 0), ((3, 2, 2), 2_568),
-               ((3, 1, 3), 10), ((2, 2, 3), 236), ((2, 1, 4), 0)]
+               ((3, 1, 3), 0), ((2, 2, 3), 0), ((2, 1, 4), 0)]
+# nodes of the level search alone on n >= 3 cells, from the greedy
+# incumbent with the paper's bound as the early exit
+LEVEL_NODE_COUNTS = [((3, 1, 3), 10), ((2, 2, 3), 236)]
 
 
 def _assignment_minimum_brute(f, n):
@@ -355,6 +360,11 @@ def test_node_counts_are_pinned(cell, nodes):
     assert minimal_kakeya_exact(make_field(*cell[:2]), cell[2], workers=1).nodes_explored == nodes
 
 
+@pytest.mark.parametrize("cell,nodes", LEVEL_NODE_COUNTS)
+def test_level_search_node_counts_are_pinned(cell, nodes):
+    assert search._level_minimum(make_field(*cell[:2]), cell[2], 10**6)[1] == nodes
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_powerset_oracle_agreement(p, n):
     field = make_field(2, 2) if p == 4 else make_field(p, 1)
@@ -425,6 +435,20 @@ def test_parallel_budget_exhaustion_reports_a_verified_bound():
         union = build_union(f, 2, result.witness)
         assert union.cardinality == result.min_size >= 49
         assert is_kakeya(f, union).ok
+
+
+def test_parallel_workers_share_the_node_budget():
+    # one core proves (9,2) in 2,568 nodes; a budget split evenly for good
+    # left 3 and 4 workers unproven under 3,000
+    f = make_field(3, 2)
+    for workers in (1, 2, 3, 4):
+        result = minimal_kakeya_exact(f, 2, node_budget=3_000, workers=workers)
+        assert result.proof_of_optimality and result.min_size == 49
+        assert result.nodes_explored <= 3_000
+        assert result.witness.levels == CANONICAL_WITNESSES[3, 2, 2]
+    # more workers than cores draw on the shared count without overdrawing it
+    for budget in (200, 800):
+        assert minimal_kakeya_exact(f, 2, node_budget=budget, workers=8).nodes_explored <= budget
 
 
 @pytest.mark.parametrize("budget", [20, 100, 800, 2400])
@@ -585,8 +609,9 @@ def test_failed_worker_raises_its_error(monkeypatch):
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
     monkeypatch.setattr(search._Searcher, "run", _run_failing_in_workers)
-    with pytest.raises(RuntimeError, match=r"worker \d+ failed: ValueError\('broken node'\)"):
+    with pytest.raises(RuntimeError, match=r"worker \d+ failed: ValueError\('broken node'\)") as err:
         minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
+    assert "_run_failing_in_workers" in str(err.value)  # the worker's traceback
     assert not multiprocessing.active_children()
 
 
