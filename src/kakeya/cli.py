@@ -424,6 +424,12 @@ def _selftest_checks():
             gaps = [x for x in range(total) if not bits >> x & 1]
             assert is_kakeya(f, PointSet(f.q, n, bits)).ok == oracles.is_gap_set_brute(f, n, gaps)
 
+    def canonical_vs_lex_scan(p, k, n):
+        f = make_field(p, k)
+        result = minimal_kakeya_exact(f, n)
+        assert result.proof_of_optimality
+        assert result.witness.levels == oracles.lex_smallest_optimum_brute(f, n, result.min_size)
+
     checks = [
         ("field axioms F_2", lambda: oracles.check_field_axioms(make_field(2, 1))),
         ("field axioms F_4", lambda: oracles.check_field_axioms(make_field(2, 2))),
@@ -447,6 +453,7 @@ def _selftest_checks():
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
         ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),
         ("complement duality F_3^2", lambda: complement_duality(3, 1, 2)),
+        ("canonical witness vs brute-force lex scan (5,2)", lambda: canonical_vs_lex_scan(5, 1, 2)),
     ]
     return checks
 

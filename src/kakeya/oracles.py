@@ -136,6 +136,27 @@ def is_gap_set_brute(f: FieldSpec, n: int, points) -> bool:
     return True
 
 
+def lex_smallest_optimum_brute(f: FieldSpec, n: int, size: int, normalize: bool = True):
+    """The lexicographically smallest level assignment, over the directions
+    in enumeration order, whose union of hyperplanes has `size` points, or
+    None if none has.  With `normalize` the directions whose normal is a
+    standard basis vector stay at level 0.  Every assignment is scanned in
+    order; hyperplanes come from per-element dot products."""
+    q = f.q
+    dirs = enumerate_directions(f, n)
+    on = [[set() for _ in range(q)] for _ in dirs]  # on[d][c]: points of hyperplane (d, c)
+    for x in range(q**n):
+        coords = point_coords(x, q, n)
+        for d, direction in enumerate(dirs):
+            on[d][dot(f, direction.normal, coords)].add(x)
+    axes = {tuple(int(j == i) for j in range(n)) for i in range(n)} if normalize else set()
+    choices = [range(1) if d.normal in axes else range(q) for d in dirs]
+    for levels in itertools.product(*choices):
+        if len(set().union(*(on[d][c] for d, c in enumerate(levels)))) == size:
+            return levels
+    return None
+
+
 def check_field_axioms(f: FieldSpec, triple_sample: int = 2000, seed: int = 0) -> None:
     """Exhaustive field-axiom check; raises AssertionError on any failure.
 

@@ -25,7 +25,14 @@ the union size and shrink it further:
 Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
 of distinct directions meet in q^(n-2) points, so the open directions add
 at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
-No prune changes the minimum or the canonical witness.
+The same fact prices a child before it is built: its hyperplane takes at
+most q^(n-2) points from each other direction's, so each of its gains is
+at most q^(n-2) below its parent's (`_child_floor`).  A child that this
+floor cuts would be cut on entry anyway, so it counts as one node but its
+counts are never built.  The canonical-witness pass prices the siblings
+after a failed child the same way, and tries only levels 0 and 1 while
+every level so far is 0.  No prune changes the minimum or the canonical
+witness.
 
 Each node carries, beside its union mask, one packed integer of counts:
 for every (direction, level), the points of that hyperplane the union has
@@ -136,13 +143,20 @@ class _Counts:
         self.masks = masks
         self.w = w = _lane_width(npoints // q)
         self.nbytes = nbytes = s * q * w
-        level = list(map(_level_kernel(f), (d.normal for d in dirs)))
-        self.pts = []
-        for x in range(npoints):
-            buf = bytearray(nbytes)
-            for d in range(s):
-                buf[(d * q + level[d][x]) * w] = 1
-            self.pts.append(int.from_bytes(buf, "little"))
+        # row x is bytes x*nbytes.. of one buffer; lane (d, c) of every row
+        # is one strided slice, the 0/1 indicator of level c along d
+        rows = bytearray(npoints * nbytes)
+        pick = [bytes(c) + b"\x01" + bytes(255 - c) for c in range(min(q, 256))]
+        for d, levels in enumerate(map(_level_kernel(f), (d.normal for d in dirs))):
+            if isinstance(levels, bytes):
+                for c in range(q):
+                    rows[(d * q + c) * w::nbytes] = levels.translate(pick[c])
+            else:  # q > 256: the levels are a list
+                for x, c in enumerate(levels):
+                    rows[x * nbytes + (d * q + c) * w] = 1
+        view = memoryview(rows)
+        self.pts = [int.from_bytes(view[x:x + nbytes], "little")
+                    for x in range(0, npoints * nbytes, nbytes)]
         self.full = int.from_bytes((npoints // q).to_bytes(w, "little") * (s * q), "little")
 
     def cover(self, counts: int, new: int) -> int:
@@ -184,6 +198,14 @@ def _overlap_bound(gains, pair: int) -> int:
             break
         total += step
     return total
+
+
+def _child_floor(gains, pair: int) -> int:
+    """Fewest new points any completion of a child adds, priced from its
+    parent's cheapest gains on the child's open directions.  The child's
+    hyperplane meets each of theirs in `pair` points, so each gain drops by
+    at most `pair`, and `_overlap_bound` never falls as a gain grows."""
+    return _overlap_bound([g - pair for g in gains], pair)
 
 
 class _AxisMaps:
@@ -316,6 +338,8 @@ class _Searcher:
         # orbit keys of the nodes two levels down met so far
         self.seen: set[tuple[int, int, int, int]] = set()
         self._child = self._node
+        # the open nodes of the frontier level being built, None while searching
+        self._opened: list | None = None
 
     def run(self, mask: int, counts: int, free, levels) -> bool:
         """Search the subtree of one open node.  Returns False when the
@@ -346,7 +370,12 @@ class _Searcher:
         self.budget += take
         return take > 0
 
-    def _sync(self) -> None:
+    def _enter(self) -> None:
+        """Count one node against the budget and take up the shared
+        incumbent; every node, searched or cut on entry, goes through here."""
+        if self.nodes >= self.budget and not self._draw():
+            raise _BudgetExhausted
+        self.nodes += 1
         if self.shared is not None:
             v = self.shared.value
             if v < self.bound:
@@ -376,15 +405,14 @@ class _Searcher:
         to a*c, so levels 0 and 1 cover every orbit.  Two levels down, a
         child is dropped when an axis map sends it to a node met before
         (see `_seen_before`)."""
-        if self.nodes >= self.budget and not self._draw():
-            raise _BudgetExhausted
-        self.nodes += 1
-        self._sync()
+        self._enter()
         msize = mask.bit_count()
         table = self.table
         lanes = table.lanes(counts)
         gains = table.gains(lanes, free)
-        if msize + _overlap_bound(gains, self.pair) >= self.bound:
+        pair = self.pair
+        lower = _overlap_bound(gains, pair)
+        if msize + lower >= self.bound:
             return
         i = gains.index(max(gains))
         d = free[i]
@@ -393,6 +421,11 @@ class _Searcher:
         rest = free[:i] + free[i + 1:]
         row = table.masks[d]
         two_down = self.axes is not None and len(rest) == len(self.axes.open) - 2
+        # The least any child's completion adds: `_child_floor` of the gains
+        # left once d's, the largest, is taken out, which is `lower` less
+        # that gain.  Children kept open by the frontier are all entered
+        # later, so none is cut here.
+        floor = lower - gains[i] if self._opened is None else 0
         for lvl in sorted(range(2 if zero else q), key=added.__getitem__):
             csize = msize + added[lvl]
             if csize >= self.bound:
@@ -400,6 +433,9 @@ class _Searcher:
             self.levels[d] = lvl
             if rest:
                 if two_down and self._seen_before(free, d, lvl):
+                    continue
+                if csize + floor >= self.bound:
+                    self._enter()  # the child's own bound would cut it
                     continue
                 self._child(mask | row[lvl], table.cover(counts, row[lvl] & ~mask), rest,
                             zero and lvl == 0)
@@ -444,6 +480,7 @@ class _Searcher:
                 level = self._opened
         finally:
             self._child = self._node
+            self._opened = None
         return level
 
 
@@ -457,7 +494,15 @@ def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, .
     optimal size, scanning directions in enumeration order and levels
     ascending.  A partial union is pruned once it, plus the overlap bound
     of the free directions still open, exceeds the target.  Returns None once
-    more than `budget` nodes would be visited."""
+    more than `budget` nodes would be visited.
+
+    Two rules skip children without changing the answer.  While every level
+    so far is 0, only levels 0 and 1 are tried: an optimum whose first
+    nonzero level is c > 1 scales by 1/c (x -> x/c keeps the fixed levels
+    at 0) to a lexicographically smaller optimum.  Once a node's first
+    child fails, each later sibling is priced by `_child_floor` from the
+    node's own gains and cut, as one node, when that already passes the
+    target; no floor is computed on a path that goes straight down."""
     q, masks = table.q, table.masks
     fixed_set = set(fixed)
     choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
@@ -465,31 +510,43 @@ def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, .
     levels = [0] * s
     nodes = 0
 
-    def rec(pos: int, mask: int, counts: int) -> bool:
+    def enter() -> None:
         nonlocal nodes
         if nodes >= budget:
             raise _BudgetExhausted
         nodes += 1
+
+    def rec(pos: int, mask: int, counts: int, zero: bool) -> bool:
+        enter()
         msize = mask.bit_count()
         if pos == s:
             return msize == target
         lanes = table.lanes(counts)
-        if msize + _overlap_bound(table.gains(lanes, open_from[pos]), pair) > target:
+        gains = table.gains(lanes, open_from[pos])
+        if msize + _overlap_bound(gains, pair) > target:
             return False
         row = masks[pos]
         added = lanes[pos * q:pos * q + q]
-        for lvl in choices[pos]:
-            if msize + added[lvl] > target:
+        floor = None
+        for lvl in choices[pos][:2] if zero else choices[pos]:
+            csize = msize + added[lvl]
+            if csize > target:
+                continue
+            if floor is not None and csize + floor > target:
+                enter()
                 continue
             levels[pos] = lvl
             # a leaf reads only its mask
             child = table.cover(counts, row[lvl] & ~mask) if pos + 1 < s else 0
-            if rec(pos + 1, mask | row[lvl], child):
+            if rec(pos + 1, mask | row[lvl], child, zero and lvl == 0):
                 return True
+            if floor is None and pos + 1 < s:
+                # the child's open directions are the node's, less pos
+                floor = _child_floor(gains if pos in fixed_set else gains[1:], pair)
         return False
 
     try:
-        found = rec(0, 0, table.full)
+        found = rec(0, 0, table.full, True)
     except _BudgetExhausted:
         return None
     if not found:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya import search
+from kakeya import oracles, search
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
 from kakeya.field import field_inv, field_mul, field_pow, make_field
@@ -323,6 +323,57 @@ def test_carried_counts_match_popcounts(data):
         min((mask | masks[d][lvl]).bit_count() - msize for lvl in range(f.q)) for d in free]
 
 
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 2, 3), (2, 1, 9), (257, 1, 1)])
+def test_count_rows_mark_the_hyperplanes_through_each_point(p, k, n):
+    """Row x has a 1 in lane (d, c) exactly when x is on hyperplane (d, c);
+    (2,9) has two-byte lanes, and F_257 levels come as a list, not bytes."""
+    f = make_field(p, k)
+    dirs = enumerate_directions(f, n)
+    masks = level_masks(f, n, dirs)
+    table = search._Counts(f, n, dirs, masks)
+    q, shift = f.q, 8 * table.w
+    for x, row in enumerate(table.pts):
+        levels = [next(c for c in range(q) if masks[d][c] >> x & 1) for d in range(len(dirs))]
+        assert row == sum(1 << shift * (d * q + c) for d, c in enumerate(levels))
+
+
+def test_search_beyond_one_byte_per_field_element():
+    result = minimal_kakeya_exact(make_field(257, 1), 1)
+    assert result.proof_of_optimality
+    assert (result.min_size, result.witness.levels) == (1, (0,))
+
+
+def test_child_floor_never_exceeds_the_childs_own_bound():
+    """A child's hyperplane takes at most `pair` points from any other
+    direction's, so the floor priced from its parent's gains never passes
+    the overlap bound of the child's own gains, whatever direction and level
+    it takes.  For the direction of the largest gain, the one `_node`
+    branches on, the floor is the parent's overlap bound less that gain."""
+    rng = random.Random(5)
+    for p, k, n in COUNT_CELLS:
+        f, masks, table = _count_table(p, k, n)
+        q, s, pair = f.q, len(masks), f.q ** (n - 2)
+        for _ in range(25):
+            order = rng.sample(range(s), s)
+            cut = rng.randrange(min(s - 1, 12))  # at least two directions stay free
+            mask, counts = 0, table.full
+            for d in order[:cut]:
+                row = masks[d][rng.randrange(q)]
+                counts = table.cover(counts, row & ~mask)
+                mask |= row
+            free = order[cut:]
+            gains = table.gains(table.lanes(counts), free)
+            top = gains.index(max(gains))
+            assert search._overlap_bound(gains, pair) - gains[top] == search._child_floor(
+                gains[:top] + gains[top + 1:], pair)
+            i = rng.randrange(len(free))
+            rest = free[:i] + free[i + 1:]
+            floor = search._child_floor(gains[:i] + gains[i + 1:], pair)
+            for lvl in range(q):
+                child = table.cover(counts, masks[free[i]][lvl] & ~mask)
+                assert floor <= search._overlap_bound(table.gains(table.lanes(child), rest), pair)
+
+
 def _planar_minimum(q):
     """Blokhuis and Mazzocca (2008): q(q+1)/2 + (q-1)/2 for odd q and
     q(q+1)/2 for even q.  A test expectation only."""
@@ -579,6 +630,29 @@ def test_witness_canonical_in_normalized_space():
         if build_union(f, 2, OffsetAssignment(levels)).cardinality == result.min_size:
             optima.append(levels)
     assert result.witness.levels == min(optima)
+
+
+@pytest.mark.parametrize("p,k,n,normalize", [(2, 2, 2, True), (5, 1, 2, True),
+                                               (3, 1, 2, False), (2, 1, 3, False)])
+def test_witness_matches_a_brute_force_lex_scan(p, k, n, normalize):
+    """The canonical pass tries levels 0 and 1 only while every level so far
+    is 0, and cuts siblings by the child floor; neither may change the first
+    optimum of a scan over every assignment."""
+    f = make_field(p, k)
+    result = minimal_kakeya_exact(f, n, normalize=normalize)
+    assert result.proof_of_optimality
+    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size, normalize=normalize)
+    assert result.witness.levels == brute
+    assert next(c for c in brute if c) == 1
+
+
+def test_children_cut_by_the_floor_count_as_nodes():
+    f = make_field(3, 2)
+    proven = minimal_kakeya_exact(f, 2, node_budget=2_568)
+    assert proven.proof_of_optimality and proven.nodes_explored == 2_568
+    assert proven.witness.levels == CANONICAL_WITNESSES[3, 2, 2]
+    short = minimal_kakeya_exact(f, 2, node_budget=2_567)
+    assert not short.proof_of_optimality and short.nodes_explored == 2_567
 
 
 def _killed_worker(widx, *args):
