@@ -4,6 +4,11 @@ A set E is Kakeya with respect to hyperplanes when every direction has at
 least one full coset of its subspace inside E.  Fixing one level per
 direction (an OffsetAssignment) determines a union of hyperplanes that is
 Kakeya by construction, and any Kakeya set contains such a union.
+
+A hyperplane lies in E exactly when none of E's gaps (the points outside
+E) lies on it.  A set that contains a hyperplane in every direction has at
+least q^n - O(q^2) points, so a Kakeya set has few gaps, and the hyperplane
+checks read each direction's level vector at the gaps only.
 """
 
 from __future__ import annotations
@@ -13,11 +18,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
+    _flags_mask,
+    _level_flags,
     _level_kernel,
     _level_mask,
     count_directions_formula,
@@ -112,20 +120,19 @@ def _check_assignment(f: FieldSpec, dirs, assignment: OffsetAssignment) -> tuple
     return levels
 
 
-def _assigned_masks(f: FieldSpec, n: int, assignment: OffsetAssignment) -> list[int]:
-    """Per direction, the bitmask of its assigned hyperplane."""
+def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
+    """Union over all directions of the assigned hyperplane.
+
+    Each hyperplane is a byte-lane indicator (byte i is 1 when point i lies
+    on it); the indicators are ORed as ints and turned into a bitmask once.
+    """
     dirs = enumerate_directions(f, n)
     levels = _check_assignment(f, dirs, assignment)
     level_vector = _level_kernel(f)
-    return [_level_mask(level_vector(d.normal), lvl) for d, lvl in zip(dirs, levels)]
-
-
-def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
-    """Union over all directions of the assigned hyperplane."""
-    bits = 0
-    for mask in _assigned_masks(f, n, assignment):
-        bits |= mask
-    return PointSet(f.q, n, bits)
+    lanes = 0
+    for d, lvl in zip(dirs, levels):
+        lanes |= int.from_bytes(_level_flags(level_vector(d.normal), lvl), "little")
+    return PointSet(f.q, n, _flags_mask(lanes.to_bytes(f.q**n, "little")))
 
 
 def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
@@ -136,6 +143,21 @@ def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
 
 
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _gap_flags(pset: PointSet) -> bytes:
+    """Per point, 1 for a gap (a point outside pset) and 0 for a member."""
+    return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
+
+
+def _at_gaps(pset: PointSet):
+    """Return at(vector): the entries of a per-point vector at the gaps of
+    pset, in point-index order, as a tuple (empty when pset has no gap)."""
+    gaps = list(compress(range(pset.universe), _gap_flags(pset)))
+    if len(gaps) > 1:
+        return itemgetter(*gaps)
+    # itemgetter needs an index and returns a scalar for exactly one
+    return lambda vector: tuple(vector[i] for i in gaps)
 
 
 def _coset_keys(level_vector, duals, q: int):
@@ -166,9 +188,10 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     Directions (subspaces for plane_dim < n-1) are checked in enumeration
     order, one level vector (one per dual functional) at a time, and the
     check stops at the first one without a full coset.  A coset is full
-    exactly when no point outside E lies on it.  The witness picks the
-    smallest full level per direction, or the smallest point of any full
-    coset per subspace.
+    exactly when no gap (point outside E) lies on it.  A direction's holes
+    are the levels of the gaps: its level vector is read at the gaps only.
+    The witness picks the smallest full level per direction, or the
+    smallest point of any full coset per subspace.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
@@ -176,20 +199,19 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     plane_dim = _resolve_plane_dim(n, plane_dim)
     q = f.q
     level_vector = _level_kernel(f)
-    # A coset lies in E exactly when none of its points is a gap (a point
-    # outside E); gaps[i] is 1 for those.
-    gaps = format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
 
     if plane_dim == n - 1 or n == 1:
+        at_gaps = _at_gaps(pset)
         levels = []
         for pos, d in enumerate(enumerate_directions(f, n)):
-            holes = set(compress(level_vector(d.normal), gaps))
+            holes = set(at_gaps(level_vector(d.normal)))
             lvl = next((c for c in range(q) if c not in holes), None)
             if lvl is None:
                 return KakeyaVerdict(False, plane_dim, None, pos)
             levels.append(lvl)
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
 
+    gaps = _gap_flags(pset)
     reps = []
     for pos, sub in enumerate(enumerate_subspaces(f, n, plane_dim)):
         keys = _coset_keys(level_vector, null_space_basis(f, sub.rows, n), q)
@@ -206,26 +228,29 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
 def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> IncidenceReport:
     """Exact |I| and |W| for a set containing every assigned hyperplane.
 
-    |I| counts (direction, point) incidences on the chosen hyperplanes and
-    equals |S| q^(n-1).  |W| counts triples (w1, w2, v) with v on both
-    chosen hyperplanes; under containment the case split gives
+    The chosen hyperplane of a direction lies in E exactly when its level
+    is not the level of any gap, which is checked at the gaps only.  |I|
+    counts (direction, point) incidences on the chosen hyperplanes; under
+    containment it is |S| q^(n-1).  |W| counts triples (w1, w2, v) with v
+    on both chosen hyperplanes; under containment the case split gives
     |I| + |S|(|S|-1) q^(n-2) exactly.  The quotient |I|^2/|W| is an exact
     rational lower bound for |E|.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
     q, n = pset.q, pset.n
-    masks = _assigned_masks(f, n, assignment)
-
-    i_count = 0
-    for pos, hp in enumerate(masks):
-        if hp & ~pset.bits:
+    dirs = enumerate_directions(f, n)
+    levels = _check_assignment(f, dirs, assignment)
+    level_vector = _level_kernel(f)
+    at_gaps = _at_gaps(pset)
+    for pos, (d, lvl) in enumerate(zip(dirs, levels)):
+        if lvl in at_gaps(level_vector(d.normal)):
             raise ValueError(
                 f"hyperplane for direction #{pos} is not contained in the set"
             )
-        i_count += (hp & pset.bits).bit_count()
 
-    s = len(masks)
+    s = len(dirs)
+    i_count = s * q ** (n - 1)
     pairs_term = s * (s - 1) * q ** (n - 2) if n >= 2 else 0
     w_count = i_count + pairs_term
     return IncidenceReport(

@@ -164,12 +164,9 @@ def rref(f: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-def rank(f: FieldSpec, rows) -> int:
-    return len(rref(f, rows)[1])
-
-
 def null_space_basis(f: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of { x : r . x = 0 for every row r }; dimension n - rank."""
+    """Basis of { x : r . x = 0 for every row r }; dimension n minus the
+    rank of the rows."""
     reduced, pivots = rref(f, rows)
     pivot_set = set(pivots)
     basis = []
@@ -264,10 +261,21 @@ def _level_kernel(f: FieldSpec):
 _BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+def _level_flags(levels, c: int) -> bytes:
+    """Per point, byte 1 if its level is c and 0 otherwise."""
+    if isinstance(levels, bytes):
+        return levels.translate(b"\0" * c + b"\1" + b"\0" * (255 - c))
+    return bytes(map(c.__eq__, levels))
+
+
+def _flags_mask(flags: bytes) -> int:
+    """Bitmask (bit i = point index i) of the points whose byte is 1."""
+    return int(flags.translate(_BOOL_DIGITS)[::-1], 2)
+
+
 def _level_mask(levels, c: int) -> int:
     """Bitmask (bit i = point index i) of the points whose level is c."""
     if isinstance(levels, bytes):
-        digits = levels.translate(b"0" * c + b"1" + b"0" * (255 - c))
-    else:
-        digits = bytes(map(c.__eq__, levels)).translate(_BOOL_DIGITS)
-    return int(digits[::-1], 2)
+        # one translate straight to the binary digits
+        return int(levels.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2)
+    return _flags_mask(_level_flags(levels, c))

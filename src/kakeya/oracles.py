@@ -16,6 +16,11 @@ from .geometry import dot, enumerate_directions, point_coords, rref
 from .pointset import PointSet
 
 
+def rank(f: FieldSpec, rows) -> int:
+    """Rank of the rows over F_q, by row reduction."""
+    return len(rref(f, rows)[1])
+
+
 def span_count_brute(f: FieldSpec, n: int) -> int:
     """Count distinct 1-dimensional spans by grouping nonzero vectors."""
     q = f.q
@@ -64,6 +69,21 @@ def spanning_tuple_census(f: FieldSpec, n: int) -> tuple[int, dict[tuple, int]]:
             total += 1
             fibers[reduced] = fibers.get(reduced, 0) + 1
     return total, fibers
+
+
+def incidence_count_direct(
+    f: FieldSpec, pset: PointSet, assignment: OffsetAssignment
+) -> int:
+    """Literal count of (direction, v) with v in E on the chosen hyperplane."""
+    q, n = pset.q, pset.n
+    dirs = enumerate_directions(f, n)
+    count = 0
+    for v in pset.indices():
+        coords = point_coords(v, q, n)
+        for d, lvl in zip(dirs, assignment.levels):
+            if dot(f, d.normal, coords) == lvl:
+                count += 1
+    return count
 
 
 def triple_count_direct(

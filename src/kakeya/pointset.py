@@ -56,14 +56,6 @@ class PointSet:
         self._check_same_space(other)
         return PointSet(self.q, self.n, self.bits | other.bits)
 
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._check_same_space(other)
-        return PointSet(self.q, self.n, self.bits & other.bits)
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._check_same_space(other)
-        return self.bits & ~other.bits == 0
-
     def _check_same_space(self, other: "PointSet") -> None:
         if (self.q, self.n) != (other.q, other.n):
             raise ValueError("point sets live in different spaces")

@@ -64,6 +64,7 @@ import queue as queue_module
 import random
 import sys
 import traceback
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -502,56 +503,75 @@ def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, .
     at 0) to a lexicographically smaller optimum.  Once a node's first
     child fails, each later sibling is priced by `_child_floor` from the
     node's own gains and cut, as one node, when that already passes the
-    target; no floor is computed on a path that goes straight down."""
+    target; no floor is computed on a path that goes straight down.
+
+    The path is one level per direction, often deeper than Python's
+    recursion limit, so its open nodes are kept on an explicit stack.
+    """
     q, masks = table.q, table.masks
+    lanes_of, gains_of, cover = table.lanes, table.gains, table.cover
     fixed_set = set(fixed)
     choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
-    open_from = [[d for d in range(pos, s) if d not in fixed_set] for pos in range(s)]
+    # the directions still open at depth pos are opens[open_at[pos]:]
+    opens = [d for d in range(s) if d not in fixed_set]
+    open_at = [bisect_left(opens, pos) for pos in range(s)]
     levels = [0] * s
     nodes = 0
-
-    def enter() -> None:
-        nonlocal nodes
+    # One frame per open node on the path, the node at depth pos in
+    # path[pos]: [mask, counts, union size, gains, the size each level adds,
+    # the levels left to try, zero, whether a child was entered, floor].
+    path = []
+    pos, mask, counts, zero = 0, 0, table.full, True  # the node to enter
+    while True:
         if nodes >= budget:
-            raise _BudgetExhausted
+            return None
         nodes += 1
-
-    def rec(pos: int, mask: int, counts: int, zero: bool) -> bool:
-        enter()
         msize = mask.bit_count()
         if pos == s:
-            return msize == target
-        lanes = table.lanes(counts)
-        gains = table.gains(lanes, open_from[pos])
-        if msize + _overlap_bound(gains, pair) > target:
-            return False
-        row = masks[pos]
-        added = lanes[pos * q:pos * q + q]
-        floor = None
-        for lvl in choices[pos][:2] if zero else choices[pos]:
-            csize = msize + added[lvl]
-            if csize > target:
+            if msize == target:
+                return tuple(levels)
+        else:
+            lanes = lanes_of(counts)
+            gains = gains_of(lanes, opens[open_at[pos]:])
+            if msize + _overlap_bound(gains, pair) <= target:
+                tries = iter(choices[pos][:2] if zero else choices[pos])
+                path.append([mask, counts, msize, gains, lanes[pos * q:pos * q + q], tries,
+                             zero, False, None])
+        # enter the next child of the deepest open node; a node whose levels
+        # have all been tried fails, and its parent tries its next level
+        while path:
+            pos = len(path) - 1
+            frame = path[pos]
+            mask, counts, msize, gains, added, tries, zero, entered, floor = frame
+            for lvl in tries:
+                csize = msize + added[lvl]
+                if csize > target:
+                    continue
+                if entered and pos + 1 < s:  # an earlier child failed
+                    if floor is None:
+                        # the child's open directions are the node's, less pos
+                        floor = frame[8] = _child_floor(
+                            gains if pos in fixed_set else gains[1:], pair)
+                    if csize + floor > target:
+                        if nodes >= budget:
+                            return None
+                        nodes += 1
+                        continue
+                frame[7] = True
+                levels[pos] = lvl
+                row = masks[pos]
+                # a leaf reads only its mask
+                counts = cover(counts, row[lvl] & ~mask) if pos + 1 < s else 0
+                mask |= row[lvl]
+                zero = zero and lvl == 0
+                pos += 1
+                break
+            else:
+                path.pop()
                 continue
-            if floor is not None and csize + floor > target:
-                enter()
-                continue
-            levels[pos] = lvl
-            # a leaf reads only its mask
-            child = table.cover(counts, row[lvl] & ~mask) if pos + 1 < s else 0
-            if rec(pos + 1, mask | row[lvl], child, zero and lvl == 0):
-                return True
-            if floor is None and pos + 1 < s:
-                # the child's open directions are the node's, less pos
-                floor = _child_floor(gains if pos in fixed_set else gains[1:], pair)
-        return False
-
-    try:
-        found = rec(0, 0, table.full, True)
-    except _BudgetExhausted:
-        return None
-    if not found:
-        raise AssertionError("no assignment of the proven optimal size found")
-    return tuple(levels)
+            break
+        else:
+            raise AssertionError("no assignment of the proven optimal size found")
 
 
 def _verify_result(f: FieldSpec, n: int, witness: OffsetAssignment, size: int, lb_ceil: int) -> None:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import multiprocessing
+import sys
 import time
 
 import pytest
@@ -294,6 +295,15 @@ def test_search_json(capsys):
     assert obj["proof_of_optimality"] is True
     assert obj["witness"] == [0, 0, 1]
     assert obj["lower_bound"] == {"numerator": 3, "denominator": 1}
+
+
+def test_search_deeper_than_the_recursion_limit_exits_0_with_a_proof(capsys):
+    # the canonical-witness pass goes one level down per direction: 1,023 here
+    code, out, _ = run(capsys, ["search", "--field", "2", "--n", "10", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["min_size"], obj["proof_of_optimality"]) == (1023, True)
+    assert len(obj["witness"]) == 1023 > sys.getrecursionlimit()
 
 
 def test_search_budget_exhaustion_exit_code(capsys):

@@ -21,8 +21,13 @@ from kakeya.core import (
     write_point_set,
 )
 from kakeya.field import make_field
-from kakeya.geometry import enumerate_directions, enumerate_subspaces, point_index
-from kakeya.oracles import coset_containment_brute, triple_count_direct
+from kakeya.geometry import dot, enumerate_directions, enumerate_subspaces, point_coords, point_index
+from kakeya.oracles import (
+    coset_containment_brute,
+    incidence_count_direct,
+    is_gap_set_brute,
+    triple_count_direct,
+)
 from kakeya.pointset import PointSet
 
 
@@ -172,6 +177,7 @@ def test_incidence_formulas_and_triple_brute_force(p, n):
         report = incidence_stats(f, pset, assignment)
         assert report.i_count == s * q ** (n - 1)
         assert report.w_count == report.i_count + s * (s - 1) * q ** (n - 2)
+        assert report.i_count == incidence_count_direct(f, pset, assignment)
         assert report.w_count == triple_count_direct(f, pset, assignment)
         assert report.set_size >= report.cs_bound
 
@@ -191,6 +197,88 @@ def test_incidence_stats_degenerate_n_1():
     report = incidence_stats(f, pset, assignment)
     assert (report.s_count, report.i_count, report.w_count) == (1, 1, 1)
     assert report.cs_bound == 1
+
+
+def _without(f, n, gaps) -> PointSet:
+    """F_q^n less the given points."""
+    return PointSet(f.q, n, PointSet.full(f.q, n).bits & ~sum(1 << i for i in set(gaps)))
+
+
+def _least_full_levels(f, n, gaps) -> list[int | None]:
+    """Per direction, the least level that no gap lies on, or None when
+    every level holds a gap; levels from per-element dot products."""
+    coords = [point_coords(i, f.q, n) for i in gaps]
+    out = []
+    for d in enumerate_directions(f, n):
+        holes = {dot(f, d.normal, x) for x in coords}
+        out.append(next((c for c in range(f.q) if c not in holes), None))
+    return out
+
+
+# (p, k, n): prime and extension fields, n = 1, and F_257, whose level
+# vectors are lists rather than bytes
+GATHER_CELLS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (5, 1, 1), (257, 1, 1)]
+
+
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS)
+def test_is_kakeya_with_few_gaps_against_brute_force(p, k, n):
+    # no gap, one gap (a scalar for itemgetter), two gaps, and the empty set
+    f = make_field(p, k)
+    total = f.q**n
+    rng = random.Random(total)
+    cases = [[], list(range(total))]
+    cases += [[i] for i in rng.sample(range(total), 4)]
+    cases += [rng.sample(range(total), 2) for _ in range(4)]
+    hyperplanes = enumerate_subspaces(f, n, n - 1)
+    for gaps in cases:
+        pset = _without(f, n, gaps)
+        verdict = is_kakeya(f, pset)
+        assert verdict.ok == is_gap_set_brute(f, n, gaps)
+        assert verdict.ok == all(coset_containment_brute(f, pset, h.rows, n) for h in hyperplanes)
+        full = _least_full_levels(f, n, gaps)
+        if verdict.ok:
+            assert verdict.witness.levels == tuple(full)
+            assert verdict.failing_index is None
+        else:
+            assert verdict.witness is None
+            assert verdict.failing_index == full.index(None)
+
+
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS)
+def test_incidence_stats_with_few_gaps(p, k, n):
+    f = make_field(p, k)
+    total = f.q**n
+    s = len(enumerate_directions(f, n))
+    rng = random.Random(total)
+    for gaps in ([], [rng.randrange(total)], rng.sample(range(total), 2)):
+        pset = _without(f, n, gaps)
+        full = _least_full_levels(f, n, gaps)
+        if None in full:
+            continue
+        assignment = OffsetAssignment(tuple(full))
+        report = incidence_stats(f, pset, assignment)
+        assert report.i_count == s * f.q ** (n - 1) == incidence_count_direct(f, pset, assignment)
+        assert report.set_size == total - len(gaps)
+
+
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS)
+def test_incidence_stats_names_the_first_direction_not_contained(p, k, n):
+    f = make_field(p, k)
+    dirs = enumerate_directions(f, n)
+    rng = random.Random(3)
+    for seed in range(4):
+        assignment = random_assignment(f, n, seed)
+        union = build_union(f, n, assignment)
+        members = sorted(union.indices())
+        picked = rng.sample(members, min(2, len(members)))
+        for removed in (picked[:1], picked):
+            pset = PointSet(f.q, n, union.bits & ~sum(1 << i for i in removed))
+            coords = [point_coords(i, f.q, n) for i in removed]
+            first = next(pos for pos, (d, lvl) in enumerate(zip(dirs, assignment.levels))
+                         if any(dot(f, d.normal, x) == lvl for x in coords))
+            with pytest.raises(ValueError) as err:
+                incidence_stats(f, pset, assignment)
+            assert str(err.value) == f"hyperplane for direction #{first} is not contained in the set"
 
 
 def test_random_kakeya_deterministic_and_valid():
@@ -312,8 +400,8 @@ def test_pointset_basics():
     assert pset.contains(1) and not pset.contains(0)
     assert list(pset.indices()) == [1, 3]
     assert pset.union(PointSet.from_indices(2, 2, [0])).cardinality == 3
-    assert pset.intersection(PointSet.from_indices(2, 2, [3])).cardinality == 1
-    assert pset.issubset(PointSet.full(2, 2))
+    assert pset.bits & PointSet.from_indices(2, 2, [3]).bits == 1 << 3
+    assert pset.bits & ~PointSet.full(2, 2).bits == 0
     with pytest.raises(ValueError):
         PointSet(2, 2, 1 << 16)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import random
+import sys
 import time
 
 import pytest
@@ -16,8 +17,8 @@ from kakeya import cli, search
 from kakeya.bounds import kakeya_lower_bound, kakeya_lower_bound_ceiling
 from kakeya.core import build_union, is_kakeya
 from kakeya.field import field_add, field_mul, field_sub, make_field
-from kakeya.geometry import dot, enumerate_directions, null_space_basis, point_coords, point_index, rank
-from kakeya.oracles import is_gap_set_brute
+from kakeya.geometry import dot, enumerate_directions, null_space_basis, point_coords, point_index
+from kakeya.oracles import is_gap_set_brute, rank
 from kakeya.pointset import PointSet
 from kakeya.search import minimal_kakeya_exact, minimal_kakeya_powerset
 
@@ -176,6 +177,15 @@ def test_cells_beyond_the_level_search_are_proven_fast(q, n, minimum, nodes):
     assert result.proof_of_optimality
     assert (result.min_size, result.nodes_explored) == (minimum, nodes)
     assert result.lower_bound_used == kakeya_lower_bound(q, n)
+
+
+@pytest.mark.parametrize("q,n,minimum", [(4, 6, 4090), (3, 7, 2185)])
+def test_cells_with_more_directions_than_the_recursion_limit_are_proven(q, n, minimum):
+    # 1,365 and 1,093 directions: the canonical-witness pass goes that deep
+    result = minimal_kakeya_exact(_field(q), n)
+    assert len(result.witness) > sys.getrecursionlimit()
+    assert result.proof_of_optimality
+    assert (result.min_size, result.nodes_explored) == (minimum, 0)
 
 
 def test_gap_engine_stays_within_its_budget():

@@ -17,10 +17,9 @@ from kakeya.geometry import (
     null_space_basis,
     point_coords,
     point_index,
-    rank,
     rref,
 )
-from kakeya.oracles import span_count_brute, spanning_tuple_census
+from kakeya.oracles import rank, span_count_brute, spanning_tuple_census
 
 SMALL_GRID = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
 # (p, k, n) cells on which the hyperplane facts are checked on the level

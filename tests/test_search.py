@@ -1,9 +1,11 @@
 import functools
+import inspect
 import itertools
 import math
 import multiprocessing
 import os
 import random
+import sys
 import threading
 import time
 
@@ -644,6 +646,35 @@ def test_witness_matches_a_brute_force_lex_scan(p, k, n, normalize):
     brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size, normalize=normalize)
     assert result.witness.levels == brute
     assert next(c for c in brute if c) == 1
+
+
+def test_canonical_pass_runs_deeper_than_the_recursion_limit():
+    # (2,8) has 255 directions, one level of the pass each; the limit leaves
+    # room for 100 more frames than the test runs in
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = minimal_kakeya_exact(make_field(2, 1), 8)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.proof_of_optimality and result.min_size == 255
+    assert len(result.witness) == 255
+
+
+# nodes the canonical-witness pass visits on its way to the witness
+CANONICAL_PASS_NODES = [((7, 1, 2), 49), ((3, 2, 2), 637), ((11, 1, 2), 5_446),
+                        ((5, 1, 3), 34), ((2, 2, 4), 87), ((2, 1, 6), 64)]
+
+
+@pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
+def test_canonical_pass_node_counts_are_pinned(cell, nodes):
+    p, k, n = cell
+    f, masks, table = _count_table(p, k, n)
+    result = minimal_kakeya_exact(f, n)
+    fixed = search._standard_basis_positions(enumerate_directions(f, n), n)
+    args = (table, f.q ** (n - 2), len(masks), fixed, result.min_size)
+    assert search._lex_smallest_witness(*args, nodes) == result.witness.levels
+    assert search._lex_smallest_witness(*args, nodes - 1) is None
 
 
 def test_children_cut_by_the_floor_count_as_nodes():
