@@ -424,6 +424,21 @@ def _selftest_checks():
             gaps = [x for x in range(total) if not bits >> x & 1]
             assert is_kakeya(f, PointSet(f.q, n, bits)).ok == oracles.is_gap_set_brute(f, n, gaps)
 
+    def hole_flags_vs_brute(p, k, n):
+        # |S| - 1 gaps are read along the gaps, |S| along the directions
+        import random as _random
+        from .core import _hole_flags
+        from .geometry import _normal_indices
+        f = make_field(p, k)
+        normals = _normal_indices(f.q, n)
+        rng = _random.Random(11)
+        for count in (len(normals) - 1, len(normals)):
+            gaps = rng.sample(range(f.q**n), count)
+            pset = PointSet(f.q, n, PointSet.full(f.q, n).bits & ~sum(1 << i for i in gaps))
+            rows = [{c for c, hole in enumerate(row) if hole}
+                    for row in _hole_flags(f, pset, normals)]
+            assert rows == oracles.gap_levels_brute(f, n, gaps)
+
     def canonical_vs_lex_scan(p, k, n):
         f = make_field(p, k)
         result = minimal_kakeya_exact(f, n)
@@ -453,6 +468,8 @@ def _selftest_checks():
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
         ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),
         ("complement duality F_3^2", lambda: complement_duality(3, 1, 2)),
+        ("hole flags vs gap-level brute force (3,3)", lambda: hole_flags_vs_brute(3, 1, 3)),
+        ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
         ("canonical witness vs brute-force lex scan (5,2)", lambda: canonical_vs_lex_scan(5, 1, 2)),
     ]
     return checks

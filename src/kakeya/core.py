@@ -7,8 +7,11 @@ Kakeya by construction, and any Kakeya set contains such a union.
 
 A hyperplane lies in E exactly when none of E's gaps (the points outside
 E) lies on it.  A set that contains a hyperplane in every direction has at
-least q^n - O(q^2) points, so a Kakeya set has few gaps, and the hyperplane
-checks read each direction's level vector at the gaps only.
+least q^n - O(q^2) points, so a Kakeya set has few gaps.  The hyperplane
+checks need only the (direction x gap) table of levels, and since u . g =
+g . u it is built along its shorter side: one level vector per gap when
+there are fewer gaps G than directions |S|, else one per direction.  A
+check costs O(min(G, |S|) q^n) kernel work, and none for a gap-free set.
 """
 
 from __future__ import annotations
@@ -17,17 +20,18 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
 from pathlib import Path
 
 from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
+    _coords_of,
     _flags_mask,
     _level_flags,
     _level_kernel,
     _level_mask,
+    _normal_indices,
     count_directions_formula,
     enumerate_directions,
     enumerate_subspaces,
@@ -108,11 +112,11 @@ def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> li
     return masks
 
 
-def _check_assignment(f: FieldSpec, dirs, assignment: OffsetAssignment) -> tuple[int, ...]:
+def _check_assignment(f: FieldSpec, normals, assignment: OffsetAssignment) -> tuple[int, ...]:
     levels = tuple(assignment.levels)
-    if len(levels) != len(dirs):
+    if len(levels) != len(normals):
         raise ValueError(
-            f"assignment covers {len(levels)} directions, expected {len(dirs)}"
+            f"assignment covers {len(levels)} directions, expected {len(normals)}"
         )
     for lvl in levels:
         if not 0 <= lvl < f.q:
@@ -126,23 +130,26 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     Each hyperplane is a byte-lane indicator (byte i is 1 when point i lies
     on it); the indicators are ORed as ints and turned into a bitmask once.
     """
-    dirs = enumerate_directions(f, n)
-    levels = _check_assignment(f, dirs, assignment)
+    q = f.q
+    normals = _normal_indices(q, n)
+    levels = _check_assignment(f, normals, assignment)
     level_vector = _level_kernel(f)
     lanes = 0
-    for d, lvl in zip(dirs, levels):
-        lanes |= int.from_bytes(_level_flags(level_vector(d.normal), lvl), "little")
-    return PointSet(f.q, n, _flags_mask(lanes.to_bytes(f.q**n, "little")))
+    for u, lvl in zip(_coords_of(normals, q, n), levels):
+        lanes |= int.from_bytes(_level_flags(level_vector(u), lvl), "little")
+    return PointSet(q, n, _flags_mask(lanes.to_bytes(q**n, "little")))
 
 
 def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
     """Seeded uniform level per direction; deterministic for a fixed seed."""
     rng = random.Random(seed)
-    count = len(enumerate_directions(f, n))
+    count = len(_normal_indices(f.q, n))
     return OffsetAssignment(tuple(rng.randrange(f.q) for _ in range(count)))
 
 
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+_FF_UNLESS_ONE = b"\xff" + bytes(255)  # byte 0 -> 0xFF, any other byte -> 0
+_IS_FF = bytes(255) + b"\x01"  # byte 0xFF -> 1, any other byte -> 0
 
 
 def _gap_flags(pset: PointSet) -> bytes:
@@ -150,14 +157,80 @@ def _gap_flags(pset: PointSet) -> bytes:
     return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
 
 
-def _at_gaps(pset: PointSet):
-    """Return at(vector): the entries of a per-point vector at the gaps of
-    pset, in point-index order, as a tuple (empty when pset has no gap)."""
-    gaps = list(compress(range(pset.universe), _gap_flags(pset)))
-    if len(gaps) > 1:
-        return itemgetter(*gaps)
-    # itemgetter needs an index and returns a scalar for exactly one
-    return lambda vector: tuple(vector[i] for i in gaps)
+def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
+    """Yield, per direction in enumeration order (normals: the point indices
+    of their normals), its hole flags: q bytes, byte c nonzero exactly when
+    a gap of pset has level c.
+
+    The level u . g of gap g under normal u is g . u, so the (direction x
+    gap) table of levels can be built along either side, and the shorter
+    one is taken:
+    - no gap: no level vector at all;
+    - fewer gaps than directions: one level vector per gap, read at the
+      normals and ORed into one row of flags per level, in O(q |S| + q^n)
+      bytes;
+    - otherwise one level vector per direction, read at the gaps, lazily,
+      so that a caller can stop at its first failing direction.
+    The gap side needs byte levels with 0xFF free to mark the points not
+    read (q < 256); larger fields are read along the directions.
+
+    With `chosen` (one level per direction) only byte chosen[d] of each row
+    is asked for: along the directions, that level alone is tested, and a
+    row is all ones when it is a hole and all zeros when it is not.
+    """
+    q, n, total = pset.q, pset.n, pset.universe
+    no_holes = bytes(q)
+    if pset.cardinality == total:
+        yield from repeat(no_holes, len(normals))
+        return
+    level_vector = _level_kernel(f)
+    gap_flags = _gap_flags(pset)
+    gaps = list(compress(range(total), gap_flags))
+    s = len(normals)
+    if len(gaps) < s and q < 256:
+        is_normal = bytearray(total)
+        for i in normals:
+            is_normal[i] = 1
+        others = int.from_bytes(is_normal.translate(_FF_UNLESS_ONE), "little")
+        rows = [0] * q  # rows[c]: byte d is 1 when a gap has level c under normal #d
+        for g in _coords_of(gaps, q, n):
+            at_normals = (int.from_bytes(level_vector(g), "little") | others).to_bytes(
+                total, "little").translate(None, b"\xff")
+            for c in range(q):
+                rows[c] |= int.from_bytes(_level_flags(at_normals, c), "little")
+        table = bytearray(q * s)
+        for c, row in enumerate(rows):
+            table[c::q] = row.to_bytes(s, "little")
+        for i in range(0, q * s, q):
+            yield table[i:i + q]
+        return
+    coords = _coords_of(normals, q, n)
+    if chosen is not None:
+        gap_lanes = int.from_bytes(gap_flags, "little")
+        for u, c in zip(coords, chosen):
+            hit = int.from_bytes(_level_flags(level_vector(u), c), "little") & gap_lanes
+            yield b"\1" * q if hit else no_holes
+    elif q >= 256:
+        for u in coords:
+            holes = set(map(level_vector(u).__getitem__, gaps))
+            yield bytes(map(holes.__contains__, range(q)))
+    else:
+        members = int.from_bytes(gap_flags.translate(_FF_UNLESS_ONE), "little")
+        every = b"\xff" * total
+        for u in coords:
+            at_gaps = (int.from_bytes(level_vector(u), "little") | members).to_bytes(
+                total, "little")
+            # each level found at a gap maps to 0xFF, every other level to itself
+            yield bytes.maketrans(at_gaps, every)[:q].translate(_IS_FF)
+
+
+def _span_points(level_vector, rows, q: int) -> list[int]:
+    """Point indices of the span of rows: coordinate i of sum_j c_j rows[j]
+    is the level of (c_j) under column i of the rows."""
+    points = [0] * q ** len(rows)
+    for column in reversed(list(zip(*rows))):
+        points = [x * q + y for x, y in zip(points, level_vector(column))]
+    return points
 
 
 def _coset_keys(level_vector, duals, q: int):
@@ -186,11 +259,12 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     """Check whether pset contains a full coset in every plane direction.
 
     Directions (subspaces for plane_dim < n-1) are checked in enumeration
-    order, one level vector (one per dual functional) at a time, and the
-    check stops at the first one without a full coset.  A coset is full
-    exactly when no gap (point outside E) lies on it.  A direction's holes
-    are the levels of the gaps: its level vector is read at the gaps only.
-    The witness picks the smallest full level per direction, or the
+    order, and the check stops at the first one without a full coset.  A
+    coset is full exactly when no gap (point outside E) lies on it, so a
+    direction's holes are the levels of the gaps (see _hole_flags).  A
+    subspace that holds no gap is itself a full coset, and 0 its smallest
+    point; otherwise the vectors of its dual functionals give every point's
+    coset.  The witness picks the smallest full level per direction, or the
     smallest point of any full coset per subspace.
     """
     if f.q != pset.q:
@@ -198,22 +272,23 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     n = pset.n
     plane_dim = _resolve_plane_dim(n, plane_dim)
     q = f.q
-    level_vector = _level_kernel(f)
 
     if plane_dim == n - 1 or n == 1:
-        at_gaps = _at_gaps(pset)
         levels = []
-        for pos, d in enumerate(enumerate_directions(f, n)):
-            holes = set(at_gaps(level_vector(d.normal)))
-            lvl = next((c for c in range(q) if c not in holes), None)
-            if lvl is None:
+        for pos, holes in enumerate(_hole_flags(f, pset, _normal_indices(q, n))):
+            lvl = holes.find(0)
+            if lvl < 0:
                 return KakeyaVerdict(False, plane_dim, None, pos)
             levels.append(lvl)
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
 
+    level_vector = _level_kernel(f)
     gaps = _gap_flags(pset)
     reps = []
     for pos, sub in enumerate(enumerate_subspaces(f, n, plane_dim)):
+        if not any(map(gaps.__getitem__, _span_points(level_vector, sub.rows, q))):
+            reps.append(0)
+            continue
         keys = _coset_keys(level_vector, null_space_basis(f, sub.rows, n), q)
         holes = set(compress(keys, gaps))
         # The first point whose coset has no gap is the smallest point of
@@ -229,7 +304,7 @@ def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) 
     """Exact |I| and |W| for a set containing every assigned hyperplane.
 
     The chosen hyperplane of a direction lies in E exactly when its level
-    is not the level of any gap, which is checked at the gaps only.  |I|
+    is not the level of any gap (see _hole_flags).  |I|
     counts (direction, point) incidences on the chosen hyperplanes; under
     containment it is |S| q^(n-1).  |W| counts triples (w1, w2, v) with v
     on both chosen hyperplanes; under containment the case split gives
@@ -239,17 +314,15 @@ def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) 
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
     q, n = pset.q, pset.n
-    dirs = enumerate_directions(f, n)
-    levels = _check_assignment(f, dirs, assignment)
-    level_vector = _level_kernel(f)
-    at_gaps = _at_gaps(pset)
-    for pos, (d, lvl) in enumerate(zip(dirs, levels)):
-        if lvl in at_gaps(level_vector(d.normal)):
+    normals = _normal_indices(q, n)
+    levels = _check_assignment(f, normals, assignment)
+    for pos, (holes, lvl) in enumerate(zip(_hole_flags(f, pset, normals, levels), levels)):
+        if holes[lvl]:
             raise ValueError(
                 f"hyperplane for direction #{pos} is not contained in the set"
             )
 
-    s = len(dirs)
+    s = len(normals)
     i_count = s * q ** (n - 1)
     pairs_term = s * (s - 1) * q ** (n - 2) if n >= 2 else 0
     w_count = i_count + pairs_term

@@ -85,16 +85,26 @@ def count_directions_formula(q: int, n: int) -> int:
     return num // (q - 1)
 
 
-def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
-    """All canonical normals, ascending by their point index."""
-    q = f.q
+def _normal_indices(q: int, n: int) -> list[int]:
+    """Point indices of the canonical normals, ascending, so entry i is the
+    normal of direction #i.  An oversized space or direction count is
+    refused before anything is built."""
     check_space(q, n)
     if count_directions_formula(q, n) > ENUM_CAP:
         raise ValueError("direction count exceeds enumeration cap")
     # The normal with first nonzero coordinate i set to 1 has index q^i * m,
     # m = 1 (mod q) and m < q^(n-i).
-    indices = sorted(q**i * m for i in range(n) for m in range(1, q ** (n - i), q))
-    return [Direction(point_coords(idx, q, n)) for idx in indices]
+    return sorted(q**i * m for i in range(n) for m in range(1, q ** (n - i), q))
+
+
+def _coords_of(indices, q: int, n: int) -> list[tuple[int, ...]]:
+    """point_coords of each index, unchecked, one digit at a time."""
+    return list(zip(*[[x // d % q for x in indices] for d in map(q.__pow__, range(n))]))
+
+
+def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
+    """All canonical normals, ascending by their point index."""
+    return [Direction(u) for u in _coords_of(_normal_indices(f.q, n), f.q, n)]
 
 
 def count_spanning_tuples(q: int, n: int) -> int:

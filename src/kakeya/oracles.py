@@ -156,6 +156,13 @@ def is_gap_set_brute(f: FieldSpec, n: int, points) -> bool:
     return True
 
 
+def gap_levels_brute(f: FieldSpec, n: int, gaps) -> list[set[int]]:
+    """Per direction in enumeration order, the levels of the given points
+    (indices), from per-element dot products."""
+    coords = [point_coords(i, f.q, n) for i in gaps]
+    return [{dot(f, d.normal, x) for x in coords} for d in enumerate_directions(f, n)]
+
+
 def lex_smallest_optimum_brute(f: FieldSpec, n: int, size: int, normalize: bool = True):
     """The lexicographically smallest level assignment, over the directions
     in enumeration order, whose union of hyperplanes has `size` points, or

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeya import core
 from kakeya.core import (
     OffsetAssignment,
+    _hole_flags,
     assignment_from_json,
     build_union,
     incidence_stats,
@@ -20,10 +23,18 @@ from kakeya.core import (
     write_assignment,
     write_point_set,
 )
-from kakeya.field import make_field
-from kakeya.geometry import dot, enumerate_directions, enumerate_subspaces, point_coords, point_index
+from kakeya.field import field_add, field_mul, make_field
+from kakeya.geometry import (
+    _normal_indices,
+    dot,
+    enumerate_directions,
+    enumerate_subspaces,
+    point_coords,
+    point_index,
+)
 from kakeya.oracles import (
     coset_containment_brute,
+    gap_levels_brute,
     incidence_count_direct,
     is_gap_set_brute,
     triple_count_direct,
@@ -137,6 +148,48 @@ def test_general_plane_dim_against_coset_brute_force(plane_dim):
             assert len(verdict.witness) == len(subs)
 
 
+def _least_full_coset_point(f, pset, rows, n):
+    """The smallest point x whose coset x + span(rows) lies in pset, or
+    None; spans and sums from per-element field arithmetic."""
+    q = f.q
+    span = set()
+    for coeffs in itertools.product(range(q), repeat=len(rows)):
+        v = [0] * n
+        for c, row in zip(coeffs, rows):
+            v = [field_add(f, a, field_mul(f, c, b)) for a, b in zip(v, row)]
+        span.add(tuple(v))
+    for x in range(q**n):
+        base = point_coords(x, q, n)
+        if all(pset.contains(point_index([field_add(f, a, b) for a, b in zip(base, v)], q))
+               for v in span):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("p,k,n,plane_dim", [(2, 1, 3, 1), (3, 1, 3, 1), (2, 2, 3, 1),
+                                              (2, 1, 4, 1), (2, 1, 4, 2), (3, 1, 4, 1)])
+def test_k_plane_representatives_with_gaps_against_brute_force(p, k, n, plane_dim):
+    # a subspace that holds no gap has representative 0; one that holds a
+    # gap (the origin among them) needs its coset keys
+    f = make_field(p, k)
+    total = f.q**n
+    subs = enumerate_subspaces(f, n, plane_dim)
+    rng = random.Random(total)
+    cases = []
+    for count in (1, 2, 3, total // 2):
+        cases.append(rng.sample(range(1, total), count))
+        cases.append([0] + rng.sample(range(1, total), count - 1))
+    for gaps in cases:
+        pset = _without(f, n, gaps)
+        verdict = is_kakeya(f, pset, plane_dim)
+        reps = [_least_full_coset_point(f, pset, sub.rows, n) for sub in subs]
+        assert verdict.ok == all(coset_containment_brute(f, pset, sub.rows, n) for sub in subs)
+        if verdict.ok:
+            assert verdict.witness == tuple(reps)
+        else:
+            assert verdict.failing_index == reps.index(None)
+
+
 def test_general_plane_dim_witness_reps_lie_in_set():
     f = make_field(2, 1)
     full = PointSet.full(2, 3)
@@ -217,18 +270,28 @@ def _least_full_levels(f, n, gaps) -> list[int | None]:
 
 # (p, k, n): prime and extension fields, n = 1, and F_257, whose level
 # vectors are lists rather than bytes
-GATHER_CELLS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (5, 1, 1), (257, 1, 1)]
+GATHER_CELLS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3), (2, 2, 3),
+                (5, 1, 1), (257, 1, 1)]
+
+
+def _gap_counts(f, n) -> list[int]:
+    """0, 1 and 2 gaps, and |S| - 1, |S| and |S| + 1: the (direction x gap)
+    level table is read along the gaps below |S| gaps, along the directions
+    from |S| on."""
+    s = len(enumerate_directions(f, n))
+    return [c for c in (0, 1, 2, s - 1, s, s + 1) if 0 <= c <= f.q**n]
 
 
 @pytest.mark.parametrize("p,k,n", GATHER_CELLS)
 def test_is_kakeya_with_few_gaps_against_brute_force(p, k, n):
-    # no gap, one gap (a scalar for itemgetter), two gaps, and the empty set
+    # no gap, one gap, two gaps, |S| - 1 to |S| + 1 gaps, and the empty set
     f = make_field(p, k)
     total = f.q**n
     rng = random.Random(total)
     cases = [[], list(range(total))]
     cases += [[i] for i in rng.sample(range(total), 4)]
     cases += [rng.sample(range(total), 2) for _ in range(4)]
+    cases += [rng.sample(range(total), c) for c in _gap_counts(f, n)[3:] for _ in range(3)]
     hyperplanes = enumerate_subspaces(f, n, n - 1)
     for gaps in cases:
         pset = _without(f, n, gaps)
@@ -250,8 +313,17 @@ def test_incidence_stats_with_few_gaps(p, k, n):
     total = f.q**n
     s = len(enumerate_directions(f, n))
     rng = random.Random(total)
-    for gaps in ([], [rng.randrange(total)], rng.sample(range(total), 2)):
+    for count in _gap_counts(f, n):
+        gaps = rng.sample(range(total), count)
         pset = _without(f, n, gaps)
+        # a random level per direction fails at the first one that holds a gap
+        levels = tuple(rng.randrange(f.q) for _ in range(s))
+        holes = gap_levels_brute(f, n, gaps)
+        first = next((pos for pos, lvl in enumerate(levels) if lvl in holes[pos]), None)
+        if first is not None:
+            with pytest.raises(ValueError) as err:
+                incidence_stats(f, pset, OffsetAssignment(levels))
+            assert str(err.value) == f"hyperplane for direction #{first} is not contained in the set"
         full = _least_full_levels(f, n, gaps)
         if None in full:
             continue
@@ -259,6 +331,89 @@ def test_incidence_stats_with_few_gaps(p, k, n):
         report = incidence_stats(f, pset, assignment)
         assert report.i_count == s * f.q ** (n - 1) == incidence_count_direct(f, pset, assignment)
         assert report.set_size == total - len(gaps)
+
+
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS)
+def test_hole_flags_match_the_gap_level_brute_force(p, k, n):
+    f = make_field(p, k)
+    q, total = f.q, f.q**n
+    normals = _normal_indices(q, n)
+    rng = random.Random(total)
+    for count in _gap_counts(f, n):
+        gaps = rng.sample(range(total), count)
+        pset = _without(f, n, gaps)
+        holes = gap_levels_brute(f, n, gaps)
+        rows = list(_hole_flags(f, pset, normals))
+        assert [{c for c in range(q) if row[c]} for row in rows] == holes
+        # asked for one level per direction, that level's flag is exact
+        chosen = [rng.randrange(q) for _ in normals]
+        rows = list(_hole_flags(f, pset, normals, chosen))
+        assert [bool(row[c]) for row, c in zip(rows, chosen)] == [
+            c in h for h, c in zip(holes, chosen)]
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Patch core's level kernel to record each level vector it builds."""
+    calls = []
+    real = core._level_kernel
+
+    def kernel(f):
+        levels = real(f)
+
+        def counted(u):
+            calls.append(u)
+            return levels(u)
+
+        return counted
+
+    monkeypatch.setattr(core, "_level_kernel", kernel)
+    return calls
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (5, 1, 2)])
+def test_level_vector_counts_are_pinned(p, k, n, monkeypatch):
+    # no gap: none; G < |S| gaps: one per gap; along the directions, a
+    # reject stops after its failing direction
+    f = make_field(p, k)
+    total = f.q**n
+    s = len(enumerate_directions(f, n))
+    calls = _counted_kernel(monkeypatch)
+    full = PointSet.full(f.q, n)
+    assert is_kakeya(f, full).ok
+    incidence_stats(f, full, OffsetAssignment((1,) * s))
+    assert calls == []
+    rng = random.Random(total)
+    for count in (1, s // 2, s - 1):
+        pset = _without(f, n, rng.sample(range(total), count))
+        del calls[:]
+        is_kakeya(f, pset)
+        assert len(calls) == count
+    rejects = 0
+    for _ in range(40):
+        pset = PointSet(f.q, n, rng.getrandbits(total))
+        if total - pset.cardinality < s:
+            continue
+        del calls[:]
+        verdict = is_kakeya(f, pset)
+        if not verdict.ok:
+            assert len(calls) == verdict.failing_index + 1
+            rejects += 1
+    assert rejects > 0
+
+
+def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):
+    def refuse(f):
+        raise AssertionError("level kernel built")
+
+    monkeypatch.setattr(core, "_level_kernel", refuse)
+    f = make_field(2, 1)
+    pset = PointSet.full(2, 20)
+    assignment = OffsetAssignment((0,))
+    for call in (lambda: is_kakeya(f, pset),
+                 lambda: incidence_stats(f, pset, assignment),
+                 lambda: build_union(f, 20, assignment)):
+        with pytest.raises(ValueError, match="direction count exceeds enumeration cap"):
+            call()
 
 
 @pytest.mark.parametrize("p,k,n", GATHER_CELLS)
