@@ -13,27 +13,26 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 from .bounds import kakeya_lower_bound, planar_lower_bound
 from .core import (
-    IncidenceReport,
     OffsetAssignment,
-    assignment_from_json,
     build_union,
     incidence_stats,
     is_kakeya,
     point_set_to_json,
     random_assignment,
+    read_assignment,
     read_point_set,
     write_assignment,
 )
 from .field import FieldSpec, factor_prime_power, parse_field_spec
-from .geometry import count_directions_formula, enumerate_directions, point_coords
+from .geometry import _normal_indices, count_directions_formula, enumerate_directions, point_coords
 from .search import (
+    DEFAULT_NODE_BUDGET,
     MAX_WORKERS,
     greedy_upper_bound,
     minimal_kakeya_exact,
@@ -43,33 +42,12 @@ from .search import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options for a subcommand invocation."""
-
-    field: FieldSpec | None
-    n: int | None
-    seed: int | None
-    fmt: str
-    output: str | None
-
-
-def _config(args, need_field: bool = False) -> RunConfig:
-    f = None
-    if getattr(args, "field", None) is not None:
-        f = parse_field_spec(args.field)
-    elif need_field:
-        raise ValueError("--field is required")
-    n = getattr(args, "n", None)
-    if need_field and (n is None or n < 1):
+def _space(args) -> tuple[FieldSpec, int]:
+    """The field and dimension given by --field and --n."""
+    f = parse_field_spec(args.field)
+    if args.n < 1:
         raise ValueError("--n must be a positive integer")
-    return RunConfig(
-        field=f,
-        n=n,
-        seed=getattr(args, "seed", None),
-        fmt=getattr(args, "format", "text"),
-        output=getattr(args, "output", None),
-    )
+    return f, args.n
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -79,22 +57,27 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _render(args, record: dict, lines: list[str], table=None) -> None:
+    """Write a command's result in its --format to --output or stdout: the
+    record as JSON after the schema version, the (header, rows) table as
+    CSV when the command has one, and the text lines otherwise."""
+    if args.format == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **record}, indent=2) + "\n"
+    elif args.format == "csv" and table is not None:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table[0])
+        writer.writerows(table[1])
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output)
+
+
 def _rational_decimal(fr: Fraction, digits: int = 20) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(fr.numerator) / Decimal(fr.denominator))
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _parse_range(text: str) -> list[int]:
@@ -118,7 +101,6 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_bound(args) -> int:
-    cfg = _config(args)
     qs = _parse_range(args.q)
     ns = _parse_range(args.n_range)
     for q in qs:
@@ -128,45 +110,25 @@ def cmd_bound(args) -> int:
         if n < 2:
             raise ValueError(f"n={n} is out of range (need n >= 2)")
 
-    rows = []
+    header = ["q", "n", "numerator", "denominator", "decimal", "ceiling"]
+    rows, items, lines = [], [], []
     for q in qs:
         for n in ns:
             fr = kakeya_lower_bound(q, n)
-            rows.append((q, n, fr))
-
-    if cfg.fmt == "csv":
-        _emit(_csv_text(
-            ["q", "n", "numerator", "denominator", "decimal", "ceiling"],
-            [(q, n, fr.numerator, fr.denominator, _rational_decimal(fr), math.ceil(fr))
-             for q, n, fr in rows],
-        ), cfg.output)
-    elif cfg.fmt == "json":
-        out = []
-        for q, n, fr in rows:
-            item = {
-                "q": q,
-                "n": n,
-                "numerator": fr.numerator,
-                "denominator": fr.denominator,
-                "decimal": _rational_decimal(fr),
-                "ceiling": math.ceil(fr),
-            }
+            approx, ceiling = _rational_decimal(fr), math.ceil(fr)
+            row = (q, n, fr.numerator, fr.denominator, approx, ceiling)
+            item = dict(zip(header, row))
+            line = (f"q={q} n={n}: bound {fr.numerator}/{fr.denominator}"
+                    f" (approx {approx}) ceiling {ceiling}")
             if n == 2:
                 planar = planar_lower_bound(q)
                 item["planar_numerator"] = planar.numerator
                 item["planar_denominator"] = planar.denominator
-            out.append(item)
-        _emit(_json_text({"schema_version": SCHEMA_VERSION, "rows": out}), cfg.output)
-    else:
-        lines = []
-        for q, n, fr in rows:
-            line = (f"q={q} n={n}: bound {fr.numerator}/{fr.denominator}"
-                    f" (approx {_rational_decimal(fr)}) ceiling {math.ceil(fr)}")
-            if n == 2:
-                planar = planar_lower_bound(q)
                 line += f"; planar bound {planar.numerator}/{planar.denominator} (equal)"
+            rows.append(row)
+            items.append(item)
             lines.append(line)
-        _emit("\n".join(lines) + "\n", cfg.output)
+    _render(args, {"rows": items}, lines, (header, rows))
     return 0
 
 
@@ -174,26 +136,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_directions(args) -> int:
-    cfg = _config(args, need_field=True)
-    dirs = enumerate_directions(cfg.field, cfg.n)
-    if cfg.fmt == "json":
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "q": cfg.field.q,
-            "n": cfg.n,
-            "count": len(dirs),
-            "directions": [list(d.normal) for d in dirs],
-        }
-        _emit(_json_text(obj), cfg.output)
-    elif cfg.fmt == "csv":
-        _emit(_csv_text(
-            ["index", "normal"],
-            [(i, " ".join(map(str, d.normal))) for i, d in enumerate(dirs)],
-        ), cfg.output)
-    else:
-        lines = [f"{len(dirs)} directions in F_{cfg.field.q}^{cfg.n}"]
-        lines += [f"{i}: ({', '.join(map(str, d.normal))})" for i, d in enumerate(dirs)]
-        _emit("\n".join(lines) + "\n", cfg.output)
+    f, n = _space(args)
+    normals = [d.normal for d in enumerate_directions(f, n)]
+    _render(
+        args,
+        {"q": f.q, "n": n, "count": len(normals), "directions": [list(u) for u in normals]},
+        [f"{len(normals)} directions in F_{f.q}^{n}"]
+        + [f"{i}: ({', '.join(map(str, u))})" for i, u in enumerate(normals)],
+        (["index", "normal"], [(i, " ".join(map(str, u))) for i, u in enumerate(normals)]),
+    )
     return 0
 
 
@@ -201,47 +152,23 @@ def cmd_directions(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     f, pset = read_point_set(args.file)
+    q, n = pset.q, pset.n
     verdict = is_kakeya(f, pset, args.plane_dim)
-
-    witness_out = None
-    if verdict.ok:
-        if isinstance(verdict.witness, OffsetAssignment):
-            witness_out = list(verdict.witness.levels)
-        else:
-            witness_out = list(verdict.witness)
-
-    if cfg.fmt == "json":
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "q": pset.q,
-            "n": pset.n,
-            "plane_dim": verdict.plane_dim,
-            "kakeya": verdict.ok,
-            "witness": witness_out,
-            "failing_index": verdict.failing_index,
-        }
-        _emit(_json_text(obj), cfg.output)
+    witness = None if verdict.witness is None else list(verdict.witness)
+    if verdict.ok and isinstance(verdict.witness, OffsetAssignment):
+        lines = ["KAKEYA", f"witness levels: {witness}"]
+    elif verdict.ok:
+        reps = [point_coords(i, q, n) for i in witness]
+        lines = ["KAKEYA", f"witness coset representatives: {reps}"]
+    elif verdict.plane_dim == max(n - 1, 0):
+        normal = point_coords(_normal_indices(q, n)[verdict.failing_index], q, n)
+        lines = ["NOT KAKEYA", f"no full hyperplane for direction #{verdict.failing_index}"
+                               f" normal ({', '.join(map(str, normal))})"]
     else:
-        if verdict.ok:
-            lines = ["KAKEYA"]
-            if isinstance(verdict.witness, OffsetAssignment):
-                lines.append(f"witness levels: {witness_out}")
-            else:
-                reps = [point_coords(i, pset.q, pset.n) for i in verdict.witness]
-                lines.append(f"witness coset representatives: {reps}")
-        else:
-            lines = ["NOT KAKEYA"]
-            if verdict.plane_dim == max(pset.n - 1, 0):
-                normal = enumerate_directions(f, pset.n)[verdict.failing_index].normal
-                lines.append(
-                    f"no full hyperplane for direction #{verdict.failing_index}"
-                    f" normal ({', '.join(map(str, normal))})"
-                )
-            else:
-                lines.append(f"no full coset for subspace #{verdict.failing_index}")
-        _emit("\n".join(lines) + "\n", cfg.output)
+        lines = ["NOT KAKEYA", f"no full coset for subspace #{verdict.failing_index}"]
+    _render(args, {"q": q, "n": n, "plane_dim": verdict.plane_dim, "kakeya": verdict.ok,
+                   "witness": witness, "failing_index": verdict.failing_index}, lines)
     return 0 if verdict.ok else 1
 
 
@@ -249,19 +176,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    cfg = _config(args, need_field=True)
-    f, n = cfg.field, cfg.n
-    if (args.levels is None) == (cfg.seed is None):
+    f, n = _space(args)
+    if (args.levels is None) == (args.seed is None):
         raise ValueError("exactly one of --seed and --levels is required")
     if args.levels is not None:
-        levels = tuple(int(v) for v in args.levels.split(","))
-        assignment = OffsetAssignment(levels)
+        assignment = OffsetAssignment(tuple(int(v) for v in args.levels.split(",")))
     else:
-        assignment = random_assignment(f, n, cfg.seed)
+        assignment = random_assignment(f, n, args.seed)
     pset = build_union(f, n, assignment)
     text = json.dumps(point_set_to_json(f, pset, include_points=args.points),
                       indent=2, sort_keys=True) + "\n"
-    _emit(text, cfg.output)
+    _emit(text, args.output)
     if args.witness_out:
         write_assignment(args.witness_out, f, n, assignment)
     return 0
@@ -270,52 +195,28 @@ def cmd_construct(args) -> int:
 # -- stats -------------------------------------------------------------------
 
 
-def _stats_json(q: int, n: int, report: IncidenceReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "q": q,
-        "n": n,
+def cmd_stats(args) -> int:
+    f, pset = read_point_set(args.file)
+    report = incidence_stats(f, pset, read_assignment(args.witness, pset.q, pset.n))
+    cs_bound = f"{report.i_count**2}/{report.w_count}"
+    _render(args, {
+        "q": pset.q,
+        "n": pset.n,
         "s_count": report.s_count,
         "i_count": report.i_count,
         "w_count": report.w_count,
-        "cs_bound": f"{report.i_count**2}/{report.w_count}",
+        "cs_bound": cs_bound,
         "cs_bound_numerator": report.cs_bound.numerator,
         "cs_bound_denominator": report.cs_bound.denominator,
         "set_size": report.set_size,
-    }
-
-
-def _read_witness(path, q: int, n: int) -> OffsetAssignment:
-    """The witness file's levels; the object form must name the point
-    set's space, whose direction count alone does not identify it."""
-    obj = json.loads(Path(path).read_text())
-    if isinstance(obj, dict):
-        for key, want in (("q", q), ("n", n)):
-            got = obj.get(key)
-            if type(got) is not int or got != want:
-                raise ValueError(
-                    f"witness {key}={got!r} does not match the point set's {key}={want}")
-    return assignment_from_json(obj)
-
-
-def cmd_stats(args) -> int:
-    cfg = _config(args)
-    f, pset = read_point_set(args.file)
-    assignment = _read_witness(args.witness, pset.q, pset.n)
-    report = incidence_stats(f, pset, assignment)
-    obj = _stats_json(pset.q, pset.n, report)
-    if cfg.fmt == "json":
-        _emit(_json_text(obj), cfg.output)
-    else:
-        lines = [
-            f"directions |S| = {report.s_count}",
-            f"incidences |I| = {report.i_count}",
-            f"triples |W| = {report.w_count}",
-            f"bound |I|^2/|W| = {obj['cs_bound']}"
-            f" = {report.cs_bound.numerator}/{report.cs_bound.denominator}",
-            f"set size |E| = {report.set_size}",
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output)
+    }, [
+        f"directions |S| = {report.s_count}",
+        f"incidences |I| = {report.i_count}",
+        f"triples |W| = {report.w_count}",
+        f"bound |I|^2/|W| = {cs_bound}"
+        f" = {report.cs_bound.numerator}/{report.cs_bound.denominator}",
+        f"set size |E| = {report.set_size}",
+    ])
     return 0
 
 
@@ -323,38 +224,30 @@ def cmd_stats(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _config(args, need_field=True)
-    f, n = cfg.field, cfg.n
+    f, n = _space(args)
     if args.heuristic_only:
-        result = greedy_upper_bound(f, n, restarts=args.restarts,
-                                    seed=cfg.seed if cfg.seed is not None else 0)
+        result = greedy_upper_bound(f, n, restarts=args.restarts, seed=args.seed)
     else:
         result = minimal_kakeya_exact(f, n, node_budget=args.budget,
                                       workers=args.workers, normalize=args.normalize)
     lb = result.lower_bound_used
-    obj = {
-        "schema_version": SCHEMA_VERSION,
+    witness = list(result.witness.levels)
+    status = "exact minimum" if result.proof_of_optimality else "upper bound"
+    _render(args, {
         "q": f.q,
         "n": n,
         "min_size": result.min_size,
-        "witness": list(result.witness.levels),
+        "witness": witness,
         "nodes_explored": result.nodes_explored,
         "proof_of_optimality": result.proof_of_optimality,
         "lower_bound": {"numerator": lb.numerator, "denominator": lb.denominator},
         "lower_bound_ceiling": math.ceil(lb),
-    }
-    if cfg.fmt == "json":
-        _emit(_json_text(obj), cfg.output)
-    else:
-        status = "exact minimum" if result.proof_of_optimality else "upper bound"
-        lines = [
-            f"{status}: {result.min_size}"
-            f" (lower bound {lb.numerator}/{lb.denominator},"
-            f" ceiling {math.ceil(lb)})",
-            f"witness levels: {obj['witness']}",
-            f"nodes explored: {result.nodes_explored}",
-        ]
-        _emit("\n".join(lines) + "\n", cfg.output)
+    }, [
+        f"{status}: {result.min_size}"
+        f" (lower bound {lb.numerator}/{lb.denominator}, ceiling {math.ceil(lb)})",
+        f"witness levels: {witness}",
+        f"nodes explored: {result.nodes_explored}",
+    ])
     if not args.heuristic_only and not result.proof_of_optimality:
         return 3
     return 0
@@ -412,6 +305,17 @@ def _selftest_checks():
             )
             assert verdict.ok == brute
 
+    def null_space_vs_annihilator(p, k, n):
+        from .geometry import enumerate_subspaces, null_space_basis
+        f = make_field(p, k)
+        for dim in range(n + 1):
+            for sub in enumerate_subspaces(f, n, dim):
+                basis = null_space_basis(f, sub.rows, n)
+                zeros = oracles.annihilator_brute(f, sub.rows, n)
+                # independent vectors of the annihilator, as many as its dimension
+                assert set(basis) <= zeros and oracles.rank(f, basis) == len(basis)
+                assert len(zeros) == f.q ** len(basis)
+
     def gap_engine_vs_level_search(p, k, n):
         f = make_field(p, k)
         gap, _ = search._gap_size(f, n, 10**6)
@@ -464,6 +368,8 @@ def _selftest_checks():
         ("incidence triple count (3,2)", lambda: incidence(3, 1, 2)),
         ("coset containment brute force (2,3,k=1)", lambda: coset_check(2, 1, 3, 1)),
         ("coset containment brute force (2,3,k=2)", lambda: coset_check(2, 1, 3, 2)),
+        ("null space basis vs annihilator brute force F_4^3",
+         lambda: null_space_vs_annihilator(2, 2, 3)),
         ("powerset oracle vs exact search (2,2)", lambda: powerset_vs_exact(2, 1, 2)),
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
         ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),
@@ -541,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="exact minimum Kakeya set size")
     _add_common(p, field=True)
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for the search (for n >= 3 the gap-set search and "
                         "the planar search under it), and again for the "
                         "canonical-witness pass")

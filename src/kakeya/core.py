@@ -30,7 +30,6 @@ from .geometry import (
     _flags_mask,
     _level_flags,
     _level_kernel,
-    _level_mask,
     _normal_indices,
     count_directions_formula,
     enumerate_directions,
@@ -108,7 +107,7 @@ def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> li
     masks = []
     for d in dirs:
         levels = level_vector(d.normal)
-        masks.append([_level_mask(levels, c) for c in range(f.q)])
+        masks.append([_flags_mask(_level_flags(levels, c)) for c in range(f.q)])
     return masks
 
 
@@ -420,5 +419,14 @@ def write_assignment(path, f: FieldSpec, n: int, assignment: OffsetAssignment) -
     )
 
 
-def read_assignment(path) -> OffsetAssignment:
-    return assignment_from_json(json.loads(Path(path).read_text()))
+def read_assignment(path, q: int, n: int) -> OffsetAssignment:
+    """The witness file's levels for a point set of F_q^n; the object form
+    must name that space, whose direction count alone does not identify it."""
+    obj = json.loads(Path(path).read_text())
+    if isinstance(obj, dict):
+        for key, want in (("q", q), ("n", n)):
+            got = obj.get(key)
+            if type(got) is not int or got != want:
+                raise ValueError(
+                    f"witness {key}={got!r} does not match the point set's {key}={want}")
+    return assignment_from_json(obj)

@@ -1,9 +1,14 @@
-"""Vectors, directions, hyperplanes and subspace counting over F_q^n.
+"""Vectors, directions, subspaces and the level kernel over F_q^n.
 
 A direction is the canonical normal vector of an (n-1)-dimensional linear
 subspace: the unique scalar multiple whose first nonzero coordinate is 1.
 Directions are ordered by the point index of that normal, which fixes the
 meaning of "direction #i" everywhere (witness files, CLI output, search).
+
+A k-dimensional subspace is its unique RREF basis, generated directly, and
+its dual functionals are read off those rows, so nothing here row-reduces.
+General row reduction and the per-element dot product live in oracles, as
+the independent checks of this module.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field import FieldSpec, check_space, field_add, field_inv, field_mul, field_neg, field_sub
+from .field import FieldSpec, check_space, field_add, field_mul, field_neg
 
 ENUM_CAP = 10**6
 
@@ -48,32 +53,12 @@ class Direction:
 
     normal: tuple[int, ...]
 
-    def index(self, q: int) -> int:
-        return point_index(self.normal, q)
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """A k-dimensional subspace as its unique RREF basis (k x n rows)."""
 
     rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.rows)
-
-
-def dot(f: FieldSpec, u, v) -> int:
-    """Standard bilinear form sum_i u_i * v_i."""
-    if f.k == 1:
-        s = 0
-        for a, b in zip(u, v):
-            s += a * b
-        return s % f.p
-    acc = 0
-    for a, b in zip(u, v):
-        acc = field_add(f, acc, field_mul(f, a, b))
-    return acc
 
 
 def count_directions_formula(q: int, n: int) -> int:
@@ -144,49 +129,24 @@ def count_subspaces(q: int, n: int, k: int) -> int:
     return num // den
 
 
-# -- row reduction and subspace enumeration ---------------------------------
-
-
-def rref(f: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over F_q; returns (nonzero rows, pivots)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return (), ()
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        if m[r][c] != 1:
-            inv = field_inv(f, m[r][c])
-            m[r] = [field_mul(f, inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                coef = m[i][c]
-                m[i] = [field_sub(f, x, field_mul(f, coef, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+# -- subspace enumeration and duals ------------------------------------------
 
 
 def null_space_basis(f: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of { x : r . x = 0 for every row r }; dimension n minus the
-    rank of the rows."""
-    reduced, pivots = rref(f, rows)
-    pivot_set = set(pivots)
+    """Basis of { x : r . x = 0 for every row r }, one vector per non-pivot
+    column.  The rows must be in reduced row echelon form, as
+    enumerate_subspaces yields them and as a canonical normal is: each
+    row's first nonzero entry is a 1, the only nonzero entry of its column,
+    so the pivots and the duals are read off the rows."""
+    pivots = [row.index(1) for row in rows]
     basis = []
     for free in range(n):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [0] * n
         v[free] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = field_neg(f, reduced[i][free])
+        for row, pc in zip(rows, pivots):
+            v[pc] = field_neg(f, row[free])
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -281,11 +241,3 @@ def _level_flags(levels, c: int) -> bytes:
 def _flags_mask(flags: bytes) -> int:
     """Bitmask (bit i = point index i) of the points whose byte is 1."""
     return int(flags.translate(_BOOL_DIGITS)[::-1], 2)
-
-
-def _level_mask(levels, c: int) -> int:
-    """Bitmask (bit i = point index i) of the points whose level is c."""
-    if isinstance(levels, bytes):
-        # one translate straight to the binary digits
-        return int(levels.translate(b"0" * c + b"1" + b"0" * (255 - c))[::-1], 2)
-    return _flags_mask(_level_flags(levels, c))

@@ -2,7 +2,9 @@
 
 These deliberately re-derive quantities by direct enumeration (spans of
 explicit tuples, literal triple counting, axiom tables) so the fast paths
-elsewhere can be validated against them at small sizes.
+elsewhere can be validated against them at small sizes.  They compute with
+per-element field calls: the dot product and general row reduction live
+here, and the library itself uses neither.
 """
 
 from __future__ import annotations
@@ -11,9 +13,49 @@ import itertools
 import random
 
 from .core import OffsetAssignment
-from .field import FieldSpec, field_add, field_inv, field_mul, field_neg
-from .geometry import dot, enumerate_directions, point_coords, rref
+from .field import FieldSpec, field_add, field_inv, field_mul, field_neg, field_sub
+from .geometry import enumerate_directions, point_coords
 from .pointset import PointSet
+
+
+def dot(f: FieldSpec, u, v) -> int:
+    """Standard bilinear form sum_i u_i * v_i."""
+    if f.k == 1:
+        s = 0
+        for a, b in zip(u, v):
+            s += a * b
+        return s % f.p
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field_add(f, acc, field_mul(f, a, b))
+    return acc
+
+
+def rref(f: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form over F_q; returns (nonzero rows, pivots)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return (), ()
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if m[r][c] != 1:
+            inv = field_inv(f, m[r][c])
+            m[r] = [field_mul(f, inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                coef = m[i][c]
+                m[i] = [field_sub(f, x, field_mul(f, coef, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
 def rank(f: FieldSpec, rows) -> int:
@@ -141,6 +183,13 @@ def coset_containment_brute(f: FieldSpec, pset: PointSet, sub_rows, n: int) -> b
         if coset <= member:
             return True
     return False
+
+
+def annihilator_brute(f: FieldSpec, rows, n: int) -> set[tuple[int, ...]]:
+    """Every x of F_q^n with r . x = 0 for each row r, found by testing all
+    q^n points with per-element dot products."""
+    points = (point_coords(i, f.q, n) for i in range(f.q**n))
+    return {x for x in points if all(dot(f, r, x) == 0 for r in rows)}
 
 
 def is_gap_set_brute(f: FieldSpec, n: int, points) -> bool:

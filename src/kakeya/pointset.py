@@ -52,14 +52,6 @@ class PointSet:
         width = (self.universe + 3) // 4
         return format(self.bits, f"0{width}x")
 
-    def union(self, other: "PointSet") -> "PointSet":
-        self._check_same_space(other)
-        return PointSet(self.q, self.n, self.bits | other.bits)
-
-    def _check_same_space(self, other: "PointSet") -> None:
-        if (self.q, self.n) != (other.q, other.n):
-            raise ValueError("point sets live in different spaces")
-
     @classmethod
     def empty(cls, q: int, n: int) -> "PointSet":
         return cls(q, n, 0)

@@ -73,7 +73,13 @@ from . import core
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
 from .field import FieldSpec, check_space
-from .geometry import _level_kernel, _level_mask, count_directions_formula, enumerate_directions
+from .geometry import (
+    _flags_mask,
+    _level_flags,
+    _level_kernel,
+    count_directions_formula,
+    enumerate_directions,
+)
 from .pointset import PointSet
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -84,6 +90,8 @@ _POWERSET_POINT_LIMIT = 16
 _WORKER_POLL_S = 0.1
 # Nodes a worker draws at a time from the budget the workers share.
 _NODE_BATCH = 64
+# Most bytes of count-table rows _Counts builds before turning them into ints.
+_COUNT_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -137,28 +145,34 @@ class _Counts:
     in every lane.
     """
 
-    def __init__(self, f: FieldSpec, n: int, dirs, masks):
-        q, s = f.q, len(dirs)
+    def __init__(self, f: FieldSpec, n: int, masks):
+        q, s = f.q, len(masks)
         npoints = q**n
         self.q = q
         self.masks = masks
         self.w = w = _lane_width(npoints // q)
         self.nbytes = nbytes = s * q * w
-        # row x is bytes x*nbytes.. of one buffer; lane (d, c) of every row
-        # is one strided slice, the 0/1 indicator of level c along d
-        rows = bytearray(npoints * nbytes)
-        pick = [bytes(c) + b"\x01" + bytes(255 - c) for c in range(min(q, 256))]
-        for d, levels in enumerate(map(_level_kernel(f), (d.normal for d in dirs))):
-            if isinstance(levels, bytes):
-                for c in range(q):
-                    rows[(d * q + c) * w::nbytes] = levels.translate(pick[c])
-            else:  # q > 256: the levels are a list
-                for x, c in enumerate(levels):
-                    rows[x * nbytes + (d * q + c) * w] = 1
-        view = memoryview(rows)
-        self.pts = [int.from_bytes(view[x:x + nbytes], "little")
-                    for x in range(0, npoints * nbytes, nbytes)]
-        self.full = int.from_bytes((npoints // q).to_bytes(w, "little") * (s * q), "little")
+        ones = int.from_bytes((1).to_bytes(w, "little") * (s * q), "little")
+        self.full = npoints // q * ones
+        # The rows are built a block of points at a time in one buffer of at
+        # most _COUNT_BLOCK_BYTES, turned into ints before the next block,
+        # so the table is never held twice.  Lane (d, c) of a block's rows
+        # is one strided slice: the binary digits of the block's part of
+        # mask (d, c), highest point first, so the buffer's rows run down
+        # from the block's last point.  The digits are ASCII, so each lane
+        # of a row holds ord("0") more than its 0/1 flag.
+        block = max(1, _COUNT_BLOCK_BYTES // nbytes)
+        ascii_zeros = ord("0") * ones
+        self.pts = []
+        for start in range(0, npoints, block):
+            width = min(block, npoints - start)
+            low, digits = (1 << width) - 1, f"0{width}b"
+            rows = bytearray(width * nbytes)
+            for lane, mask in enumerate(itertools.chain.from_iterable(masks)):
+                rows[lane * w::nbytes] = format(mask >> start & low, digits).encode()
+            view = memoryview(rows)
+            self.pts += [int.from_bytes(view[x:x + nbytes], "little") - ascii_zeros
+                         for x in range((width - 1) * nbytes, -1, -nbytes)]
 
     def cover(self, counts: int, new: int) -> int:
         """The counts once the points of `new`, none of them covered
@@ -749,7 +763,7 @@ def _level_minimum(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
     minimum once the budget runs out.  No canonical-witness pass."""
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
-    size, _, nodes, optimal = _level_search(f, n, dirs, masks, _Counts(f, n, dirs, masks),
+    size, _, nodes, optimal = _level_search(f, n, dirs, masks, _Counts(f, n, masks),
                                             _standard_basis_positions(dirs, n), budget, 1)
     return (size if optimal else None), nodes
 
@@ -759,19 +773,20 @@ class _GapSearch:
     frame {0, e_1, ..., e_n}; see `_gap_size` for why the frame may be
     assumed and why `cap`, g(q, n-1), bounds every hyperplane's share.
 
-    Points join in index order.  Per direction, `hit` is the q-bit mask of
-    the levels the set meets so far, and `counts[d*q + l]` its points on
-    hyperplane (d, l).  A candidate is a later point that fills no mask and
-    takes no count past the cap; a point that fails once fails below too,
-    so each child keeps a subset of its parent's candidates.  The incumbent
-    starts at `cap`: only a larger gap set changes g.
+    Points join in index order.  `counts[d*q + l]` is the set's points on
+    hyperplane (d, l), so the set meets level l of direction d exactly when
+    that count is nonzero.  A candidate is a later point that meets no
+    direction's last open level and takes no count past the cap; a point
+    that fails once fails below too, so each child keeps a subset of its
+    parent's candidates.  The incumbent starts at `cap`: only a larger gap
+    set changes g.
     """
 
     def __init__(self, f: FieldSpec, n: int, cap: int, budget: int):
         q = self.q = f.q
         kernel = _level_kernel(f)
         self.levels = [kernel(d.normal) for d in enumerate_directions(f, n)]
-        self.masks = [[_level_mask(lv, c) for c in range(q)] for lv in self.levels]
+        self.masks = [[_flags_mask(_level_flags(lv, c)) for c in range(q)] for lv in self.levels]
         self.frame = [0] + [q**i for i in range(n)]
         self.npoints = q**n
         self.cap = cap
@@ -782,24 +797,24 @@ class _GapSearch:
     def run(self) -> int | None:
         """The most points of a gap set holding the frame, or cap if none
         has more; None once the budget is spent."""
-        hit = [0] * len(self.levels)
         counts = [0] * (len(self.levels) * self.q)
         cands = (1 << self.npoints) - 1
         for x in self.frame:
-            hit, counts, banned = self._add(x, hit, counts)
+            counts, banned = self._add(x, counts)
             cands &= ~banned & ~(1 << x)
         try:
-            self._node(len(self.frame), hit, counts, cands)
+            self._node(len(self.frame), counts, cands)
         except _BudgetExhausted:
             return None
         return self.best
 
-    def _add(self, x: int, hit, counts):
-        """Masks and counts once point x joins, and the points that can no
-        longer join: those on a hyperplane at the cap, and those on the one
-        level a direction has left."""
+    def _add(self, x: int, counts):
+        """Counts once point x joins, and the points that can no longer
+        join: those on a hyperplane at the cap, and, when x meets a level of
+        a direction for the first time and leaves it one open level, those
+        on that level."""
         q, cap, masks = self.q, self.cap, self.masks
-        hit, counts = hit.copy(), counts.copy()
+        counts = counts.copy()
         banned = 0
         for d, lv in enumerate(self.levels):
             lvl = lv[x]
@@ -807,14 +822,13 @@ class _GapSearch:
             counts[i] += 1
             if counts[i] == cap:
                 banned |= masks[d][lvl]
-            h = hit[d] | 1 << lvl
-            if h != hit[d]:
-                hit[d] = h
-                if h.bit_count() == q - 1:
-                    banned |= masks[d][((1 << q) - 1 ^ h).bit_length() - 1]
-        return hit, counts, banned
+            if counts[i] == 1:
+                row = counts[d * q:d * q + q]
+                if row.count(0) == 1:
+                    banned |= masks[d][row.index(0)]
+        return counts, banned
 
-    def _ceiling(self, hit, counts, cands: int) -> int:
+    def _ceiling(self, counts, cands: int) -> int:
         """Most points a gap set between this one and it plus the
         candidates can hold.  Per direction, each level holds at most its
         points plus its candidates, and at most cap; one level the set has
@@ -822,12 +836,12 @@ class _GapSearch:
         q, cap = self.q, self.cap
         best = self.npoints
         for d, row in enumerate(self.masks):
-            h = hit[d]
             total, drop = 0, cap
             for lvl in range(q):
-                term = min(cap, counts[d * q + lvl] + (cands & row[lvl]).bit_count())
+                count = counts[d * q + lvl]
+                term = min(cap, count + (cands & row[lvl]).bit_count())
                 total += term
-                if not h >> lvl & 1 and term < drop:
+                if not count and term < drop:
                     drop = term
             if total - drop < best:
                 best = total - drop
@@ -835,19 +849,19 @@ class _GapSearch:
                     break
         return best
 
-    def _node(self, size: int, hit, counts, cands: int) -> None:
+    def _node(self, size: int, counts, cands: int) -> None:
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
         if size > self.best:
             self.best = size
-        if not cands or self._ceiling(hit, counts, cands) <= self.best:
+        if not cands or self._ceiling(counts, cands) <= self.best:
             return
         while size + cands.bit_count() > self.best:
             low = cands & -cands
             cands ^= low
-            child_hit, child_counts, banned = self._add(low.bit_length() - 1, hit, counts)
-            self._node(size + 1, child_hit, child_counts, cands & ~banned)
+            child_counts, banned = self._add(low.bit_length() - 1, counts)
+            self._node(size + 1, child_counts, cands & ~banned)
 
 
 def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
@@ -909,7 +923,7 @@ def minimal_kakeya_exact(
     lb = _instance_lower_bound(q, n)
     fixed = _standard_basis_positions(dirs, n) if normalize else []
     # the search and the canonical-witness pass both read these
-    table = _Counts(f, n, dirs, masks)
+    table = _Counts(f, n, masks)
 
     best_levels = None
     if n >= 3:

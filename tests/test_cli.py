@@ -51,6 +51,44 @@ def test_bound_rejects_bad_n(capsys):
     assert code == 2
 
 
+def test_bound_json_adds_the_planar_bound_at_n_2(capsys):
+    code, out, _ = run(capsys, ["bound", "--q", "3", "--n", "2..3", "--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["schema_version"] == 1
+    plane, space = obj["rows"]
+    assert plane == {"q": 3, "n": 2, "numerator": 6, "denominator": 1, "decimal": "6",
+                     "ceiling": 6, "planar_numerator": 6, "planar_denominator": 1}
+    assert (space["n"], space["numerator"], space["denominator"]) == (3, 117, 5)
+    assert "planar_numerator" not in space
+
+
+@pytest.mark.parametrize("q", ["5..2", "x", "2..y"])
+def test_bound_rejects_bad_ranges(capsys, q):
+    code, out, err = run(capsys, ["bound", "--q", q, "--n", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: empty range {q!r}\n" if q == "5..2"
+                   else f"error: cannot parse range {q!r}\n")
+
+
+def test_directions_csv_and_text(capsys):
+    code, out, _ = run(capsys, ["directions", "--field", "3", "--n", "2", "--format", "csv"])
+    assert code == 0
+    assert out == "index,normal\n0,1 0\n1,0 1\n2,1 1\n3,1 2\n"
+    code, out, _ = run(capsys, ["directions", "--field", "3", "--n", "2"])
+    assert code == 0
+    assert out == "4 directions in F_3^2\n0: (1, 0)\n1: (0, 1)\n2: (1, 1)\n3: (1, 2)\n"
+
+
+@pytest.mark.parametrize("argv", [["directions"], ["construct", "--seed", "1"], ["search"]])
+def test_dimension_below_1_is_refused(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--field", "2", "--n", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n must be a positive integer\n"
+
+
 def test_directions_json(capsys):
     code, out, _ = run(capsys, ["directions", "--field", "2", "--n", "2", "--format", "json"])
     assert code == 0
@@ -206,6 +244,15 @@ def test_verify_general_plane_dim(tmp_path, capsys):
     code, out, _ = run(capsys, ["verify", str(path), "--plane-dim", "1"])
     assert code == 0
     assert "KAKEYA" in out
+
+
+def test_verify_text_names_the_subspace_without_a_full_coset(tmp_path, capsys):
+    # no line of F_2^3 in the direction of subspace #3 lies in {0, 2, 3, 6}
+    path = tmp_path / "set.json"
+    write_point_set(path, make_field(2, 1), PointSet.from_indices(2, 3, [0, 2, 3, 6]))
+    code, out, _ = run(capsys, ["verify", str(path), "--plane-dim", "1"])
+    assert code == 1
+    assert out == "NOT KAKEYA\nno full coset for subspace #3\n"
 
 
 def test_verify_rejects_malformed_file(tmp_path, capsys):

@@ -17,8 +17,8 @@ from kakeya import cli, search
 from kakeya.bounds import kakeya_lower_bound, kakeya_lower_bound_ceiling
 from kakeya.core import build_union, is_kakeya
 from kakeya.field import field_add, field_mul, field_sub, make_field
-from kakeya.geometry import dot, enumerate_directions, null_space_basis, point_coords, point_index
-from kakeya.oracles import is_gap_set_brute, rank
+from kakeya.geometry import enumerate_directions, null_space_basis, point_coords, point_index
+from kakeya.oracles import dot, is_gap_set_brute, rank
 from kakeya.pointset import PointSet
 from kakeya.search import minimal_kakeya_exact, minimal_kakeya_powerset
 
@@ -79,14 +79,13 @@ def test_gap_search_on_planar_cells(q):
 
 
 def _grow(engine, points):
-    """Hit masks, counts and candidates once `points` join in order, with
-    the candidates left as the engine's rules leave them."""
-    s = len(engine.levels)
-    hit, counts, cands = [0] * s, [0] * (s * engine.q), (1 << engine.npoints) - 1
+    """Counts and candidates once `points` join in order, with the
+    candidates left as the engine's rules leave them."""
+    counts, cands = [0] * (len(engine.levels) * engine.q), (1 << engine.npoints) - 1
     for x in points:
-        hit, counts, banned = engine._add(x, hit, counts)
+        counts, banned = engine._add(x, counts)
         cands &= ~banned & ~(1 << x)
-    return hit, counts, cands
+    return counts, cands
 
 
 @pytest.mark.parametrize("p,k,n,cap", [(5, 1, 3, 3), (2, 2, 3, 2), (7, 1, 2, 4)])
@@ -104,10 +103,10 @@ def test_gap_search_candidates_follow_the_cap_and_the_last_level(p, k, n, cap):
         for x in rng.sample(range(f.q**n), f.q**n):
             if len(chosen) == 2 * cap:
                 break
-            _, _, cands = _grow(engine, chosen)
+            _, cands = _grow(engine, chosen)
             if not chosen or cands >> x & 1:
                 chosen.append(x)
-        _, _, cands = _grow(engine, chosen)
+        _, cands = _grow(engine, chosen)
         for y in range(f.q**n):
             ok = y not in chosen
             for lv in levels:
@@ -130,7 +129,7 @@ def test_gap_search_ceiling_bounds_every_completion(q):
     for _ in range(12):
         points = list(engine.frame)
         while True:
-            hit, counts, cands = _grow(engine, points)
+            counts, cands = _grow(engine, points)
             options = [y for y in range(q * q) if cands >> y & 1]
             if len(options) <= 10:
                 break
@@ -138,7 +137,7 @@ def test_gap_search_ceiling_bounds_every_completion(q):
         most = max(len(points) + r for r in range(len(options) + 1)
                    for more in itertools.combinations(options, r)
                    if is_gap_set_brute(f, 2, points + list(more)))
-        ceiling = engine._ceiling(hit, counts, cands)
+        ceiling = engine._ceiling(counts, cands)
         assert ceiling >= most
         # the same ceiling from levels taken point by point
         terms = []

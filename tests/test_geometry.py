@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from kakeya.core import level_masks
-from kakeya.field import field_mul, make_field
+from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
     Direction,
     SubspaceBasis,
@@ -11,15 +11,20 @@ from kakeya.geometry import (
     count_fiber,
     count_spanning_tuples,
     count_subspaces,
-    dot,
     enumerate_directions,
     enumerate_subspaces,
     null_space_basis,
     point_coords,
     point_index,
-    rref,
 )
-from kakeya.oracles import rank, span_count_brute, spanning_tuple_census
+from kakeya.oracles import (
+    annihilator_brute,
+    dot,
+    rank,
+    rref,
+    span_count_brute,
+    spanning_tuple_census,
+)
 
 SMALL_GRID = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
 # (p, k, n) cells on which the hyperplane facts are checked on the level
@@ -87,7 +92,7 @@ def test_directions_canonical_and_ordered(p, k, n):
     f = make_field(p, k)
     q = f.q
     dirs = enumerate_directions(f, n)
-    indices = [d.index(q) for d in dirs]
+    indices = [point_index(d.normal, q) for d in dirs]
     assert indices == sorted(indices)
     spans = set()
     for d in dirs:
@@ -259,3 +264,20 @@ def test_rref_reproduces_known_form():
     assert pivots == (0, 1)
     assert reduced == ((1, 0, 1), (0, 1, 1))
     assert rank(f, [(1, 1, 0), (1, 1, 0)]) == 1
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 3)])
+def test_null_space_basis_spans_the_annihilator(p, k, n):
+    """The duals read off RREF rows span exactly the points that every row
+    annihilates, found point by point, at every subspace dimension."""
+    f = make_field(p, k)
+    for dim in range(n + 1):
+        for sub in enumerate_subspaces(f, n, dim):
+            basis = null_space_basis(f, sub.rows, n)
+            span = set()
+            for coeffs in itertools.product(range(f.q), repeat=len(basis)):
+                v = (0,) * n
+                for c, row in zip(coeffs, basis):
+                    v = tuple(field_add(f, a, field_mul(f, c, b)) for a, b in zip(v, row))
+                span.add(v)
+            assert span == annihilator_brute(f, sub.rows, n)

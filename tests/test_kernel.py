@@ -11,12 +11,11 @@ from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
 from kakeya.field import make_field
 from kakeya.geometry import (
     _level_kernel,
-    dot,
     enumerate_directions,
     enumerate_subspaces,
     point_coords,
 )
-from kakeya.oracles import coset_containment_brute
+from kakeya.oracles import coset_containment_brute, dot
 from kakeya.pointset import PointSet
 
 # Every p^k <= 32 with n <= 4, kept to at most 4096 points so the per-point

@@ -95,7 +95,7 @@ def _open_root(f, n, normalize=True):
     for pos in fixed:
         base_mask |= masks[pos][0]
     free = [i for i in range(len(dirs)) if i not in fixed]
-    table = search._Counts(f, n, dirs, masks)
+    table = search._Counts(f, n, masks)
     return dirs, table, (base_mask, table.cover(table.full, base_mask), free, [0] * len(dirs))
 
 
@@ -217,7 +217,7 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
     fixed = search._standard_basis_positions(dirs, n)
     free = [i for i in range(len(dirs)) if i not in fixed]
     axes = search._AxisMaps(f, dirs, free)
-    table = search._Counts(f, n, dirs, masks)
+    table = search._Counts(f, n, masks)
     base_mask = 0
     for pos in fixed:
         base_mask |= masks[pos][0]
@@ -294,7 +294,7 @@ def _count_table(p, k, n):
     f = make_field(p, k)
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
-    return f, masks, search._Counts(f, n, dirs, masks)
+    return f, masks, search._Counts(f, n, masks)
 
 
 @settings(max_examples=80, deadline=None)
@@ -328,15 +328,28 @@ def test_carried_counts_match_popcounts(data):
 @pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 2, 3), (2, 1, 9), (257, 1, 1)])
 def test_count_rows_mark_the_hyperplanes_through_each_point(p, k, n):
     """Row x has a 1 in lane (d, c) exactly when x is on hyperplane (d, c);
-    (2,9) has two-byte lanes, and F_257 levels come as a list, not bytes."""
+    (2,9) has two-byte lanes, and F_257 has more levels than a byte holds."""
     f = make_field(p, k)
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
-    table = search._Counts(f, n, dirs, masks)
+    table = search._Counts(f, n, masks)
     q, shift = f.q, 8 * table.w
     for x, row in enumerate(table.pts):
         levels = [next(c for c in range(q) if masks[d][c] >> x & 1) for d in range(len(dirs))]
         assert row == sum(1 << shift * (d * q + c) for d, c in enumerate(levels))
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 1, 9), (257, 1, 1)])
+def test_count_rows_built_in_blocks_match_one_block(p, k, n, monkeypatch):
+    """Blocks of 1 and of 7 points, the last one short, give the rows that
+    one block gives."""
+    f = make_field(p, k)
+    masks = level_masks(f, n)
+    whole = search._Counts(f, n, masks)
+    for points in (1, 7):
+        monkeypatch.setattr(search, "_COUNT_BLOCK_BYTES", points * whole.nbytes)
+        table = search._Counts(f, n, masks)
+        assert (table.pts, table.full) == (whole.pts, whole.full)
 
 
 def test_search_beyond_one_byte_per_field_element():
@@ -488,6 +501,39 @@ def test_parallel_budget_exhaustion_reports_a_verified_bound():
         union = build_union(f, 2, result.witness)
         assert union.cardinality == result.min_size >= 49
         assert is_kakeya(f, union).ok
+
+
+def _worse_seed(f, n, s):
+    """All levels 0 as the incumbent: the lines through the origin, whose
+    union is the whole plane."""
+    return f.q**n, [0] * s
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
+def test_search_beats_a_worse_seed(p, k, workers, monkeypatch):
+    """The greedy seed is already optimal on every planar cell up to (11,2),
+    so only a worse seed makes the search's own incumbent the answer."""
+    f = make_field(p, k)
+    plain = minimal_kakeya_exact(f, 2, workers=workers)
+    monkeypatch.setattr(search, "_greedy_seed", _worse_seed)
+    seeded = minimal_kakeya_exact(f, 2, workers=workers)
+    assert seeded.proof_of_optimality and plain.proof_of_optimality
+    assert (seeded.min_size, seeded.witness) == (plain.min_size, plain.witness)
+    assert seeded.nodes_explored >= plain.nodes_explored
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
+def test_search_out_of_budget_reports_its_own_incumbent(p, k, workers, monkeypatch):
+    """40 nodes find a union smaller than the worse seed's but prove nothing."""
+    f = make_field(p, k)
+    monkeypatch.setattr(search, "_greedy_seed", _worse_seed)
+    result = minimal_kakeya_exact(f, 2, node_budget=40, workers=workers)
+    assert not result.proof_of_optimality
+    assert result.min_size < f.q**2
+    search._verify_result(f, 2, result.witness, result.min_size,
+                          kakeya_lower_bound_ceiling(f.q, 2))
 
 
 def test_parallel_workers_share_the_node_budget():
