@@ -31,6 +31,7 @@ from .geometry import (
     _level_flags,
     _level_kernel,
     _normal_indices,
+    _subspace_count,
     count_directions_formula,
     enumerate_directions,
     enumerate_subspaces,
@@ -85,10 +86,10 @@ class KakeyaVerdict:
     failing_index: int | None
 
 
-def _check_mask_bits(q: int, n: int) -> None:
-    """Refuse F_q^n above the size cap, then level masks for all of its
-    directions above MASK_BITS_CAP.  The size cap goes first, so a huge n
-    is refused before q^n is built."""
+def _check_mask_bits(q: int, n: int) -> int:
+    """The bits of the level masks of F_q^n, |S| * q * q^n, after refusing
+    F_q^n above the size cap and masks above MASK_BITS_CAP.  The size cap
+    goes first, so a huge n is refused before q^n is built."""
     total = check_space(q, n)
     bits = count_directions_formula(q, n) * q * total
     if bits > MASK_BITS_CAP:
@@ -96,6 +97,7 @@ def _check_mask_bits(q: int, n: int) -> None:
             f"level masks for q={q}, n={n} need {bits // 8} bytes,"
             f" above the cap of {MASK_BITS_CAP // 8}"
         )
+    return bits
 
 
 def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> list[list[int]]:
@@ -262,9 +264,10 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     coset is full exactly when no gap (point outside E) lies on it, so a
     direction's holes are the levels of the gaps (see _hole_flags).  A
     subspace that holds no gap is itself a full coset, and 0 its smallest
-    point; otherwise the vectors of its dual functionals give every point's
-    coset.  The witness picks the smallest full level per direction, or the
-    smallest point of any full coset per subspace.
+    point, so a gap-free set lists no subspace; otherwise the vectors of
+    its dual functionals give every point's coset.  The witness picks the
+    smallest full level per direction, or the smallest point of any full
+    coset per subspace.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
@@ -272,7 +275,7 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     plane_dim = _resolve_plane_dim(n, plane_dim)
     q = f.q
 
-    if plane_dim == n - 1 or n == 1:
+    if plane_dim == n - 1:
         levels = []
         for pos, holes in enumerate(_hole_flags(f, pset, _normal_indices(q, n))):
             lvl = holes.find(0)
@@ -280,6 +283,8 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
                 return KakeyaVerdict(False, plane_dim, None, pos)
             levels.append(lvl)
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
+    if pset.cardinality == pset.universe:
+        return KakeyaVerdict(True, plane_dim, (0,) * _subspace_count(q, n, plane_dim), None)
 
     level_vector = _level_kernel(f)
     gaps = _gap_flags(pset)

@@ -14,6 +14,7 @@ the independent checks of this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .field import FieldSpec, check_space, field_add, field_mul, field_neg
@@ -92,41 +93,47 @@ def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
     return [Direction(u) for u in _coords_of(_normal_indices(f.q, n), f.q, n)]
 
 
-def count_spanning_tuples(q: int, n: int) -> int:
-    """Number of (n-1)-tuples of vectors spanning an (n-1)-dim subspace."""
+def _independent_tuples(q: int, a: int, k: int) -> int:
+    """prod_{h<k} (q^a - q^h): the ordered k-tuples of independent vectors
+    of F_q^a."""
+    return math.prod(q**a - q**h for h in range(k))
+
+
+def _hyperplane_tuples(q: int, n: int, a: int) -> int:
+    """Ordered (n-1)-tuples of independent vectors of F_q^a, for q >= 2
+    and n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    out = 1
-    for h in range(n - 1):
-        out *= q**n - q**h
-    return out
+    return _independent_tuples(q, a, n - 1)
+
+
+def count_spanning_tuples(q: int, n: int) -> int:
+    """Number of (n-1)-tuples of vectors spanning an (n-1)-dim subspace."""
+    return _hyperplane_tuples(q, n, n)
 
 
 def count_fiber(q: int, n: int) -> int:
     """Number of spanning (n-1)-tuples with a fixed (n-1)-dim span."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    out = 1
-    for h in range(n - 1):
-        out *= q ** (n - 1) - q**h
-    return out
+    return _hyperplane_tuples(q, n, n - 1)
 
 
 def count_subspaces(q: int, n: int, k: int) -> int:
     """Gaussian binomial: number of k-dim subspaces of F_q^n."""
     if not 0 <= k <= n:
         raise ValueError(f"subspace dimension {k} out of range for n={n}")
-    num = 1
-    den = 1
-    for h in range(k):
-        num *= q**n - q**h
-        den *= q**k - q**h
+    num, den = _independent_tuples(q, n, k), _independent_tuples(q, k, k)
     assert num % den == 0
     return num // den
+
+
+def _subspace_count(q: int, n: int, k: int) -> int:
+    """count_subspaces(q, n, k), refused above ENUM_CAP."""
+    total = count_subspaces(q, n, k)
+    if total > ENUM_CAP:
+        raise ValueError("subspace count exceeds enumeration cap")
+    return total
 
 
 # -- subspace enumeration and duals ------------------------------------------
@@ -158,11 +165,7 @@ def enumerate_subspaces(f: FieldSpec, n: int, k: int) -> list[SubspaceBasis]:
     free positions (right of each pivot, outside pivot columns) with every
     field value.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"subspace dimension {k} out of range for n={n}")
-    total = count_subspaces(f.q, n, k)
-    if total > ENUM_CAP:
-        raise ValueError("subspace count exceeds enumeration cap")
+    total = _subspace_count(f.q, n, k)
     if k == 0:
         return [SubspaceBasis(())]
     q = f.q

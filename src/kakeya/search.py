@@ -56,7 +56,6 @@ the budget, and a worker runs out only once that count is empty.
 from __future__ import annotations
 
 import array
-import functools
 import itertools
 import math
 import multiprocessing
@@ -72,12 +71,11 @@ from typing import NamedTuple
 from . import core
 from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
-from .field import FieldSpec, check_space
+from .field import FieldSpec
 from .geometry import (
     _flags_mask,
     _level_flags,
     _level_kernel,
-    count_directions_formula,
     enumerate_directions,
 )
 from .pointset import PointSet
@@ -112,25 +110,13 @@ class _ProvedOptimal(Exception):
 
 
 def _lane_width(most: int) -> int:
-    """Bytes per count lane that hold every value up to `most`."""
-    return 1 if most < 1 << 8 else 2 if most < 1 << 16 else 4
-
-
-def _check_count_table(q: int, n: int) -> None:
-    """Refuse F_q^n above the size cap, then level masks and a count table
-    that together would exceed MASK_BITS_CAP.  The table holds q^n packed
-    counts of |S|*q lanes each; both sizes follow from (q, n), so the check
-    comes before any direction is listed."""
-    npoints = check_space(q, n)
-    s = count_directions_formula(q, n)
-    mask_bits = s * q * npoints
-    table_bits = 8 * _lane_width(npoints // q) * s * q * npoints
-    if mask_bits + table_bits > core.MASK_BITS_CAP:
-        raise ValueError(
-            f"level masks and uncovered-point counts for q={q}, n={n} need"
-            f" {(mask_bits + table_bits) // 8} bytes, above the cap of"
-            f" {core.MASK_BITS_CAP // 8} (core.MASK_BITS_CAP)"
-        )
+    """Bytes per count lane that hold every value up to `most`: 1 or 2.
+    Hyperplanes of q^(n-1) >= 2^16 points, whose lanes need 4 bytes, are
+    refused: then |S| >= 2^16 and q^(n+1) >= 2^18, so the table alone would
+    hold 32*|S|*q^(n+1) >= 2^39 bits, far above core.MASK_BITS_CAP = 2^32."""
+    if most >= 1 << 16:
+        raise ValueError(f"hyperplanes of {most} points need count lanes wider than 2 bytes")
+    return 1 if most < 1 << 8 else 2
 
 
 class _Counts:
@@ -142,14 +128,32 @@ class _Counts:
     pts[x] has a 1 in the lane of each hyperplane through point x, so
     covering x subtracts pts[x]; a lane never goes below 0 and never
     borrows from the next.  `full` is the count of the empty union: q^(n-1)
-    in every lane.
+    in every lane.  It carries its masks, its direction count s, and `pair`,
+    the points two hyperplanes of distinct directions share.
     """
+
+    @staticmethod
+    def check(q: int, n: int) -> None:
+        """Refuse F_q^n above the size cap, its level masks alone above
+        MASK_BITS_CAP, then masks and a count table that together would
+        exceed it.  The table holds q^n rows of |S|*q lanes, w bytes each;
+        both sizes follow from (q, n), so the check comes before any
+        direction is listed.  Masks that fit leave fewer than 2^16 points
+        per hyperplane (see `_lane_width`)."""
+        mask_bits = _check_mask_bits(q, n)
+        bits = mask_bits + 8 * _lane_width(q ** (n - 1)) * mask_bits
+        if bits > core.MASK_BITS_CAP:
+            raise ValueError(
+                f"level masks and uncovered-point counts for q={q}, n={n} need"
+                f" {bits // 8} bytes, above the cap of"
+                f" {core.MASK_BITS_CAP // 8} (core.MASK_BITS_CAP)"
+            )
 
     def __init__(self, f: FieldSpec, n: int, masks):
         q, s = f.q, len(masks)
         npoints = q**n
-        self.q = q
-        self.masks = masks
+        self.q, self.s, self.masks = q, s, masks
+        self.pair = q ** max(0, n - 2)
         self.w = w = _lane_width(npoints // q)
         self.nbytes = nbytes = s * q * w
         ones = int.from_bytes((1).to_bytes(w, "little") * (s * q), "little")
@@ -189,7 +193,7 @@ class _Counts:
         raw = counts.to_bytes(self.nbytes, "little")
         if self.w == 1:
             return raw
-        lanes = array.array("H" if self.w == 2 else "I", raw)
+        lanes = array.array("H", raw)
         if sys.byteorder == "big":
             lanes.byteswap()
         return lanes
@@ -237,45 +241,30 @@ class _AxisMaps:
     """
 
     def __init__(self, f: FieldSpec, dirs, open_dirs):
-        self.f = f
+        q, n = f.q, len(dirs[0].normal)
         self.dirs = dirs
         self.open = tuple(open_dirs)
         self._images: dict[int, list[tuple[int, bytes]]] = {}
-        self._level_maps: dict[tuple[int, int], bytes] = {}
-
-    @functools.cached_property
-    def maps(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """(perm, mu, j) for all n! (q-1)^(n-1) k maps."""
-        n = len(self.dirs[0].normal)
-        units = range(1, self.f.q)
-        return [(perm, (1,) + mu, j)
-                for j in range(self.f.k)
-                for mu in itertools.product(units, repeat=n - 1)
-                for perm in itertools.permutations(range(n))]
-
-    @functools.cached_property
-    def _frobenius(self) -> list[bytes]:
-        f = self.f
+        # (perm, mu, j) for all n! (q-1)^(n-1) k maps
+        self.maps = [(perm, (1,) + mu, j)
+                     for j in range(f.k)
+                     for mu in itertools.product(range(1, q), repeat=n - 1)
+                     for perm in itertools.permutations(range(n))]
+        self._mul = mul = f.mul_rows
         if f.k == 1:
-            return [bytes(range(f.q))]
-        exp, log = f.exp_table, f.log_table
-        return [bytes([0]) + bytes(exp[log[x] * f.p**j % (f.q - 1)] for x in range(1, f.q))
-                for j in range(f.k)]
-
-    @functools.cached_property
-    def _position(self) -> dict[tuple[int, ...], int]:
-        return {d.normal: pos for pos, d in enumerate(self.dirs)}
-
-    @functools.cached_property
-    def _inv(self) -> list[int]:
-        """_inv[c] = 1/c for c != 0, read off the multiplication rows."""
-        return [0] + [row.index(1) for row in self.f.mul_rows[1:]]
-
-    @functools.cached_property
-    def _scale(self) -> list[bytes]:
-        """_scale[c][x] = x/c, and the identity for c = 0."""
-        f = self.f
-        return [bytes(range(f.q))] + [f.mul_rows[c] for c in self._inv[1:]]
+            self._frobenius = [bytes(range(q))]
+        else:
+            exp, log = f.exp_table, f.log_table
+            self._frobenius = [bytes([0]) + bytes(exp[log[x] * f.p**j % (q - 1)]
+                                                  for x in range(1, q))
+                               for j in range(f.k)]
+        self._position = {d.normal: pos for pos, d in enumerate(dirs)}
+        # _scale[c][x] = x/c, and the identity for c = 0; 1/c is read off
+        # the multiplication rows
+        self._scale = [bytes(range(q))] + [mul[row.index(1)] for row in mul[1:]]
+        # _levels[j][alpha][c] = phi_j(c)/alpha, the image of level c
+        self._levels = [[bytes(row[x] for x in frob) for row in self._scale]
+                        for frob in self._frobenius]
 
     def image(self, d: int) -> list[tuple[int, bytes]]:
         """(direction, level table) of direction d under each map, in the
@@ -283,7 +272,7 @@ class _AxisMaps:
         out = self._images.get(d)
         if out is not None:
             return out
-        mul, inv = self.f.mul_rows, self._inv
+        mul, scale = self._mul, self._scale
         u = self.dirs[d].normal
         v = [0] * len(u)
         out = []
@@ -292,11 +281,8 @@ class _AxisMaps:
             for i, x in enumerate(u):
                 v[perm[i]] = mul[mu[i]][frob[x]]
             alpha = next(x for x in v if x)
-            row = mul[inv[alpha]]
-            levels = self._level_maps.get((j, alpha))
-            if levels is None:
-                levels = self._level_maps[j, alpha] = bytes(row[x] for x in frob)
-            out.append((self._position[tuple(row[x] for x in v)], levels))
+            row = scale[alpha]
+            out.append((self._position[tuple(row[x] for x in v)], self._levels[j][alpha]))
         self._images[d] = out
         return out
 
@@ -335,9 +321,8 @@ class _Searcher:
     spent draws up to _NODE_BATCH more from it.
     """
 
-    def __init__(self, table, pair, budget, lb_ceil, bound, shared=None, axes=None, pool=None):
+    def __init__(self, table, budget, lb_ceil, bound, shared=None, axes=None, pool=None):
         self.table = table
-        self.pair = pair
         self.budget = budget
         self.pool = pool
         self.lb_ceil = lb_ceil
@@ -352,7 +337,6 @@ class _Searcher:
         self.hit_lb = False
         # orbit keys of the nodes two levels down met so far
         self.seen: set[tuple[int, int, int, int]] = set()
-        self._child = self._node
         # the open nodes of the frontier level being built, None while searching
         self._opened: list | None = None
 
@@ -413,20 +397,18 @@ class _Searcher:
     def _node(self, mask: int, counts: int, free, zero: bool) -> None:
         """Branch on one free direction: fail-first, the one whose cheapest
         level adds the most new points (the first such), so partial unions
-        grow and prune early.  Each child that survives the cuts goes to
-        self._child, which searches it (or, while the frontier is built,
-        keeps it open).  `zero` is true while every level on the path is 0:
-        the mask is then fixed by the scalings x -> a*x, which send level c
-        to a*c, so levels 0 and 1 cover every orbit.  Two levels down, a
-        child is dropped when an axis map sends it to a node met before
-        (see `_seen_before`)."""
+        grow and prune early.  Each child that survives the cuts is searched,
+        or kept open while the frontier is built.  `zero` is true while every
+        level on the path is 0: the mask is then fixed by the scalings
+        x -> a*x, which send level c to a*c, so levels 0 and 1 cover every
+        orbit.  Two levels down, a child is dropped when an axis map sends it
+        to a node met before (see `_seen_before`)."""
         self._enter()
         msize = mask.bit_count()
         table = self.table
         lanes = table.lanes(counts)
         gains = table.gains(lanes, free)
-        pair = self.pair
-        lower = _overlap_bound(gains, pair)
+        lower = _overlap_bound(gains, table.pair)
         if msize + lower >= self.bound:
             return
         i = gains.index(max(gains))
@@ -452,8 +434,11 @@ class _Searcher:
                 if csize + floor >= self.bound:
                     self._enter()  # the child's own bound would cut it
                     continue
-                self._child(mask | row[lvl], table.cover(counts, row[lvl] & ~mask), rest,
-                            zero and lvl == 0)
+                cmask, ccounts = mask | row[lvl], table.cover(counts, row[lvl] & ~mask)
+                if self._opened is None:
+                    self._node(cmask, ccounts, rest, zero and lvl == 0)
+                else:
+                    self._opened.append((cmask, ccounts, rest, self.levels.copy()))
             else:
                 self._record(csize)
 
@@ -469,9 +454,6 @@ class _Searcher:
         self.seen.add(key)
         return False
 
-    def _keep_open(self, mask: int, counts: int, free, zero: bool) -> None:
-        self._opened.append((mask, counts, free, self.levels.copy()))
-
     def frontier(self, root, workers: int) -> list[tuple[int, int, list[int], list[int]]] | None:
         """Expand the tree from the open node `root` level by level into
         open nodes (mask, counts, open directions, levels) in depth-first
@@ -481,30 +463,20 @@ class _Searcher:
         reached on the way are recorded.  Returns None when `run` stops the
         search here."""
         level = [root]
-        self._child = self._keep_open
-        try:
-            while len(level) < 8 * workers:
-                nodes = self.nodes
-                self._opened = []
-                for node in level:
-                    if not self.run(*node):
-                        return None
-                if len(self._opened) < min(workers, len(level)):
-                    self.nodes = nodes  # the workers visit these nodes again
-                    break
-                level = self._opened
-        finally:
-            self._child = self._node
-            self._opened = None
+        while len(level) < 8 * workers:
+            nodes, self._opened = self.nodes, []
+            if not all(self.run(*node) for node in level):
+                level = None
+                break
+            if len(self._opened) < min(workers, len(level)):
+                self.nodes = nodes  # the workers visit these nodes again
+                break
+            level = self._opened
+        self._opened = None
         return level
 
 
-def _standard_basis_positions(dirs, n: int) -> list[int]:
-    index_of = {d.normal: pos for pos, d in enumerate(dirs)}
-    return [index_of[tuple(int(j == i) for j in range(n))] for i in range(n)]
-
-
-def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, ...] | None:
+def _lex_smallest_witness(table, fixed, target, budget) -> tuple[int, ...] | None:
     """First (hence lexicographically smallest) assignment of the proven
     optimal size, scanning directions in enumeration order and levels
     ascending.  A partial union is pruned once it, plus the overlap bound
@@ -522,7 +494,7 @@ def _lex_smallest_witness(table, pair, s, fixed, target, budget) -> tuple[int, .
     The path is one level per direction, often deeper than Python's
     recursion limit, so its open nodes are kept on an explicit stack.
     """
-    q, masks = table.q, table.masks
+    q, s, pair, masks = table.q, table.s, table.pair, table.masks
     lanes_of, gains_of, cover = table.lanes, table.gains, table.cover
     fixed_set = set(fixed)
     choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
@@ -666,7 +638,7 @@ def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_O
     worker's outcome, in worker order."""
     ctx = multiprocessing.get_context()
     nprocs = min(workers, len(tasks))
-    searcher = _Searcher(parent.table, parent.pair, 0, parent.lb_ceil, parent.bound,
+    searcher = _Searcher(parent.table, 0, parent.lb_ceil, parent.bound,
                          ctx.Value("q", parent.bound), parent.axes,
                          ctx.Value("q", node_budget - parent.nodes))
     next_task = ctx.Value("q", 0)
@@ -683,14 +655,15 @@ def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_O
 def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) -> SearchResult:
     """Randomized-order greedy: per restart, assign each direction the
     level overlapping the current union most (ties to the smallest level).
-    Always a valid upper bound; never a proof of optimality."""
+    Always a valid upper bound; never a proof of optimality.  Every Kakeya
+    union has at least the ceiling of the lower bound, so the restarts stop
+    at the first that meets it; nodes_explored reports `restarts` anyway."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    _check_mask_bits(f.q, n)
-    dirs = enumerate_directions(f, n)
-    q, s = f.q, len(dirs)
-    masks = level_masks(f, n, dirs)
+    masks = level_masks(f, n)
+    q, s = f.q, len(masks)
     lb = _instance_lower_bound(q, n)
+    lb_ceil = math.ceil(lb)
     rng = random.Random(seed)
     best_size = None
     best_levels = None
@@ -711,8 +684,10 @@ def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) 
         size = mask.bit_count()
         if best_size is None or size < best_size:
             best_size, best_levels = size, levels
+            if size <= lb_ceil:
+                break
     witness = OffsetAssignment(tuple(best_levels))
-    _verify_result(f, n, witness, best_size, math.ceil(lb))
+    _verify_result(f, n, witness, best_size, lb_ceil)
     return SearchResult(best_size, witness, restarts, False, lb)
 
 
@@ -722,24 +697,36 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
     return seed.min_size, list(seed.witness.levels)
 
 
-def _level_search(f: FieldSpec, n: int, dirs, masks, table, fixed, node_budget: int,
+def _search_space(f: FieldSpec, n: int, normalize: bool = True):
+    """The directions of F_q^n, the count table over their level masks, and
+    the directions held at level 0: the standard basis, whose normals are
+    the only ones with a single nonzero entry, when `normalize`, else none.
+    The table's size is checked before any direction is listed."""
+    _Counts.check(f.q, n)
+    dirs = enumerate_directions(f, n)
+    table = _Counts(f, n, level_masks(f, n, dirs))
+    fixed = [pos for pos, d in enumerate(dirs) if d.normal.count(0) == n - 1]
+    return dirs, table, fixed if normalize else []
+
+
+def _level_search(f: FieldSpec, n: int, dirs, table, fixed, node_budget: int,
                   workers: int) -> tuple[int, list[int], int, bool]:
     """Branch and bound over level assignments from the greedy incumbent,
     stopped early once the incumbent meets the ceiling of the lower bound.
     `fixed` lists the directions held at level 0; the axis maps are used
     when it is not empty.  Returns the best size and its levels, the nodes
     visited and whether that size is proven minimal."""
-    s = len(dirs)
+    s = table.s
     lb_ceil = math.ceil(_instance_lower_bound(f.q, n))
     best_size, best_levels = _greedy_seed(f, n, s)
     if best_size <= lb_ceil:
         return best_size, best_levels, 0, True
     base_mask = 0
     for pos in fixed:
-        base_mask |= masks[pos][0]
+        base_mask |= table.masks[pos][0]
     free = [i for i in range(s) if i not in fixed]
     axes = _AxisMaps(f, dirs, free) if fixed else None
-    searcher = _Searcher(table, f.q ** max(0, n - 2), node_budget, lb_ceil, best_size, axes=axes)
+    searcher = _Searcher(table, node_budget, lb_ceil, best_size, axes=axes)
     root = (base_mask, table.cover(table.full, base_mask), free, [0] * s)
     if workers == 1:
         searcher.run(*root)
@@ -761,10 +748,7 @@ def _level_minimum(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
     """The minimum of F_q^n that the level search proves on one core, with
     the standard-basis directions fixed, and its nodes; None in place of the
     minimum once the budget runs out.  No canonical-witness pass."""
-    dirs = enumerate_directions(f, n)
-    masks = level_masks(f, n, dirs)
-    size, _, nodes, optimal = _level_search(f, n, dirs, masks, _Counts(f, n, masks),
-                                            _standard_basis_positions(dirs, n), budget, 1)
+    size, _, nodes, optimal = _level_search(f, n, *_search_space(f, n), budget, 1)
     return (size if optimal else None), nodes
 
 
@@ -916,34 +900,28 @@ def minimal_kakeya_exact(
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    _check_count_table(f.q, n)
-    dirs = enumerate_directions(f, n)
-    q, s = f.q, len(dirs)
-    masks = level_masks(f, n, dirs)
-    lb = _instance_lower_bound(q, n)
-    fixed = _standard_basis_positions(dirs, n) if normalize else []
-    # the search and the canonical-witness pass both read these
-    table = _Counts(f, n, masks)
+    # the search and the canonical-witness pass both read the table
+    dirs, table, fixed = _search_space(f, n, normalize)
+    lb = _instance_lower_bound(f.q, n)
 
     best_levels = None
     if n >= 3:
         gap, nodes = _gap_size(f, n, node_budget)
         optimal = gap is not None
-        best_size = q**n - gap if optimal else None
+        best_size = f.q**n - gap if optimal else None
     else:
         best_size, best_levels, nodes, optimal = _level_search(
-            f, n, dirs, masks, table, fixed, node_budget, workers)
+            f, n, dirs, table, fixed, node_budget, workers)
 
     if optimal:
-        pair = q ** max(0, n - 2)  # points shared by two hyperplanes of distinct directions
-        canonical = _lex_smallest_witness(table, pair, s, fixed, best_size, node_budget)
+        canonical = _lex_smallest_witness(table, fixed, best_size, node_budget)
         if canonical is None:
             # a proof must come with the canonical witness, so report a bound
             optimal = False
         else:
             best_levels = list(canonical)
     if best_levels is None:
-        best_size, best_levels = _greedy_seed(f, n, s)
+        best_size, best_levels = _greedy_seed(f, n, table.s)
     witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, math.ceil(lb))
     return SearchResult(best_size, witness, nodes, optimal, lb)

@@ -4,10 +4,11 @@ import json
 import multiprocessing
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from kakeya import core, search
+from kakeya import cli, core, search
 from kakeya.cli import main
 from kakeya.core import point_set_to_json, write_point_set
 from kakeya.field import make_field
@@ -459,6 +460,15 @@ def test_search_heuristic_only(capsys):
     assert obj["proof_of_optimality"] is False
 
 
+def test_heuristic_search_refuses_oversized_masks_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["search", "--field", "2", "--n", "16", "--heuristic-only"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: level masks for q=2, n=16 need 1073725440 bytes,"
+                   " above the cap of 536870912\n")
+
+
 def test_search_no_normalize(capsys):
     code, out, _ = run(capsys, [
         "search", "--field", "2", "--n", "2", "--no-normalize", "--format", "json",
@@ -490,6 +500,64 @@ def test_selftest_runs_clean(capsys):
     lines = [ln for ln in out.splitlines() if ln]
     assert len(lines) >= 15
     assert all(ln.startswith("ok") for ln in lines)
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("broken on purpose")
+
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: [("fine", lambda: None), ("bad", broken)])
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert out == "ok   fine\nFAIL bad: broken on purpose\n"
+
+
+def test_calls_sharing_one_parser_match_fresh_parsers(tmp_path, capsys):
+    """No option of one call leaks into the next: a run of calls with
+    different subcommands and options prints what fresh parsers print."""
+    pset, witness, report = (str(tmp_path / name) for name in ("set", "witness", "report"))
+    calls = [
+        ["construct", "--field", "3", "--n", "3", "--seed", "1", "--output", pset,
+         "--witness-out", witness],
+        ["verify", pset, "--plane-dim", "1"],
+        ["verify", pset],
+        ["verify", pset, "--format", "json", "--output", report],
+        ["verify", pset],
+        ["stats", pset, "--witness", witness, "--format", "csv"],
+        ["stats", pset, "--witness", witness],
+        ["search", "--field", "3", "--n", "2", "--heuristic-only", "--restarts", "2"],
+        ["search", "--field", "3", "--n", "2"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            got.append(run(capsys, argv))
+        return got + [Path(report).read_text()]
+
+    shared = outcomes(False)
+    assert outcomes(True) == shared
+    assert "coset representatives" in shared[1][1] and "witness levels" in shared[2][1]
+    assert shared[3][1] == "" and shared[4][1].startswith("KAKEYA\n")
+    assert shared[7][1].startswith("upper bound") and shared[8][1].startswith("exact minimum")
+
+
+def test_build_parser_runs_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for argv in (["bound", "--q", "2", "--n", "2"], ["directions", "--field", "2", "--n", "2"],
+                 ["bound", "--q", "3", "--n", "2", "--format", "json"]):
+        assert run(capsys, argv)[0] == 0
+    assert len(built) == 1
 
 
 def test_usage_error_exit_code():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kakeya import core
 from kakeya.core import (
+    KakeyaVerdict,
     OffsetAssignment,
     _hole_flags,
     assignment_from_json,
@@ -26,6 +27,7 @@ from kakeya.core import (
 from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
     _normal_indices,
+    count_subspaces,
     enumerate_directions,
     enumerate_subspaces,
     point_coords,
@@ -111,6 +113,42 @@ def test_is_kakeya_field_mismatch():
     f = make_field(3, 1)
     with pytest.raises(ValueError):
         is_kakeya(f, PointSet.full(2, 2))
+
+
+def test_incidence_stats_field_mismatch():
+    with pytest.raises(ValueError, match="field order does not match the point set"):
+        incidence_stats(make_field(3, 1), PointSet.full(2, 2), OffsetAssignment((0, 0, 0)))
+
+
+# spaces whose gap-free set is checked at every plane dimension
+FULL_SET_CELLS = [(2, 1, 3), (2, 1, 4), (2, 1, 5), (3, 1, 3), (3, 1, 4), (2, 2, 3),
+                  (2, 2, 4), (5, 1, 3), (7, 1, 3)]
+
+
+@pytest.mark.parametrize("p,k,n", FULL_SET_CELLS)
+def test_a_gap_free_set_lists_no_subspace(p, k, n, monkeypatch):
+    """F_q^n holds every subspace, and 0 is its least point, so every
+    representative and every level is 0, as the per-subspace check found;
+    no subspace is listed to say so."""
+    def refuse(*args):
+        raise AssertionError("subspaces listed")
+
+    monkeypatch.setattr(core, "enumerate_subspaces", refuse)
+    f = make_field(p, k)
+    full = PointSet.full(f.q, n)
+    for dim in range(1, n - 1):
+        reps = (0,) * count_subspaces(f.q, n, dim)
+        assert is_kakeya(f, full, dim) == KakeyaVerdict(True, dim, reps, None)
+    levels = OffsetAssignment((0,) * len(_normal_indices(f.q, n)))
+    assert is_kakeya(f, full, n - 1) == KakeyaVerdict(True, n - 1, levels, None)
+
+
+def test_a_gap_free_set_is_refused_above_the_subspace_cap():
+    f = make_field(2, 1)
+    with pytest.raises(ValueError, match="subspace count exceeds enumeration cap"):
+        is_kakeya(f, PointSet.full(2, 20), 1)  # 2^20 - 1 lines
+    with pytest.raises(ValueError, match="plane dimension 3 out of range for n=3"):
+        is_kakeya(f, PointSet.full(2, 3), 3)
 
 
 def test_round_trip_union_verifies():
@@ -381,6 +419,7 @@ def test_level_vector_counts_are_pinned(p, k, n, monkeypatch):
     full = PointSet.full(f.q, n)
     assert is_kakeya(f, full).ok
     incidence_stats(f, full, OffsetAssignment((1,) * s))
+    assert is_kakeya(f, full, 1).ok  # lines, for n >= 3
     assert calls == []
     rng = random.Random(total)
     for count in (1, s // 2, s - 1):
@@ -490,6 +529,13 @@ def test_point_set_json_round_trip_on_random_sets(data):
         f2, back = point_set_from_json(obj)
         assert (f2.p, f2.k, f2.q) == (p, k, f.q)
         assert back == pset
+
+
+def test_point_set_json_refuses_bits_beyond_the_space():
+    # the 3 hex digits of F_3^2 hold 12 bits, 3 of them beyond its 9 points
+    obj = {"q": 3, "p": 3, "k": 1, "n": 2, "bits_hex": "800"}
+    with pytest.raises(ValueError, match="bits_hex sets bits beyond the point space"):
+        point_set_from_json(obj)
 
 
 def test_point_set_json_validation():

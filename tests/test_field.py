@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kakeya.field import (
     DEFAULT_SIZE_CAP,
+    check_space,
     factor_prime_power,
     field_add,
     field_inv,
@@ -223,6 +224,20 @@ def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv("KAKEYA_SIZE_CAP", "bogus")
     with pytest.raises(ValueError):
         make_field(2, 2)
+
+
+def test_malformed_spaces_fields_and_caps_are_refused(monkeypatch):
+    for q, n in [(1, 2), (2, 0)]:
+        with pytest.raises(ValueError, match=f"invalid ambient parameters q={q}, n={n}"):
+            check_space(q, n)
+    for p, k in [(2.0, 1), (2, "1")]:
+        with pytest.raises(ValueError, match="p and k must be integers"):
+            make_field(p, k)
+    with pytest.raises(ValueError, match="cannot parse field spec 'abc'"):
+        parse_field_spec("abc")
+    monkeypatch.setenv("KAKEYA_SIZE_CAP", "1")
+    with pytest.raises(ValueError, match="KAKEYA_SIZE_CAP must be at least 2, got 1"):
+        make_field(2, 1)
 
 
 # Random fields p^k up to the size cap.  Extension fields of order in

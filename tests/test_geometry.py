@@ -25,6 +25,7 @@ from kakeya.oracles import (
     span_count_brute,
     spanning_tuple_census,
 )
+from kakeya.pointset import PointSet
 
 SMALL_GRID = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
 # (p, k, n) cells on which the hyperplane facts are checked on the level
@@ -115,6 +116,34 @@ def test_spanning_tuple_examples():
         count_spanning_tuples(2, 1)
     with pytest.raises(ValueError):
         count_fiber(3, 1)
+
+
+def test_counts_refuse_fields_below_2():
+    with pytest.raises(ValueError, match="need q >= 2 and n >= 1, got q=1, n=3"):
+        count_directions_formula(1, 3)
+    for count in (count_spanning_tuples, count_fiber):
+        with pytest.raises(ValueError, match="need q >= 2, got 1"):
+            count(1, 3)
+        with pytest.raises(ValueError, match="need n >= 2, got 1"):  # n is checked first
+            count(1, 1)
+
+
+def test_enumerate_subspaces_refuses_a_bad_dimension_or_too_many_subspaces():
+    f = make_field(2, 1)
+    with pytest.raises(ValueError, match="subspace dimension 4 out of range for n=3"):
+        enumerate_subspaces(f, 3, 4)
+    # 2^20 - 1 lines of F_2^20, refused before any is built
+    with pytest.raises(ValueError, match="subspace count exceeds enumeration cap"):
+        enumerate_subspaces(f, 20, 1)
+
+
+def test_point_sets_refuse_indices_out_of_range():
+    pset = PointSet.full(3, 2)
+    for index in (-1, 9):
+        with pytest.raises(ValueError, match=f"point index {index} out of range"):
+            pset.contains(index)
+    with pytest.raises(ValueError, match="point index 9 out of range"):
+        PointSet.from_indices(3, 2, [0, 9])
 
 
 def test_direction_count_equals_gaussian_binomial_full_grid():

@@ -8,16 +8,19 @@ import random
 import sys
 import threading
 import time
+import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya import oracles, search
+from kakeya import core, oracles, search
 from kakeya.bounds import kakeya_lower_bound_ceiling
-from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
+from kakeya.core import KakeyaVerdict, OffsetAssignment, build_union, is_kakeya, level_masks
 from kakeya.field import field_inv, field_mul, field_pow, make_field
 from kakeya.geometry import enumerate_directions, point_coords, point_index
+from kakeya.pointset import PointSet
 from kakeya.search import (
     greedy_upper_bound,
     minimal_kakeya_exact,
@@ -88,14 +91,11 @@ def _open_root(f, n, normalize=True):
     """The directions, the count table and the root node (mask, counts,
     free directions, levels) of the search; `normalize` fixes the
     standard-basis directions at level 0."""
-    dirs = enumerate_directions(f, n)
-    masks = level_masks(f, n, dirs)
-    fixed = search._standard_basis_positions(dirs, n) if normalize else []
+    dirs, table, fixed = search._search_space(f, n, normalize)
     base_mask = 0
     for pos in fixed:
-        base_mask |= masks[pos][0]
+        base_mask |= table.masks[pos][0]
     free = [i for i in range(len(dirs)) if i not in fixed]
-    table = search._Counts(f, n, masks)
     return dirs, table, (base_mask, table.cover(table.full, base_mask), free, [0] * len(dirs))
 
 
@@ -105,7 +105,7 @@ def _search_from_scratch(f, n, normalize, axes=True):
     two levels down on or off (it needs `normalize`)."""
     dirs, table, root = _open_root(f, n, normalize)
     maps = search._AxisMaps(f, dirs, root[2]) if normalize and axes else None
-    searcher = search._Searcher(table, f.q ** (n - 2), 10**7, 0, f.q**n + 1, axes=maps)
+    searcher = search._Searcher(table, 10**7, 0, f.q**n + 1, axes=maps)
     assert searcher.run(*root)
     assert searcher.completed
     witness = OffsetAssignment(tuple(searcher.found_levels))
@@ -129,16 +129,16 @@ def test_exact_matches_brute_force_assignment_scan():
 def test_run_stops_on_a_spent_budget_or_a_met_lower_bound():
     f = make_field(7, 1)
     _, table, root = _open_root(f, 2)
-    spent = search._Searcher(table, 1, 5, 0, 50)
+    spent = search._Searcher(table, 5, 0, 50)
     assert not spent.run(*root)
     assert (spent.nodes, spent.completed, spent.hit_lb) == (5, False, False)
     assert not spent.run(*root)  # the budget covers every call
     assert spent.nodes == 5
     # with the lower bound at q^n the first leaf meets it
-    met = search._Searcher(table, 1, 10**6, 49, 50)
+    met = search._Searcher(table, 10**6, 49, 50)
     assert not met.run(*root)
     assert met.completed and met.hit_lb and met.found_size <= 49
-    done = search._Searcher(table, 1, 10**6, 0, 50)
+    done = search._Searcher(table, 10**6, 0, 50)
     assert done.run(*root) and done.run(*root)
     assert done.completed and not done.hit_lb
     assert done.outcome() == (31, done.found_levels, done.nodes, True, False)
@@ -212,12 +212,10 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
     """Every node two levels below the normalized root, searched to the
     end on its own: nodes that share a key share the subtree minimum."""
     f = make_field(p, k)
-    dirs = enumerate_directions(f, n)
-    masks = level_masks(f, n, dirs)
-    fixed = search._standard_basis_positions(dirs, n)
+    dirs, table, fixed = search._search_space(f, n)
+    masks = table.masks
     free = [i for i in range(len(dirs)) if i not in fixed]
     axes = search._AxisMaps(f, dirs, free)
-    table = search._Counts(f, n, masks)
     base_mask = 0
     for pos in fixed:
         base_mask |= masks[pos][0]
@@ -228,7 +226,7 @@ def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
             levels = [0] * len(dirs)
             levels[d1], levels[d2] = c1, c2
             mask = base_mask | masks[d1][c1] | masks[d2][c2]
-            searcher = search._Searcher(table, f.q ** (n - 2), 10**6, 0, f.q**n + 1)
+            searcher = search._Searcher(table, 10**6, 0, f.q**n + 1)
             searcher.run(mask, table.cover(table.full, mask), rest, levels)
             minima.setdefault(axes.key(d1, c1, d2, c2), set()).add(searcher.found_size)
     assert all(len(found) == 1 for found in minima.values())
@@ -350,6 +348,23 @@ def test_count_rows_built_in_blocks_match_one_block(p, k, n, monkeypatch):
         monkeypatch.setattr(search, "_COUNT_BLOCK_BYTES", points * whole.nbytes)
         table = search._Counts(f, n, masks)
         assert (table.pts, table.full) == (whole.pts, whole.full)
+
+
+def test_count_lanes_are_one_or_two_bytes(monkeypatch):
+    assert [search._lane_width(most) for most in (0, 255, 256, 65_535)] == [1, 1, 2, 2]
+    with pytest.raises(ValueError, match="hyperplanes of 65536 points need count lanes wider"):
+        search._lane_width(1 << 16)
+
+    # Masks within the cap leave fewer than 2^16 points per hyperplane, so
+    # only a raised cap reaches the refusal, still before any direction is
+    # listed: F_2^17 has 2^16 points per hyperplane.
+    def refuse(*args):
+        raise AssertionError("directions listed")
+
+    monkeypatch.setattr(core, "MASK_BITS_CAP", 1 << 60)
+    monkeypatch.setattr(search, "enumerate_directions", refuse)
+    with pytest.raises(ValueError, match="hyperplanes of 65536 points need count lanes wider"):
+        minimal_kakeya_exact(make_field(2, 1), 17)
 
 
 def test_search_beyond_one_byte_per_field_element():
@@ -715,12 +730,27 @@ CANONICAL_PASS_NODES = [((7, 1, 2), 49), ((3, 2, 2), 637), ((11, 1, 2), 5_446),
 @pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
 def test_canonical_pass_node_counts_are_pinned(cell, nodes):
     p, k, n = cell
-    f, masks, table = _count_table(p, k, n)
+    f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
-    fixed = search._standard_basis_positions(enumerate_directions(f, n), n)
-    args = (table, f.q ** (n - 2), len(masks), fixed, result.min_size)
+    _, table, fixed = search._search_space(f, n)
+    args = (table, fixed, result.min_size)
     assert search._lex_smallest_witness(*args, nodes) == result.witness.levels
     assert search._lex_smallest_witness(*args, nodes - 1) is None
+
+
+def test_canonical_pass_runs_out_at_a_floor_cut_sibling():
+    """A budget spent on a sibling that the child floor cuts ends the pass
+    as any other node does: on (7,2) nodes 8, 11 and 12, among others, are
+    such siblings, and no budget below the pinned 49 gives a witness."""
+    _, table, fixed = search._search_space(make_field(7, 1), 2)
+    for budget in range(1, 49):
+        assert search._lex_smallest_witness(table, fixed, 31, budget) is None
+    assert search._lex_smallest_witness(table, fixed, 31, 49) == CANONICAL_WITNESSES[7, 1, 2]
+
+
+def test_lex_scan_finds_nothing_for_a_size_no_union_has():
+    # the unions of F_2^2 have 3 or 4 points
+    assert oracles.lex_smallest_optimum_brute(make_field(2, 1), 2, 2) is None
 
 
 def test_children_cut_by_the_floor_count_as_nodes():
@@ -799,6 +829,82 @@ def test_budget_validation():
         minimal_kakeya_exact(f, 2, workers=0)
     # (8,2) closes on its greedy bound, so the largest worker count starts none
     assert minimal_kakeya_exact(make_field(2, 3), 2, workers=search.MAX_WORKERS).min_size == 36
+
+
+def _one_point_less(f, n, witness):
+    union = build_union(f, n, witness)
+    return PointSet(union.q, union.n, union.bits & (union.bits - 1))
+
+
+def _never_kakeya(f, pset, plane_dim=None):
+    return KakeyaVerdict(False, pset.n - 1, None, 0)
+
+
+@pytest.mark.parametrize("name,corrupt,message", [
+    ("build_union", _one_point_less, r"witness union has \d+ points, reported \d+"),
+    ("is_kakeya", _never_kakeya, "witness union failed Kakeya verification"),
+    ("kakeya_lower_bound", lambda q, n: Fraction(q**n),
+     r"search reported \d+ below the proven lower bound 25"),
+])
+def test_a_witness_that_fails_its_check_raises(name, corrupt, message, monkeypatch):
+    """The check after the search rebuilds the witness's union, verifies it
+    and compares its size with the lower bound; a union that fails any of
+    these raises instead of being reported."""
+    monkeypatch.setattr(search, name, corrupt)
+    with pytest.raises(RuntimeError, match=message):
+        minimal_kakeya_exact(make_field(5, 1), 2)
+
+
+def _greedy_every_restart(f, n, restarts, seed):
+    """Size and levels of the greedy union as found with every restart run:
+    the first union of the least size."""
+    masks = level_masks(f, n)
+    rng = random.Random(seed)
+    best = None
+    for _ in range(restarts):
+        order = list(range(len(masks)))
+        rng.shuffle(order)
+        mask, levels = 0, [0] * len(masks)
+        for d in order:
+            row = masks[d]
+            levels[d] = min(range(f.q), key=lambda c: ((mask | row[c]).bit_count(), c))
+            mask |= row[levels[d]]
+        if best is None or mask.bit_count() < best[0]:
+            best = mask.bit_count(), tuple(levels)
+    return best
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2),
+                                   (2, 3, 2), (3, 2, 2), (2, 4, 2), (2, 1, 3), (3, 1, 3),
+                                   (2, 2, 3)])
+def test_greedy_results_do_not_depend_on_its_early_stop(p, k, n):
+    f = make_field(p, k)
+    for seed in range(3):
+        for restarts in (1, 16, 64):
+            result = greedy_upper_bound(f, n, restarts=restarts, seed=seed)
+            assert (result.min_size, result.witness.levels) == _greedy_every_restart(
+                f, n, restarts, seed)
+            assert result.nodes_explored == restarts and not result.proof_of_optimality
+
+
+@pytest.mark.parametrize("p,k,restarts,shuffles", [(2, 1, 64, 1), (2, 2, 64, 1), (2, 3, 64, 1),
+                                                   (2, 4, 16, 8), (2, 4, 64, 8), (5, 1, 64, 64)])
+def test_greedy_restarts_stop_at_the_lower_bound(p, k, restarts, shuffles, monkeypatch):
+    """No union is smaller than the ceiling of the lower bound, so the
+    restarts stop at the first that meets it: restart 0 on (2,2), (4,2) and
+    (8,2), restart 7 on (16,2), and none on (5,2), whose greedy union has 17
+    points against a ceiling of 15."""
+    orders = []
+
+    class Random(random.Random):
+        def shuffle(self, x):
+            orders.append(x)
+            super().shuffle(x)
+
+    monkeypatch.setattr(search, "random", types.SimpleNamespace(Random=Random))
+    result = greedy_upper_bound(make_field(p, k), 2, restarts=restarts, seed=0)
+    assert len(orders) == shuffles
+    assert result.nodes_explored == restarts
 
 
 def test_greedy_dominates_exact_minimum():
