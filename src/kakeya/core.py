@@ -27,9 +27,11 @@ from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
     _coords_of,
+    _direction_levels,
     _flags_mask,
     _level_flags,
     _level_kernel,
+    _level_masks_of,
     _normal_indices,
     _subspace_count,
     count_directions_formula,
@@ -105,12 +107,8 @@ def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> li
     _check_mask_bits(f.q, n)
     if dirs is None:
         dirs = enumerate_directions(f, n)
-    level_vector = _level_kernel(f)
-    masks = []
-    for d in dirs:
-        levels = level_vector(d.normal)
-        masks.append([_flags_mask(_level_flags(levels, c)) for c in range(f.q)])
-    return masks
+    return [_level_masks_of(levels, f.q)
+            for levels in _direction_levels(f, [d.normal for d in dirs])]
 
 
 def _check_assignment(f: FieldSpec, normals, assignment: OffsetAssignment) -> tuple[int, ...]:
@@ -134,10 +132,9 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     q = f.q
     normals = _normal_indices(q, n)
     levels = _check_assignment(f, normals, assignment)
-    level_vector = _level_kernel(f)
     lanes = 0
-    for u, lvl in zip(_coords_of(normals, q, n), levels):
-        lanes |= int.from_bytes(_level_flags(level_vector(u), lvl), "little")
+    for vector, lvl in zip(_direction_levels(f, _coords_of(normals, q, n)), levels):
+        lanes |= int.from_bytes(_level_flags(vector, lvl), "little")
     return PointSet(q, n, _flags_mask(lanes.to_bytes(q**n, "little")))
 
 
@@ -184,11 +181,11 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
     if pset.cardinality == total:
         yield from repeat(no_holes, len(normals))
         return
-    level_vector = _level_kernel(f)
     gap_flags = _gap_flags(pset)
     gaps = list(compress(range(total), gap_flags))
     s = len(normals)
     if len(gaps) < s and q < 256:
+        level_vector = _level_kernel(f)
         is_normal = bytearray(total)
         for i in normals:
             is_normal[i] = 1
@@ -205,21 +202,21 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
         for i in range(0, q * s, q):
             yield table[i:i + q]
         return
-    coords = _coords_of(normals, q, n)
+    vectors = _direction_levels(f, _coords_of(normals, q, n))
     if chosen is not None:
         gap_lanes = int.from_bytes(gap_flags, "little")
-        for u, c in zip(coords, chosen):
-            hit = int.from_bytes(_level_flags(level_vector(u), c), "little") & gap_lanes
+        for vector, c in zip(vectors, chosen):
+            hit = int.from_bytes(_level_flags(vector, c), "little") & gap_lanes
             yield b"\1" * q if hit else no_holes
     elif q >= 256:
-        for u in coords:
-            holes = set(map(level_vector(u).__getitem__, gaps))
+        for vector in vectors:
+            holes = set(map(vector.__getitem__, gaps))
             yield bytes(map(holes.__contains__, range(q)))
     else:
         members = int.from_bytes(gap_flags.translate(_FF_UNLESS_ONE), "little")
         every = b"\xff" * total
-        for u in coords:
-            at_gaps = (int.from_bytes(level_vector(u), "little") | members).to_bytes(
+        for vector in vectors:
+            at_gaps = (int.from_bytes(vector, "little") | members).to_bytes(
                 total, "little")
             # each level found at a gap maps to 0xFF, every other level to itself
             yield bytes.maketrans(at_gaps, every)[:q].translate(_IS_FF)

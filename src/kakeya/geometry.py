@@ -16,10 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .field import FieldSpec, check_space, field_add, field_mul, field_neg
 
 ENUM_CAP = 10**6
+# Most bytes of shifted head vectors _direction_levels keeps, the same
+# 8 MiB as the block of count-table rows search builds at a time.
+_HEAD_BYTES = 1 << 23
 
 
 # -- point indexing ---------------------------------------------------------
@@ -203,7 +207,9 @@ def _level_kernel(f: FieldSpec):
     blocks, one per value of x_t, each the vector for u_0..u_(t-1) shifted
     by u_t x_t.  With the field's byte tables a block is one translate
     through add_tables[u_t x_t]; beyond one byte per element the blocks are
-    list lookups in add and mul tables built in the call.
+    list lookups in add and mul tables built in the call.  A run of vectors
+    that share their heads, as the directions do, is cheaper through
+    _direction_levels.
     """
     q = f.q
     if f.mul_rows is not None:
@@ -231,16 +237,62 @@ def _level_kernel(f: FieldSpec):
     return levels
 
 
-_BOOL_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+def _direction_levels(f: FieldSpec, vectors):
+    """Yield _level_kernel(f)(u) for each u of vectors, lazily and in order.
+
+    The vector of u is q blocks, block t the vector of its head u[:-1]
+    shifted by u[-1] t.  So a head's q shifted copies are built once, and
+    each vector is one join of them in the order of mul_rows[u[-1]].  Canonical
+    normals share their heads: each nonzero head comes with all q last
+    coordinates.  Copies are kept while they total at most _HEAD_BYTES;
+    the heads beyond that are built anew for each vector.
+    """
+    if f.mul_rows is None:
+        yield from map(_level_kernel(f), vectors)
+        return
+    mul, add = f.mul_rows, f.add_tables
+    picks = [itemgetter(*row) for row in mul]
+    head_levels = _level_kernel(f)
+    kept = {}
+    room = _HEAD_BYTES
+    for u in vectors:
+        if len(u) == 1:
+            yield mul[u[0]]
+            continue
+        head = u[:-1]
+        copies = kept.get(head)
+        if copies is None:
+            copies = tuple(map(head_levels(head).translate, add))
+            size = len(copies[0]) * len(copies)
+            if size <= room:
+                kept[head] = copies
+                room -= size
+        yield b"".join(picks[u[-1]](copies))
+
+
+# _FLAG_TABLES[c] maps byte c to 1 and every other byte to 0; _DIGIT_TABLES[c]
+# maps them to the ASCII digits "1" and "0".
+_FLAG_TABLES = [bytes(c) + b"\1" + bytes(255 - c) for c in range(256)]
+_DIGIT_TABLES = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+_BOOL_DIGITS = _DIGIT_TABLES[1]
 
 
 def _level_flags(levels, c: int) -> bytes:
     """Per point, byte 1 if its level is c and 0 otherwise."""
     if isinstance(levels, bytes):
-        return levels.translate(b"\0" * c + b"\1" + b"\0" * (255 - c))
+        return levels.translate(_FLAG_TABLES[c])
     return bytes(map(c.__eq__, levels))
 
 
 def _flags_mask(flags: bytes) -> int:
     """Bitmask (bit i = point index i) of the points whose byte is 1."""
     return int(flags.translate(_BOOL_DIGITS)[::-1], 2)
+
+
+def _level_masks_of(levels, q: int) -> list[int]:
+    """Per level c < q, the bitmask of the points whose level is c: one
+    translate of the reversed vector per level, straight to binary digits."""
+    if not isinstance(levels, bytes):
+        return [_flags_mask(_level_flags(levels, c)) for c in range(q)]
+    backwards = levels[::-1]
+    return [int(backwards.translate(_DIGIT_TABLES[c]), 2) for c in range(q)]

@@ -73,9 +73,8 @@ from .bounds import kakeya_lower_bound
 from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
 from .field import FieldSpec
 from .geometry import (
-    _flags_mask,
-    _level_flags,
-    _level_kernel,
+    _direction_levels,
+    _level_masks_of,
     enumerate_directions,
 )
 from .pointset import PointSet
@@ -768,9 +767,8 @@ class _GapSearch:
 
     def __init__(self, f: FieldSpec, n: int, cap: int, budget: int):
         q = self.q = f.q
-        kernel = _level_kernel(f)
-        self.levels = [kernel(d.normal) for d in enumerate_directions(f, n)]
-        self.masks = [[_flags_mask(_level_flags(lv, c)) for c in range(q)] for lv in self.levels]
+        self.levels = list(_direction_levels(f, [d.normal for d in enumerate_directions(f, n)]))
+        self.masks = [_level_masks_of(lv, q) for lv in self.levels]
         self.frame = [0] + [q**i for i in range(n)]
         self.npoints = q**n
         self.cap = cap

@@ -391,12 +391,13 @@ def test_hole_flags_match_the_gap_level_brute_force(p, k, n):
 
 
 def _counted_kernel(monkeypatch) -> list:
-    """Patch core's level kernel to record each level vector it builds."""
+    """Patch core's level kernel and its direction levels to record each
+    level vector they build."""
     calls = []
-    real = core._level_kernel
+    real_kernel, real_directions = core._level_kernel, core._direction_levels
 
     def kernel(f):
-        levels = real(f)
+        levels = real_kernel(f)
 
         def counted(u):
             calls.append(u)
@@ -404,7 +405,13 @@ def _counted_kernel(monkeypatch) -> list:
 
         return counted
 
+    def directions(f, vectors):
+        for vector in real_directions(f, vectors):
+            calls.append(vector)
+            yield vector
+
     monkeypatch.setattr(core, "_level_kernel", kernel)
+    monkeypatch.setattr(core, "_direction_levels", directions)
     return calls
 
 

@@ -1,16 +1,23 @@
 """The level kernel against per-point dot products, and the verifier built on
 it against the brute-force coset oracle."""
 
+import collections
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
+from kakeya import geometry
 from kakeya.field import make_field
 from kakeya.geometry import (
+    _direction_levels,
+    _flags_mask,
+    _level_flags,
     _level_kernel,
+    _level_masks_of,
     enumerate_directions,
     enumerate_subspaces,
     point_coords,
@@ -59,6 +66,77 @@ def test_large_primes_match_dot(p, n):
     vectors.append(tuple(rng.randrange(1, p) for _ in range(n)))
     for u in vectors:
         assert list(levels(u)) == _dot_levels(f, n, u)
+
+
+def _normals(f, n):
+    return [d.normal for d in enumerate_directions(f, n)]
+
+
+@pytest.mark.parametrize("p,k,n", KERNEL_CELLS)
+def test_direction_levels_match_the_kernel(p, k, n):
+    f = make_field(p, k)
+    vectors = _normals(f, n)
+    assert list(_direction_levels(f, vectors)) == list(map(_level_kernel(f), vectors))
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (5, 1, 2), (2, 1, 4)])
+def test_direction_levels_keep_or_drop_heads_alike(p, k, n, monkeypatch):
+    # no head kept, then exactly one head's q copies of q^(n-1) bytes
+    f = make_field(p, k)
+    vectors = _normals(f, n)
+    want = list(map(_level_kernel(f), vectors))
+    for room in (0, f.q**n):
+        monkeypatch.setattr(geometry, "_HEAD_BYTES", room)
+        assert list(_direction_levels(f, vectors)) == want
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1)])
+def test_direction_levels_of_any_vectors(p, k):
+    f = make_field(p, k)
+    q = f.q
+    rng = random.Random(q)
+    level_vector = _level_kernel(f)
+    heads = [tuple(rng.randrange(q) for _ in range(2)) for _ in range(3)]
+    repeated = [h + (rng.randrange(q),) for h in heads * 3]
+    distinct = list({tuple(rng.randrange(q) for _ in range(3)) for _ in range(8)})
+    single = [(c,) for c in range(q)] + [(1,), (0,)]
+    for vectors in (repeated, distinct, single, []):
+        assert list(_direction_levels(f, vectors)) == list(map(level_vector, vectors))
+
+
+@pytest.mark.parametrize("p,n", [(131, 2), (257, 1), (257, 2)])
+def test_direction_levels_of_large_primes(p, n):
+    # 131 keeps byte tables, 257 takes the kernel's list path
+    f = make_field(p, 1)
+    vectors = _normals(f, n)[:5] + [(1,) * n, (2,) * n]
+    assert list(_direction_levels(f, vectors)) == list(map(_level_kernel(f), vectors))
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (5, 1, 2), (2, 2, 3), (131, 1, 1), (257, 1, 1)])
+def test_level_masks_of_match_the_flags(p, k, n):
+    f = make_field(p, k)
+    for levels in map(_level_kernel(f), _normals(f, n)[:4]):
+        assert isinstance(levels, bytes) == (f.q <= 256)
+        assert _level_masks_of(levels, f.q) == [
+            _flags_mask(_level_flags(levels, c)) for c in range(f.q)]
+
+
+def test_direction_levels_keep_to_their_head_bytes(monkeypatch):
+    f = make_field(2, 1)
+    total = 2**12
+    vectors = _normals(f, 12)
+    room = 1 << 16
+    monkeypatch.setattr(geometry, "_HEAD_BYTES", room)
+    # A first drain fills the interpreter's free lists, whose small tuples
+    # tracemalloc would count as live.
+    collections.deque(_direction_levels(f, vectors), maxlen=0)
+    tracemalloc.start()
+    try:
+        collections.deque(_direction_levels(f, vectors), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < room + 4 * total
 
 
 def test_list_path_masks_and_verdicts():
