@@ -1,3 +1,5 @@
+"""At the repository root, so that tests/ and perfbench/ both get its fixture."""
+
 import multiprocessing
 
 import pytest

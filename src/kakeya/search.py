@@ -45,12 +45,15 @@ The table of rows is charged with the masks against core.MASK_BITS_CAP.
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
 At most MAX_WORKERS processes pull them one at a time through a shared
-index and share the incumbent size, so a worker that finishes a small
-subtree takes the next node instead of idling.  One `_Searcher` serves
-every node a process takes.  The node budget covers the parent and the
-workers: the processes draw what the parent left of it from one shared
-count, _NODE_BATCH nodes at a time, so a run never visits more nodes than
-the budget, and a worker runs out only once that count is empty.
+index, so a worker that finishes a small subtree takes the next node
+instead of idling.  One `_Searcher` serves every node a process takes.  The
+node budget covers the parent and the workers: the processes draw what the
+parent left of it from one shared count, _NODE_BATCH nodes at a time, so a
+run never visits more nodes than the budget, and a worker runs out only
+once that count is empty.  The shared incumbent size sits beside that
+count, and a worker takes it up with each batch.  Each worker sends its
+outcome over a pipe of its own, so one that dies is reported as soon as
+its pipe closes.
 """
 
 from __future__ import annotations
@@ -58,8 +61,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
-import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import random
 import sys
 import traceback
@@ -83,8 +85,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # Most processes one parallel search may start.
 MAX_WORKERS = 64
 _POWERSET_POINT_LIMIT = 16
-# How often the parent checks for dead workers while waiting for results.
-_WORKER_POLL_S = 0.1
 # Nodes a worker draws at a time from the budget the workers share.
 _NODE_BATCH = 64
 # Most bytes of count-table rows _Counts builds before turning them into ints.
@@ -311,19 +311,19 @@ class _Outcome(NamedTuple):
 class _Searcher:
     """Depth-first branch and bound over the free directions of open nodes.
 
-    `bound` is the strictest known incumbent size (shared across workers
-    when `shared` is set); own discoveries are kept in found_size /
-    found_levels so a foreign incumbent never gets paired with a local
-    witness.  The nodes, the incumbent and the orbit keys in `seen` build
-    up over the calls of `run`, and `budget` caps the nodes of all of them.
-    With `pool`, a shared count of nodes left, a searcher whose budget is
-    spent draws up to _NODE_BATCH more from it.
+    `bound` is the strictest known incumbent size; own discoveries are kept
+    in found_size / found_levels so a foreign incumbent never gets paired
+    with a local witness.  The nodes, the incumbent and the orbit keys in
+    `seen` build up over the calls of `run`, and `budget` caps the nodes of
+    all of them.  With `shared`, the workers' array (incumbent size, nodes
+    left), a searcher whose budget is spent draws up to _NODE_BATCH more
+    nodes and takes up the incumbent: a bound taken up late only prunes
+    less, and one that meets the lower bound is seen within a batch.
     """
 
-    def __init__(self, table, budget, lb_ceil, bound, shared=None, axes=None, pool=None):
+    def __init__(self, table, budget, lb_ceil, bound, shared=None, axes=None):
         self.table = table
         self.budget = budget
-        self.pool = pool
         self.lb_ceil = lb_ceil
         self.bound = bound
         self.shared = shared
@@ -358,26 +358,26 @@ class _Searcher:
         return _Outcome(self.found_size, self.found_levels, self.nodes, self.completed, self.hit_lb)
 
     def _draw(self) -> bool:
-        """Add up to _NODE_BATCH nodes from the pool to the budget; False
-        when there is no pool or it is empty."""
-        if self.pool is None:
+        """Take up the shared incumbent and add up to _NODE_BATCH nodes of
+        the shared count to the budget, in one lock acquisition; False when
+        nothing is shared or the count is empty."""
+        if self.shared is None:
             return False
-        with self.pool.get_lock():
-            take = min(_NODE_BATCH, self.pool.value)
-            self.pool.value -= take
+        with self.shared.get_lock():
+            cells = self.shared.get_obj()
+            bound, left = cells
+            take = min(_NODE_BATCH, left)
+            cells[1] = left - take
+        self.bound = min(self.bound, bound)
         self.budget += take
         return take > 0
 
     def _enter(self) -> None:
-        """Count one node against the budget and take up the shared
-        incumbent; every node, searched or cut on entry, goes through here."""
+        """Count one node against the budget; every node, searched or cut on
+        entry, goes through here."""
         if self.nodes >= self.budget and not self._draw():
             raise _BudgetExhausted
         self.nodes += 1
-        if self.shared is not None:
-            v = self.shared.value
-            if v < self.bound:
-                self.bound = v
         if self.bound <= self.lb_ceil:
             # an incumbent matching the proven lower bound is optimal
             raise _ProvedOptimal
@@ -388,8 +388,8 @@ class _Searcher:
         self.bound = size
         if self.shared is not None:
             with self.shared.get_lock():
-                if size < self.shared.value:
-                    self.shared.value = size
+                cells = self.shared.get_obj()
+                cells[0] = min(cells[0], size)
         if size <= self.lb_ceil:
             raise _ProvedOptimal
 
@@ -578,9 +578,10 @@ def _instance_lower_bound(q: int, n: int) -> Fraction:
     return kakeya_lower_bound(q, n) if n >= 2 else Fraction(1)
 
 
-def _search_worker(widx, searcher, tasks, next_task, queue):
+def _search_worker(widx, searcher, tasks, next_task, conn):
     """Feed open nodes, pulled by index from the shared counter, into one
-    searcher until the list is used up or `run` stops; send its outcome."""
+    searcher until the list is used up or `run` stops; send its outcome, or
+    the text of its error, over `conn`."""
     try:
         while True:
             with next_task.get_lock():
@@ -588,67 +589,63 @@ def _search_worker(widx, searcher, tasks, next_task, queue):
                 next_task.value = i + 1
             if i >= len(tasks) or not searcher.run(*tasks[i]):
                 break
-        queue.put((widx, searcher.outcome()))
+        conn.send(searcher.outcome())
     except Exception as exc:  # surface the failure instead of hanging the parent
-        queue.put((widx, f"{exc!r}\n{traceback.format_exc()}"))
+        conn.send(f"{exc!r}\n{traceback.format_exc()}")
 
 
-def _collect_results(procs, queue) -> list[_Outcome]:
-    """The outcome of each (worker index, process), in that order, once all
-    have joined.
-
-    A worker that reports a failure or exits without reporting (killed, out
-    of memory) raises RuntimeError; on that or an interrupt the other
-    workers are terminated.
-    """
+def _collect_results(procs) -> list[_Outcome]:
+    """The outcome of each (worker index, process, reader) in procs, in that
+    order.  A worker that reports a failure, or whose pipe closes without a
+    result (killed, out of memory), raises RuntimeError."""
     results: dict[int, _Outcome] = {}
-    try:
-        while len(results) < len(procs):
-            # A worker that exited before this wait has its result, if it
-            # sent one, in the pipe already, so the wait cannot miss it.
-            exited = [(widx, proc.exitcode) for widx, proc in procs
-                      if widx not in results and proc.exitcode is not None]
+    waiting = {reader: (widx, proc) for widx, proc, reader in procs}
+    while waiting:
+        for reader in multiprocessing.connection.wait(list(waiting)):
+            widx, proc = waiting.pop(reader)
             try:
-                widx, result = queue.get(timeout=_WORKER_POLL_S)
-            except queue_module.Empty:
-                if exited:
-                    widx, code = exited[0]
-                    raise RuntimeError(
-                        f"search worker {widx} exited with code {code} without a result"
-                    ) from None
-                continue
+                result = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"search worker {widx} exited with code {proc.exitcode} without a result"
+                ) from None
             if isinstance(result, str):
                 raise RuntimeError(f"search worker {widx} failed: {result}")
             results[widx] = result
-    except BaseException:
-        for _, proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for _, proc in procs:
-            proc.join()
-    return [results[widx] for widx, _ in procs]
+    return [results[widx] for widx, _, _ in procs]
 
 
 def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_Outcome]:
     """Search the open nodes on min(workers, len(tasks)) processes that pull
     them in order and share the incumbent.  The processes draw their nodes
     in batches from what the parent left of node_budget.  Returns each
-    worker's outcome, in worker order."""
+    worker's outcome, in worker order.  On an error or an interrupt the
+    workers started so far are terminated; all are joined."""
     ctx = multiprocessing.get_context()
-    nprocs = min(workers, len(tasks))
     searcher = _Searcher(parent.table, 0, parent.lb_ceil, parent.bound,
-                         ctx.Value("q", parent.bound), parent.axes,
-                         ctx.Value("q", node_budget - parent.nodes))
+                         ctx.Array("q", (parent.bound, node_budget - parent.nodes)), parent.axes)
     next_task = ctx.Value("q", 0)
-    queue = ctx.Queue()
-    procs = []
-    for widx in range(nprocs):
-        proc = ctx.Process(target=_search_worker,
-                           args=(widx, searcher, tasks, next_task, queue))
-        proc.start()
-        procs.append((widx, proc))
-    return _collect_results(procs, queue)
+    procs, readers = [], []
+    try:
+        for widx in range(min(workers, len(tasks))):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            proc = ctx.Process(target=_search_worker,
+                               args=(widx, searcher, tasks, next_task, writer))
+            with writer:  # then the worker holds the only writer, later workers none
+                proc.start()
+            procs.append((widx, proc, reader))
+        return _collect_results(procs)
+    except BaseException:
+        for _, proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, _ in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
 
 
 def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) -> SearchResult:

@@ -1,3 +1,4 @@
+import errno
 import functools
 import inspect
 import itertools
@@ -142,6 +143,29 @@ def test_run_stops_on_a_spent_budget_or_a_met_lower_bound():
     assert done.run(*root) and done.run(*root)
     assert done.completed and not done.hit_lb
     assert done.outcome() == (31, done.found_levels, done.nodes, True, False)
+
+
+def test_workers_take_up_the_shared_incumbent_with_each_batch():
+    """A worker's shared array holds (incumbent size, nodes left): each
+    draw takes a batch and the incumbent under one lock, and a worker's own
+    find never raises the incumbent."""
+    _, table, _ = _open_root(make_field(7, 1), 2)
+    shared = multiprocessing.get_context().Array("q", (47, 100))
+    searcher = search._Searcher(table, 0, 31, 50, shared)
+    assert searcher._draw()
+    assert (searcher.bound, searcher.budget, shared[:]) == (47, search._NODE_BATCH, [47, 36])
+    shared[0] = 46
+    searcher._enter()  # a node inside the batch reads nothing shared
+    assert searcher.bound == 47
+    assert searcher._draw()
+    assert (searcher.bound, searcher.budget, shared[:]) == (46, 100, [46, 0])
+    shared[0] = 45
+    assert not searcher._draw()  # the pool is empty, the incumbent still taken up
+    assert (searcher.bound, searcher.budget) == (45, 100)
+    searcher._record(46)
+    assert shared[0] == 45
+    searcher._record(40)
+    assert shared[0] == 40
 
 
 def test_search_from_scratch_agrees_across_normalization():
@@ -794,6 +818,85 @@ def test_failed_worker_raises_its_error(monkeypatch):
         minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
     assert "_run_failing_in_workers" in str(err.value)  # the worker's traceback
     assert not multiprocessing.active_children()
+
+
+def _search_with_a_dying_worker(monkeypatch, dying):
+    """Run a 2-worker search on (5,2) in which worker `dying` exits at once
+    with code 9 and the other sleeps for a minute; return the search's
+    error message, or None if it has not ended within 10 s.  No child is
+    left running either way."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+
+    def dies_or_sleeps(widx, *args):
+        if widx == dying:
+            os._exit(9)
+        time.sleep(60)
+
+    monkeypatch.setattr(search, "_search_worker", dies_or_sleeps)
+    out = {}
+
+    def search_and_keep_the_error():
+        try:
+            minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
+        except RuntimeError as exc:
+            out["error"] = str(exc)
+
+    runner = threading.Thread(target=search_and_keep_the_error, daemon=True)
+    runner.start()
+    runner.join(10)
+    for proc in multiprocessing.active_children():
+        proc.terminate()
+        proc.join(5)
+    return None if runner.is_alive() else out.get("error")
+
+
+@pytest.mark.parametrize("dying", [0, 1])
+def test_dead_worker_is_reported_while_its_sibling_runs(monkeypatch, dying):
+    """Each worker holds the only writer of its pipe, so a worker's pipe
+    closes when it dies, although the other worker is still busy."""
+    err = _search_with_a_dying_worker(monkeypatch, dying)
+    assert err is not None
+    assert f"worker {dying} exited with code 9" in err
+    assert not multiprocessing.active_children()
+
+
+def test_failed_start_stops_the_workers_already_started(monkeypatch):
+    """A start that fails (here EAGAIN, as when no process id is free)
+    terminates and joins the workers started before it."""
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    start = multiprocessing.process.BaseProcess.start
+    started = []
+
+    def start_once(proc):
+        if started:
+            raise OSError(errno.EAGAIN, "no process id free")
+        start(proc)
+        started.append(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_once)
+    with pytest.raises(OSError, match="no process id free"):
+        minimal_kakeya_exact(make_field(11, 1), 2, workers=2)
+    # alone, the first worker would search (11,2) for about 0.4 s
+    assert len(started) == 1 and started[0].exitcode is not None
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+def test_parallel_searches_leave_no_file_open(monkeypatch):
+    def open_files():
+        return len(os.listdir("/proc/self/fd"))
+
+    f = make_field(7, 1)
+    # the first shared value of a process opens the file that backs them all
+    minimal_kakeya_exact(f, 2, workers=2)
+    before = open_files()
+    for _ in range(5):
+        minimal_kakeya_exact(f, 2, workers=2)
+    assert open_files() == before
+    assert _search_with_a_dying_worker(monkeypatch, 1) is not None
+    assert open_files() == before
 
 
 def test_budget_exhaustion_degrades_gracefully():
