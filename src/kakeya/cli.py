@@ -11,7 +11,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -24,7 +23,8 @@ from .core import (
     build_union,
     incidence_stats,
     is_kakeya,
-    point_set_to_json,
+    json_text,
+    point_set_text,
     random_assignment,
     read_assignment,
     read_point_set,
@@ -63,7 +63,7 @@ def _render(args, record: dict, lines: list[str], table=None) -> None:
     record as JSON after the schema version, the (header, rows) table as
     CSV when the command has one, and the text lines otherwise."""
     if args.format == "json":
-        text = json.dumps({"schema_version": SCHEMA_VERSION, **record}, indent=2) + "\n"
+        text = json_text({"schema_version": SCHEMA_VERSION, **record})
     elif args.format == "csv" and table is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -185,9 +185,7 @@ def cmd_construct(args) -> int:
     else:
         assignment = random_assignment(f, n, args.seed)
     pset = build_union(f, n, assignment)
-    text = json.dumps(point_set_to_json(f, pset, include_points=args.points),
-                      indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output)
+    _emit(point_set_text(f, pset, include_points=args.points), args.output)
     if args.witness_out:
         write_assignment(args.witness_out, f, n, assignment)
     return 0

@@ -20,7 +20,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, product, repeat
+from operator import add, itemgetter, mul
 from pathlib import Path
 
 from .field import FieldSpec, check_space, make_field
@@ -39,7 +40,6 @@ from .geometry import (
     enumerate_subspaces,
     null_space_basis,
     point_coords,
-    point_index,
 )
 from .pointset import PointSet
 
@@ -146,6 +146,7 @@ def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
 
 
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+_MEMBER_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _FF_UNLESS_ONE = b"\xff" + bytes(255)  # byte 0 -> 0xFF, any other byte -> 0
 _IS_FF = bytes(255) + b"\x01"  # byte 0xFF -> 1, any other byte -> 0
 
@@ -153,6 +154,11 @@ _IS_FF = bytes(255) + b"\x01"  # byte 0xFF -> 1, any other byte -> 0
 def _gap_flags(pset: PointSet) -> bytes:
     """Per point, 1 for a gap (a point outside pset) and 0 for a member."""
     return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
+
+
+def _member_flags(pset: PointSet) -> bytes:
+    """Per point, 1 for a member of pset and 0 for a gap."""
+    return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_MEMBER_FLAGS)
 
 
 def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
@@ -337,6 +343,72 @@ def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) 
 
 
 # -- serialization -----------------------------------------------------------
+# Files and JSON output are the text of json.dumps(obj, indent=2), which
+# runs json's pure-Python encoder one element at a time; the same text is
+# joined here from the strings of the items.
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+
+def _json_block(items, depth: int, brackets: str = "[]") -> str:
+    """An array (or, with brackets "{}", an object) nested `depth` deep,
+    whose items render as the strings of `items`."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
+
+
+def _json_value(value, depth: int, sort_keys: bool) -> str:
+    """json.dumps(value, indent=2, sort_keys=sort_keys) nested `depth` deep:
+    arrays of ints, and arrays of such arrays, by joins, any other value by
+    json.dumps."""
+    if type(value) is list:
+        kinds = set(map(type, value))
+        if kinds <= {int}:
+            return _json_block(map(str, value), depth)
+        if kinds == {list}:
+            return _json_block([_json_value(v, depth + 1, sort_keys) for v in value], depth)
+    if value is None or isinstance(value, (str, int, float)):
+        return json.dumps(value)  # json's C encoder, which indent turns off
+    text = json.dumps(value, indent=2, sort_keys=sort_keys)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_object(fields: dict[str, str]) -> str:
+    """The file text of an object whose values are rendered one level deep."""
+    return _json_block((f"{json.dumps(k)}: {v}" for k, v in fields.items()), 0, "{}") + "\n"
+
+
+def json_text(obj: dict, sort_keys: bool = False) -> str:
+    """json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n" for an object
+    with string keys."""
+    items = sorted(obj.items()) if sort_keys else obj.items()
+    return _json_object({k: _json_value(v, 1, sort_keys) for k, v in items})
+
+
+def _points_text(pset: PointSet) -> str:
+    """The `points` value of a point-set file: the members' coordinates in
+    increasing point index, each point joined from one string per
+    coordinate (its digits after the text that precedes them)."""
+    n = pset.n
+    head, *seps, tail = _json_block(["{}"] * n, 2).split("{}")
+    digits = list(map(str, range(pset.q)))
+    columns = [[head + d for d in digits]] + [[sep + d for d in digits] for sep in seps]
+    columns[-1] = [d + tail for d in columns[-1]]
+    # product() runs the last coordinate slowest, as the point index does,
+    # so it takes the columns in reverse and itemgetter restores their order
+    # (for n = 1 it returns the one string, which "".join leaves as it is)
+    points = compress(product(*reversed(columns)), _member_flags(pset))
+    return _json_block(map("".join, map(itemgetter(*reversed(range(n))), points)), 1)
+
+
+def point_set_text(f: FieldSpec, pset: PointSet, include_points: bool = False) -> str:
+    """The point-set file: json.dumps(point_set_to_json(f, pset,
+    include_points), indent=2, sort_keys=True) + "\n"."""
+    fields = {k: json.dumps(v) for k, v in point_set_to_json(f, pset).items()}
+    if include_points:
+        fields["points"] = _points_text(pset)
+    return _json_object(dict(sorted(fields.items())))
 
 
 def point_set_to_json(f: FieldSpec, pset: PointSet, include_points: bool = False) -> dict:
@@ -369,30 +441,35 @@ def point_set_from_json(obj: dict) -> tuple[FieldSpec, PointSet]:
     hx = obj["bits_hex"]
     if not isinstance(hx, str) or len(hx) != width:
         raise ValueError(f"bits_hex must be a {width}-digit hex string")
-    try:
-        bits = int(hx, 16)
-    except ValueError:
-        raise ValueError("bits_hex is not valid hexadecimal") from None
+    # int(hx, 16) alone would also take a sign, a 0x prefix, spaces,
+    # underscores and non-ASCII digits
+    if hx.strip(_HEX_DIGITS):
+        raise ValueError("bits_hex is not valid hexadecimal")
+    bits = int(hx, 16)
     if bits.bit_length() > total:
         raise ValueError("bits_hex sets bits beyond the point space")
     pset = PointSet(q, n, bits)
     points = obj.get("points")
     if points is not None:
-        # checked on the flattened coordinates: a per-entry loop costs about
-        # as much again as decoding the list
-        shape_ok = type(points) is list and all(type(c) is list and len(c) == n for c in points)
-        coords = [v for c in points for v in c] if shape_ok else []
-        if not (shape_ok and {type(v) for v in coords} <= {int}
+        # checked a whole list at a time: per entry, these loops would cost
+        # about as much again as decoding the list
+        shape_ok = (type(points) is list and set(map(type, points)) <= {list}
+                    and set(map(len, points)) <= {n})
+        coords = list(chain.from_iterable(points)) if shape_ok else []
+        if not (shape_ok and set(map(type, coords)) <= {int}
                 and min(coords, default=0) >= 0 and max(coords, default=0) < q):
             raise ValueError(f"points must be a list of lists of {n} integers in [0, {q})")
-        if {point_index(c, q) for c in points} != set(pset.indices()):
+        # point indices by Horner's rule, the last coordinate first
+        index = coords[n - 1::n]
+        for j in reversed(range(n - 1)):
+            index = map(add, map(mul, index, repeat(q)), coords[j::n])
+        if set(index) != set(compress(range(total), _member_flags(pset))):
             raise ValueError("points list disagrees with bits_hex")
     return f, pset
 
 
 def write_point_set(path, f: FieldSpec, pset: PointSet, include_points: bool = False) -> None:
-    obj = point_set_to_json(f, pset, include_points)
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(point_set_text(f, pset, include_points))
 
 
 def read_point_set(path) -> tuple[FieldSpec, PointSet]:
@@ -416,9 +493,7 @@ def assignment_from_json(obj) -> OffsetAssignment:
 
 
 def write_assignment(path, f: FieldSpec, n: int, assignment: OffsetAssignment) -> None:
-    Path(path).write_text(
-        json.dumps(assignment_to_json(f, n, assignment), indent=2, sort_keys=True) + "\n"
-    )
+    Path(path).write_text(json_text(assignment_to_json(f, n, assignment), sort_keys=True))
 
 
 def read_assignment(path, q: int, n: int) -> OffsetAssignment:

@@ -179,7 +179,15 @@ def _build_log_tables(p: int, k: int, q: int, modulus: tuple[int, ...]):
     """Tabulate the powers of the smallest multiplicative generator g >= 2.
     g has order q-1 exactly when g^((q-1)/r) != 1 for every prime r | q-1;
     the smallest exponents go first, as they reject elements of small order
-    (those of a subfield) soonest."""
+    (those of a subfield) soonest.
+
+    Multiplication by g is F_p-linear, so e = lo + p^h hi has e * g =
+    lo * g + (p^h hi) * g, both read from tables of at most p^h entries,
+    h = ceil(k/2).
+    The walk packs each element b bits per digit, where that digitwise sum
+    mod p is one integer sum: lanes reach at most 2p - 2 and never carry,
+    and adding 2^(b-1) - p to every lane sets the top bit of exactly those
+    at p or above, from which p is then taken."""
     cofactors = [(q - 1) // r for r in reversed(_prime_factors(q - 1))]
     mod, one = list(modulus), _digits(1, p, k)
     for g in range(2, q):
@@ -188,13 +196,39 @@ def _build_log_tables(p: int, k: int, q: int, modulus: tuple[int, ...]):
             break
     else:
         raise AssertionError(f"no generator found for q={q}")
-    exp = [1] * (q - 1)
-    log = [0] * q
-    power = one
+
+    b, h = p.bit_length() + 1, (k + 1) // 2
+    lanes = sum(1 << b * i for i in range(k))
+    tops, lift = lanes << (b - 1), lanes * ((1 << (b - 1)) - p)
+
+    def reduce(s: int) -> int:
+        return s - (((s + lift) & tops) >> (b - 1)) * p
+
+    def tables(first: int, count: int) -> tuple[dict[int, int], dict[int, int]]:
+        """For the digits first, ..., first+count-1 of an element: per packed
+        v < p^count, the packed v * x^first * g and the index v * p^first,
+        built one digit at a time from the products of g and x^first, ..."""
+        keys = images = [0]
+        for i in range(count):
+            unit = sum(d << b * j for j, d in enumerate(
+                _digits(_mul_raw(p ** (first + i), g, p, k, modulus), p, k)))
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(reduce(multiples[-1] + unit))
+            keys = [key + (d << b * i) for d in range(p) for key in keys]
+            images = [reduce(image + m) for m in multiples for image in images]
+        step = p**first
+        return dict(zip(keys, images)), dict(zip(keys, range(0, step * p**count, step)))
+
+    times_lo, index_lo = tables(0, h)
+    times_hi, index_hi = tables(h, k - h)
+    mask, shift = (1 << b * h) - 1, b * h
+    exp, log = [1] * (q - 1), [0] * q
+    power = 1  # packed
     for i in range(1, q - 1):
-        power = _poly_mul_mod(power, g_coeffs, mod, p)
-        exp[i] = _undigits(power, p)
-        log[exp[i]] = i
+        power = reduce(times_lo[power & mask] + times_hi[power >> shift])
+        e = exp[i] = index_lo[power & mask] + index_hi[power >> shift]
+        log[e] = i
     return tuple(exp), tuple(log)
 
 
@@ -227,13 +261,14 @@ def make_field(p: int, k: int) -> FieldSpec:
     if q > _BYTE_TABLE_CAP:
         return f
     if k == 1:
-        mul_rows = tuple(bytes(c * x % p for x in range(q)) for c in range(q))
+        # c * x mod p is byte c * x of c copies of 0, 1, ..., p-1
+        mul_rows = (bytes(q),) + tuple((bytes(range(q)) * c)[::c] for c in range(1, q))
     else:
+        # row c maps x != 0 to exp[log c + log x]: the logs of 1, ..., q-1
+        # read through the exp table rotated by log c
+        exps, logs, pad = bytes(exp_table), bytes(log_table[1:]), bytes(257 - q)
         mul_rows = (bytes(q),) + tuple(
-            bytes([0]) + bytes(exp_table[(log_table[c] + log_table[x]) % (q - 1)]
-                               for x in range(1, q))
-            for c in range(1, q)
-        )
+            b"\0" + logs.translate(exps[lc:] + exps[:lc] + pad) for lc in logs)
     return replace(f, mul_rows=mul_rows, add_tables=_add_tables(p, k, q))
 
 

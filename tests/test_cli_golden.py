@@ -37,6 +37,9 @@ CASES = {
     "construct-seed": ["construct", "--field", "3", "--n", "2", "--seed", "5"],
     "construct-levels": ["construct", "--field", "2", "--n", "3", "--levels", "0,1,0,1,1,0,1",
                          "--points", "--witness-out", "{dir}/witness_out.json"],
+    # two-digit coordinates in the points list
+    "construct-points": ["construct", "--field", "11", "--n", "2", "--seed", "1", "--points",
+                         "--witness-out", "{dir}/witness_out.json"],
     "stats": ["stats", "{dir}/accept.json", "--witness", "{dir}/witness.json"],
     "search-plane": ["search", "--field", "5", "--n", "2"],
     "search-space": ["search", "--field", "2", "--n", "3"],

@@ -15,8 +15,10 @@ from kakeya.core import (
     build_union,
     incidence_stats,
     is_kakeya,
+    json_text,
     level_masks,
     point_set_from_json,
+    point_set_text,
     point_set_to_json,
     random_assignment,
     read_assignment,
@@ -24,7 +26,7 @@ from kakeya.core import (
     write_assignment,
     write_point_set,
 )
-from kakeya.field import field_add, field_mul, make_field
+from kakeya.field import field_add, field_mul, make_field, parse_field_spec
 from kakeya.geometry import (
     _normal_indices,
     count_subspaces,
@@ -578,6 +580,69 @@ def test_point_set_points_agreement():
     obj["points"] = [[0, 0]]  # drop one point: disagreement
     with pytest.raises(ValueError, match="disagrees"):
         point_set_from_json(obj)
+
+
+@pytest.mark.parametrize("spec,n", [("5", 3), ("3^2", 2), ("13", 2), ("31", 1)])
+def test_points_in_any_order_and_repeated_agree_when_their_set_does(spec, n):
+    f = parse_field_spec(spec)
+    pset = build_union(f, n, random_assignment(f, n, 4))
+    obj = point_set_to_json(f, pset, include_points=True)
+    points = obj["points"]
+    rng = random.Random(spec)
+    others = [list(point_coords(i, f.q, n)) for i in range(f.q**n) if not pset.contains(i)]
+    assert points and others
+    for listed in (points[::-1], rng.sample(points, len(points)),
+                   points + rng.choices(points, k=5), points[:1] * 3 + points[1:]):
+        assert point_set_from_json({**obj, "points": listed})[1] == pset
+    for listed in (points[1:], points[:-1], rng.sample(points, len(points) - 1),
+                   points + [rng.choice(others)], [rng.choice(others)] + points[1:]):
+        with pytest.raises(ValueError, match="points list disagrees with bits_hex"):
+            point_set_from_json({**obj, "points": listed})
+
+
+@pytest.mark.parametrize("hx", ["0x1", "1_f", " 1f", "+1f", "\u0661\u0662\u0663"])
+def test_bits_hex_takes_only_ascii_hex_digits(hx):
+    # each is 3 characters, the width for F_3^2, and int(hx, 16) reads each
+    obj = {"q": 3, "p": 3, "k": 1, "n": 2, "bits_hex": hx}
+    int(hx, 16)
+    with pytest.raises(ValueError, match="bits_hex is not valid hexadecimal"):
+        point_set_from_json(obj)
+    assert point_set_from_json({**obj, "bits_hex": "1fF"})[1].bits == 0x1FF
+
+
+# n = 1 ... 4, two-digit coordinates up to q = 31, prime and extension fields
+RENDER_CELLS = [("2", 1), ("31", 1), ("3", 2), ("2^2", 2), ("11", 2), ("3^3", 2),
+                ("31", 2), ("2^3", 3), ("5", 3), ("2", 4), ("3", 4)]
+
+
+@pytest.mark.parametrize("spec,n", RENDER_CELLS)
+def test_point_set_text_is_the_json_dumps_text(spec, n):
+    f = parse_field_spec(spec)
+    rng = random.Random(f"{spec} {n}")
+    total = f.q**n
+    sets = [PointSet.empty(f.q, n), PointSet.full(f.q, n),
+            PointSet.from_indices(f.q, n, [total - 1]),
+            build_union(f, n, random_assignment(f, n, 2))]
+    sets += [PointSet(f.q, n, rng.getrandbits(total)) for _ in range(3)]
+    for pset in sets:
+        for include_points in (False, True):
+            want = json.dumps(point_set_to_json(f, pset, include_points),
+                              indent=2, sort_keys=True) + "\n"
+            assert point_set_text(f, pset, include_points) == want
+
+
+def test_json_text_is_the_json_dumps_text():
+    objs = [
+        {"q": 3, "n": 2, "levels": [0, 1, 2, 0]},
+        {"levels": [], "witness": None, "kakeya": True, "directions": [[0, 1], [1, 0], []]},
+        {"rows": [{"q": 2, "decimal": "3"}, {}], "lower_bound": {"numerator": 6},
+         "deep": [[[1, 2], [3]], [True, 2], [None]], "mixed": [1, "a", 2.5, False]},
+        {"only": 7},
+        {},
+    ]
+    for obj in objs:
+        for sort_keys in (False, True):
+            assert json_text(obj, sort_keys) == json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def test_assignment_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from kakeya.field import (
     DEFAULT_SIZE_CAP,
+    _mul_raw,
     check_space,
     factor_prime_power,
     field_add,
@@ -151,6 +154,36 @@ def test_log_tables_match_the_power_walk():
     for p, k in cells:
         f = make_field(p, k)
         assert (f.exp_table, f.log_table) == _power_walk_tables(p, k, f.modulus)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 256) if is_prime(p)
+                                 for k in range(1, 9) if p**k <= 256])
+def test_mul_rows_match_polynomial_multiplication(p, k):
+    # every field with byte tables: c * x by _mul_raw for c <= x, and the
+    # rows equal to the columns for x < c
+    f = make_field(p, k)
+    rows, q = f.mul_rows, f.q
+    assert len(rows) == q and set(map(len, rows)) == {q}
+    for c in range(q):
+        products = map(_mul_raw, itertools.repeat(c), range(c, q), itertools.repeat(p),
+                       itertools.repeat(k), itertools.repeat(f.modulus))
+        assert rows[c][c:] == bytes(products)
+    assert list(zip(*rows)) == list(map(tuple, rows))
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (7, 5), (251, 2)])
+def test_log_tables_of_large_fields_are_the_powers_of_the_smallest_generator(p, k):
+    # above the exhaustive walk's reach: every unit once, sampled steps
+    # against independent multiplication, and every candidate below g of
+    # smaller order (its log shares a factor with q - 1)
+    f = make_field(p, k)
+    q, exp, log = f.q, f.exp_table, f.log_table
+    g = exp[1]
+    assert sorted(exp) == list(range(1, q))
+    assert all(log[e] == i for i, e in enumerate(exp))
+    for i in random.Random(q).sample(range(q - 1), 300):
+        assert _slow_mul(exp[i], g, p, k, f.modulus) == exp[(i + 1) % (q - 1)]
+    assert all(math.gcd(log[c], q - 1) > 1 for c in range(2, g))
 
 
 def test_inverses_multiply_to_one():
