@@ -176,12 +176,22 @@ def cmd_verify(args) -> int:
 # -- construct ---------------------------------------------------------------
 
 
+def _parse_levels(text: str) -> OffsetAssignment:
+    """--levels: comma-separated ASCII decimal integers.  int() alone would
+    also take a sign, spaces, underscores and non-ASCII digits."""
+    entries = text.split(",")
+    for pos, entry in enumerate(entries):
+        if not entry or entry.strip("0123456789"):
+            raise ValueError(f"--levels entry #{pos} {entry!r} is not a decimal integer")
+    return OffsetAssignment(tuple(map(int, entries)))
+
+
 def cmd_construct(args) -> int:
     f, n = _space(args)
     if (args.levels is None) == (args.seed is None):
         raise ValueError("exactly one of --seed and --levels is required")
     if args.levels is not None:
-        assignment = OffsetAssignment(tuple(int(v) for v in args.levels.split(",")))
+        assignment = _parse_levels(args.levels)
     else:
         assignment = random_assignment(f, n, args.seed)
     pset = build_union(f, n, assignment)
@@ -342,6 +352,14 @@ def _selftest_checks():
                     for row in _hole_flags(f, pset, normals)]
             assert rows == oracles.gap_levels_brute(f, n, gaps)
 
+    def union_vs_brute(p, k, n):
+        # random unions fill the space; the search's witness leaves its gaps open
+        f = make_field(p, k)
+        assignments = [random_assignment(f, n, seed) for seed in range(3)]
+        assignments.append(minimal_kakeya_exact(f, n).witness)
+        for assignment in assignments:
+            assert build_union(f, n, assignment) == oracles.union_brute(f, n, assignment)
+
     def canonical_vs_lex_scan(p, k, n):
         f = make_field(p, k)
         result = minimal_kakeya_exact(f, n)
@@ -376,6 +394,9 @@ def _selftest_checks():
         ("hole flags vs gap-level brute force (3,3)", lambda: hole_flags_vs_brute(3, 1, 3)),
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
         ("canonical witness vs brute-force lex scan (5,2)", lambda: canonical_vs_lex_scan(5, 1, 2)),
+        ("union vs brute force (3,3)", lambda: union_vs_brute(3, 1, 3)),
+        ("union vs brute force F_4^3", lambda: union_vs_brute(2, 2, 3)),
+        ("union vs brute force (5,3)", lambda: union_vs_brute(5, 1, 3)),
     ]
     return checks
 
@@ -432,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("construct", help="build a union-of-hyperplanes point set")
     _add_common(p, field=True)
     p.add_argument("--seed", type=int, help="seeded random level per direction")
-    p.add_argument("--levels", help="comma-separated level per direction")
+    p.add_argument("--levels", help="comma-separated decimal level per direction")
     p.add_argument("--points", action="store_true",
                    help="include the redundant coordinate list in the file")
     p.add_argument("--witness-out", help="also write the assignment JSON here")

@@ -12,6 +12,9 @@ checks need only the (direction x gap) table of levels, and since u . g =
 g . u it is built along its shorter side: one level vector per gap when
 there are fewer gaps G than directions |S|, else one per direction.  A
 check costs O(min(G, |S|) q^n) kernel work, and none for a gap-free set.
+For the same reason a union of assigned hyperplanes leaves few points
+open, and build_union reads its directions only until fewer points are
+open than directions are left, then one level vector per open point.
 """
 
 from __future__ import annotations
@@ -123,19 +126,67 @@ def _check_assignment(f: FieldSpec, normals, assignment: OffsetAssignment) -> tu
     return levels
 
 
+# build_union counts its union once per batch of this many directions
+_UNION_BATCH = 8
+_COORD_CHUNK = 1024
+_OPEN_FLAGS = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     """Union over all directions of the assigned hyperplane.
 
     Each hyperplane is a byte-lane indicator (byte i is 1 when point i lies
-    on it); the indicators are ORed as ints and turned into a bitmask once.
+    on it); the indicators are ORed as ints, and the union is counted after
+    every batch of _UNION_BATCH directions.  A full union stops there.  A
+    union with a hyperplane in every direction leaves O(q^2) points open,
+    so it is usually finished along its shorter side: once a batch covers
+    fewer new points than it has directions and fewer points are open than
+    directions are left, each open point gets one level vector, read at the
+    remaining normals.  The point is covered when one of those levels is
+    its direction's assigned level, that is when the XOR of the two byte
+    strings has a zero byte.  The cost is about (k + G) q^n bytes, for k
+    directions read before the switch and G points open at it, instead of
+    |S| q^n.  The read marks the points not read with 0xFF, so fields with
+    q >= 256 stay along the directions.
     """
     q = f.q
     normals = _normal_indices(q, n)
     levels = _check_assignment(f, normals, assignment)
-    lanes = 0
-    for vector, lvl in zip(_direction_levels(f, _coords_of(normals, q, n)), levels):
+    total, s = q**n, len(normals)
+    lanes = covered = 0
+    # the normals' coordinates in chunks, so that a union that stops early
+    # does not list them all
+    coords = chain.from_iterable(_coords_of(normals[i:i + _COORD_CHUNK], q, n)
+                                 for i in range(0, s, _COORD_CHUNK))
+    vectors = _direction_levels(f, coords)
+    for done, (vector, lvl) in enumerate(zip(vectors, levels), 1):
         lanes |= int.from_bytes(_level_flags(vector, lvl), "little")
-    return PointSet(q, n, _flags_mask(lanes.to_bytes(q**n, "little")))
+        if done % _UNION_BATCH:
+            continue
+        before, covered = covered, lanes.bit_count()
+        if covered == total:
+            break
+        if q < 256 and _switch_to_points(covered - before, total - covered, s - done):
+            flags = bytearray(lanes.to_bytes(total, "little"))
+            read = _reader(normals[done:], total)
+            assigned = int.from_bytes(bytes(levels[done:]), "little")
+            level_vector = _level_kernel(f)
+            open_points = list(compress(range(total), flags.translate(_OPEN_FLAGS)))
+            for g, x in zip(open_points, _coords_of(open_points, q, n)):
+                found = int.from_bytes(read(level_vector(x)), "little") ^ assigned
+                if found.to_bytes(s - done, "little").find(0) >= 0:
+                    flags[g] = 1
+            return PointSet(q, n, _flags_mask(bytes(flags)))
+    return PointSet(q, n, _flags_mask(lanes.to_bytes(total, "little")))
+
+
+def _switch_to_points(added: int, open_count: int, left: int) -> bool:
+    """Does build_union finish along the open points, after a batch that
+    covered `added` new points and left `open_count` points open and `left`
+    directions unread?  Only once the directions have stopped paying: an
+    open point's level vector shares no head, so it costs more than a
+    direction's join."""
+    return added < _UNION_BATCH and open_count < left
 
 
 def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
@@ -149,6 +200,23 @@ _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _MEMBER_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _FF_UNLESS_ONE = b"\xff" + bytes(255)  # byte 0 -> 0xFF, any other byte -> 0
 _IS_FF = bytes(255) + b"\x01"  # byte 0xFF -> 1, any other byte -> 0
+
+
+def _reader(points: list[int], total: int):
+    """Return read(vector): the bytes of a level vector of byte levels
+    below 0xFF (q < 256) at the given point indices, ascending, in their
+    order.  Every other point is ORed to 0xFF, which no level is, and
+    deleted."""
+    is_read = bytearray(total)
+    for i in points:
+        is_read[i] = 1
+    others = int.from_bytes(is_read.translate(_FF_UNLESS_ONE), "little")
+
+    def read(vector: bytes) -> bytes:
+        return (int.from_bytes(vector, "little") | others).to_bytes(
+            total, "little").translate(None, b"\xff")
+
+    return read
 
 
 def _gap_flags(pset: PointSet) -> bytes:
@@ -192,14 +260,10 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
     s = len(normals)
     if len(gaps) < s and q < 256:
         level_vector = _level_kernel(f)
-        is_normal = bytearray(total)
-        for i in normals:
-            is_normal[i] = 1
-        others = int.from_bytes(is_normal.translate(_FF_UNLESS_ONE), "little")
+        read = _reader(normals, total)
         rows = [0] * q  # rows[c]: byte d is 1 when a gap has level c under normal #d
         for g in _coords_of(gaps, q, n):
-            at_normals = (int.from_bytes(level_vector(g), "little") | others).to_bytes(
-                total, "little").translate(None, b"\xff")
+            at_normals = read(level_vector(g))
             for c in range(q):
                 rows[c] |= int.from_bytes(_level_flags(at_normals, c), "little")
         table = bytearray(q * s)

@@ -113,6 +113,19 @@ def spanning_tuple_census(f: FieldSpec, n: int) -> tuple[int, dict[tuple, int]]:
     return total, fibers
 
 
+def union_brute(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
+    """The union of the assigned hyperplanes, point by point: x is in it
+    when some direction's per-element dot product with x is its level."""
+    q = f.q
+    pairs = list(zip(enumerate_directions(f, n), assignment.levels))
+    bits = 0
+    for x in range(q**n):
+        coords = point_coords(x, q, n)
+        if any(dot(f, d.normal, coords) == lvl for d, lvl in pairs):
+            bits |= 1 << x
+    return PointSet(q, n, bits)
+
+
 def incidence_count_direct(
     f: FieldSpec, pset: PointSet, assignment: OffsetAssignment
 ) -> int:

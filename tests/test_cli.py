@@ -125,6 +125,34 @@ def test_construct_requires_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("levels,pos,entry", [
+    ("\u0661,0,0", 0, "\u0661"),  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    ("1_0,0,0", 0, "1_0"),  # which int() reads as 10
+    ("1,0,0,", 3, ""),
+    ("0,,1", 1, ""),
+    ("", 0, ""),
+    ("0, 1,0", 1, " 1"),
+    ("0,+1,0", 1, "+1"),
+    ("0,-1,0", 1, "-1"),
+    ("0,1.0,0", 1, "1.0"),
+    ("0,0x1,0", 1, "0x1"),
+])
+def test_construct_levels_take_only_ascii_decimal_integers(capsys, levels, pos, entry):
+    code, out, err = run(capsys, ["construct", "--field", "2", "--n", "2", "--levels", levels])
+    assert (code, out) == (2, "")
+    assert err == f"error: --levels entry #{pos} {entry!r} is not a decimal integer\n"
+
+
+def test_construct_levels_in_decimal_are_read_as_before(capsys):
+    f = make_field(3, 1)
+    code, out, _ = run(capsys, ["construct", "--field", "3", "--n", "2", "--levels", "00,1,02,1"])
+    assert code == 0
+    assert out == core.point_set_text(f, core.build_union(f, 2, core.OffsetAssignment((0, 1, 2, 1))))
+    code, _, err = run(capsys, ["construct", "--field", "3", "--n", "2", "--levels", "0,1,3,1"])
+    assert code == 2
+    assert err == "error: level 3 out of range for F_3\n"
+
+
 def test_construct_then_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "set.json"
     code, _, _ = run(capsys, [

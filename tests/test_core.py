@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from kakeya.core import (
     write_assignment,
     write_point_set,
 )
-from kakeya.field import field_add, field_mul, make_field, parse_field_spec
+from kakeya.field import field_add, field_mul, field_sub, make_field, parse_field_spec
 from kakeya.geometry import (
     _normal_indices,
     count_subspaces,
@@ -42,8 +43,10 @@ from kakeya.oracles import (
     incidence_count_direct,
     is_gap_set_brute,
     triple_count_direct,
+    union_brute,
 )
 from kakeya.pointset import PointSet
+from kakeya.search import minimal_kakeya_exact
 
 
 def test_build_union_examples_2_2():
@@ -67,6 +70,59 @@ def test_build_union_rejects_bad_assignments():
         build_union(f, 2, OffsetAssignment((0, 0)))  # one direction missing
     with pytest.raises(ValueError):
         build_union(f, 2, OffsetAssignment((0, 0, 2)))  # level out of range
+
+
+# build_union's switch to the open points: as built, after the first batch
+# of directions that leaves the union open, or never
+SWITCHES = {
+    "as built": core._switch_to_points,
+    "at once": lambda added, open_count, left: True,
+    "never": lambda added, open_count, left: False,
+}
+# (p, k, n) cells small enough for union_brute
+UNION_CELLS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (7, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3),
+               (5, 1, 3), (2, 1, 4), (3, 1, 4), (2, 1, 5), (5, 1, 1), (257, 1, 1)]
+
+
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+@pytest.mark.parametrize("p,k,n", UNION_CELLS)
+def test_build_union_matches_the_brute_force_union(p, k, n, switch, monkeypatch):
+    monkeypatch.setattr(core, "_switch_to_points", SWITCHES[switch])
+    f = make_field(p, k)
+    s = len(_normal_indices(f.q, n))
+    rng = random.Random(s)
+    # every hyperplane through 0, random levels, and levels 0 and 1 only
+    assignments = [OffsetAssignment((0,) * s)]
+    assignments += [random_assignment(f, n, seed) for seed in range(4)]
+    assignments += [OffsetAssignment(tuple(rng.randrange(2) for _ in range(s))) for _ in range(4)]
+    for assignment in assignments:
+        assert build_union(f, n, assignment) == union_brute(f, n, assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_union_matches_the_brute_force_union_on_drawn_assignments(data):
+    p, k, n = data.draw(st.sampled_from(
+        [(7, 1, 2), (3, 1, 3), (2, 2, 3), (5, 1, 3), (2, 1, 4), (3, 1, 4), (2, 1, 5)]))
+    f = make_field(p, k)
+    s = len(_normal_indices(f.q, n))
+    levels = data.draw(st.lists(st.integers(0, f.q - 1), min_size=s, max_size=s))
+    assignment = OffsetAssignment(tuple(levels))
+    want = union_brute(f, n, assignment)
+    for switch in SWITCHES.values():
+        with mock.patch.object(core, "_switch_to_points", switch):
+            assert build_union(f, n, assignment) == want
+
+
+@pytest.mark.parametrize("q,n", [(4, 3), (5, 3), (2, 8), (3, 5), (4, 4)])
+def test_build_union_of_a_search_witness_matches_the_brute_force_union(q, n, monkeypatch):
+    f = parse_field_spec(str(q))
+    witness = minimal_kakeya_exact(f, n).witness
+    want = union_brute(f, n, witness)
+    assert want.cardinality < f.q**n  # the union leaves the maximum gap set open
+    for switch in SWITCHES.values():
+        monkeypatch.setattr(core, "_switch_to_points", switch)
+        assert build_union(f, n, witness) == want
 
 
 def test_is_kakeya_full_and_empty():
@@ -447,6 +503,93 @@ def test_level_vector_counts_are_pinned(p, k, n, monkeypatch):
             assert len(calls) == verdict.failing_index + 1
             rejects += 1
     assert rejects > 0
+
+
+def _union_vector_counts(f, n, levels) -> tuple[int, int]:
+    """The directions and the open points whose level vectors build_union
+    reads for these levels.  It counts the union of the first directions'
+    hyperplanes after every batch of 8 and stops at the first full one; it
+    switches to one vector per open point after a batch that covered fewer
+    than 8 new points and left fewer points open than directions unread.
+    Hyperplanes are listed here from per-element dot products."""
+    total = f.q**n
+    dirs = enumerate_directions(f, n)
+    coords = [point_coords(x, f.q, n) for x in range(total)]
+    covered, before = set(), 0
+    for done, (d, lvl) in enumerate(zip(dirs, levels), 1):
+        covered.update(x for x, c in enumerate(coords) if dot(f, d.normal, c) == lvl)
+        if done % 8:
+            continue
+        if len(covered) == total:
+            return done, 0
+        if len(covered) - before < 8 and total - len(covered) < len(dirs) - done:
+            return done, total - len(covered)
+        before = len(covered)
+    return len(dirs), 0
+
+
+def test_union_level_vector_counts_are_pinned(monkeypatch):
+    # k directions, then G open points.  k + 1 lines of the plane cover at
+    # most q + k (q - 1) points, so at least as many stay open as lines are
+    # left, and a planar union reads every direction: |S| vectors.
+    kinds = set()
+    for p, k, n in [(3, 1, 2), (7, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 3), (2, 2, 3),
+                    (5, 1, 3), (7, 1, 3), (2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 4)]:
+        f = make_field(p, k)
+        s = len(_normal_indices(f.q, n))
+        assignments = [random_assignment(f, n, seed) for seed in range(3)]
+        if n >= 3 and f.q <= 5:  # the exact search is slow from (7,3) on
+            assignments.append(minimal_kakeya_exact(f, n).witness)
+        for assignment in assignments:
+            directions, points = _union_vector_counts(f, n, assignment.levels)
+            with monkeypatch.context() as m:
+                calls = _counted_kernel(m)
+                build_union(f, n, assignment)
+            assert len(calls) == directions + points
+            if n == 2:
+                assert (directions, points) == (s, 0)
+            elif points:
+                kinds.add("open points")
+            elif directions < s:
+                kinds.add("full")
+    assert kinds == {"full", "open points"}
+
+
+@pytest.mark.parametrize("q,n,directions", [(3, 10, 16), (2, 16, 8)])
+def test_large_union_level_vector_counts_are_pinned(q, n, directions, monkeypatch):
+    # the random unions fill the space within two batches; along every
+    # direction they would read 29,524 and 65,535 level vectors
+    f = parse_field_spec(str(q))
+    assignment = random_assignment(f, n, 1)
+    calls = _counted_kernel(monkeypatch)
+    assert build_union(f, n, assignment) == PointSet.full(f.q, n)
+    assert len(calls) == directions
+
+
+def _lines_union(f, levels) -> PointSet:
+    """The union of the assigned lines of F_q^2, listed point by point: the
+    line of normal (1, b) at level c holds (c - b y, y) for every y, that of
+    (0, 1) holds (x, c) for every x."""
+    q = f.q
+    bits = 0
+    for d, c in zip(enumerate_directions(f, 2), levels):
+        a, b = d.normal
+        for t in range(q):
+            x, y = (field_sub(f, c, field_mul(f, b, t)), t) if a else (t, c)
+            bits |= 1 << (x + q * y)
+    return PointSet(q, 2, bits)
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (257, 1)])
+def test_fields_of_256_or_more_elements_keep_the_direction_side(p, k, monkeypatch):
+    # 0xFF is a level there, so it cannot mark the points that are not read
+    f = make_field(p, k)
+    monkeypatch.setattr(core, "_switch_to_points", SWITCHES["at once"])
+    assignment = random_assignment(f, 2, 1)
+    calls = _counted_kernel(monkeypatch)
+    union = build_union(f, 2, assignment)
+    assert len(calls) == f.q + 1
+    assert union == _lines_union(f, assignment.levels)
 
 
 def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):
