@@ -360,6 +360,34 @@ def _selftest_checks():
         for assignment in assignments:
             assert build_union(f, n, assignment) == oracles.union_brute(f, n, assignment)
 
+    def containment_vs_brute(p, k, n):
+        # points removed from random unions and from the search's witness
+        # union: the check fails exactly when a chosen hyperplane holds a
+        # removed point, at the first such direction
+        import random as _random
+        f = make_field(p, k)
+        normals = [d.normal for d in enumerate_directions(f, n)]
+        rng = _random.Random(13)
+        assignments = [random_assignment(f, n, seed) for seed in range(3)]
+        assignments.append(minimal_kakeya_exact(f, n).witness)
+        for assignment in assignments:
+            union = build_union(f, n, assignment)
+            members = list(union.indices())
+            gaps = sorted(set(range(f.q**n)) - set(members))
+            for removed in (rng.sample(members, 1), rng.sample(members, 2),
+                            gaps[:2], gaps[:1] + members[-1:]):
+                coords = [point_coords(x, f.q, n) for x in removed]
+                first = next((pos for pos, (u, lvl) in enumerate(zip(normals, assignment))
+                              if any(oracles.dot(f, u, x) == lvl for x in coords)), None)
+                pset = PointSet(f.q, n, union.bits & ~sum(1 << x for x in removed))
+                try:
+                    incidence_stats(f, pset, assignment)
+                except ValueError as exc:
+                    assert first is not None and str(exc) == (
+                        f"hyperplane for direction #{first} is not contained in the set")
+                else:
+                    assert first is None
+
     def canonical_vs_lex_scan(p, k, n):
         f = make_field(p, k)
         result = minimal_kakeya_exact(f, n)
@@ -397,6 +425,8 @@ def _selftest_checks():
         ("union vs brute force (3,3)", lambda: union_vs_brute(3, 1, 3)),
         ("union vs brute force F_4^3", lambda: union_vs_brute(2, 2, 3)),
         ("union vs brute force (5,3)", lambda: union_vs_brute(5, 1, 3)),
+        ("stats containment vs brute force (3,3)", lambda: containment_vs_brute(3, 1, 3)),
+        ("stats containment vs brute force F_4^3", lambda: containment_vs_brute(2, 2, 3)),
     ]
     return checks
 

@@ -15,6 +15,7 @@ check costs O(min(G, |S|) q^n) kernel work, and none for a gap-free set.
 For the same reason a union of assigned hyperplanes leaves few points
 open, and build_union reads its directions only until fewer points are
 open than directions are left, then one level vector per open point.
+E holds every assigned hyperplane exactly when it holds their union.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
     _coords_of,
+    _direction_count,
     _direction_levels,
     _flags_mask,
     _level_flags,
@@ -114,12 +116,10 @@ def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> li
             for levels in _direction_levels(f, [d.normal for d in dirs])]
 
 
-def _check_assignment(f: FieldSpec, normals, assignment: OffsetAssignment) -> tuple[int, ...]:
+def _check_assignment(f: FieldSpec, s: int, assignment: OffsetAssignment) -> tuple[int, ...]:
     levels = tuple(assignment.levels)
-    if len(levels) != len(normals):
-        raise ValueError(
-            f"assignment covers {len(levels)} directions, expected {len(normals)}"
-        )
+    if len(levels) != s:
+        raise ValueError(f"assignment covers {len(levels)} directions, expected {s}")
     for lvl in levels:
         if not 0 <= lvl < f.q:
             raise ValueError(f"level {lvl} out of range for {f}")
@@ -151,8 +151,8 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     """
     q = f.q
     normals = _normal_indices(q, n)
-    levels = _check_assignment(f, normals, assignment)
     total, s = q**n, len(normals)
+    levels = _check_assignment(f, s, assignment)
     lanes = covered = 0
     # the normals' coordinates in chunks, so that a union that stops early
     # does not list them all
@@ -192,8 +192,7 @@ def _switch_to_points(added: int, open_count: int, left: int) -> bool:
 def random_assignment(f: FieldSpec, n: int, seed: int) -> OffsetAssignment:
     """Seeded uniform level per direction; deterministic for a fixed seed."""
     rng = random.Random(seed)
-    count = len(_normal_indices(f.q, n))
-    return OffsetAssignment(tuple(rng.randrange(f.q) for _ in range(count)))
+    return OffsetAssignment(tuple(rng.randrange(f.q) for _ in range(_direction_count(f.q, n))))
 
 
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
@@ -229,7 +228,7 @@ def _member_flags(pset: PointSet) -> bytes:
     return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_MEMBER_FLAGS)
 
 
-def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
+def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int]):
     """Yield, per direction in enumeration order (normals: the point indices
     of their normals), its hole flags: q bytes, byte c nonzero exactly when
     a gap of pset has level c.
@@ -237,7 +236,6 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
     The level u . g of gap g under normal u is g . u, so the (direction x
     gap) table of levels can be built along either side, and the shorter
     one is taken:
-    - no gap: no level vector at all;
     - fewer gaps than directions: one level vector per gap, read at the
       normals and ORed into one row of flags per level, in O(q |S| + q^n)
       bytes;
@@ -245,16 +243,8 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
       so that a caller can stop at its first failing direction.
     The gap side needs byte levels with 0xFF free to mark the points not
     read (q < 256); larger fields are read along the directions.
-
-    With `chosen` (one level per direction) only byte chosen[d] of each row
-    is asked for: along the directions, that level alone is tested, and a
-    row is all ones when it is a hole and all zeros when it is not.
     """
     q, n, total = pset.q, pset.n, pset.universe
-    no_holes = bytes(q)
-    if pset.cardinality == total:
-        yield from repeat(no_holes, len(normals))
-        return
     gap_flags = _gap_flags(pset)
     gaps = list(compress(range(total), gap_flags))
     s = len(normals)
@@ -273,12 +263,7 @@ def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int], chosen=None):
             yield table[i:i + q]
         return
     vectors = _direction_levels(f, _coords_of(normals, q, n))
-    if chosen is not None:
-        gap_lanes = int.from_bytes(gap_flags, "little")
-        for vector, c in zip(vectors, chosen):
-            hit = int.from_bytes(_level_flags(vector, c), "little") & gap_lanes
-            yield b"\1" * q if hit else no_holes
-    elif q >= 256:
+    if q >= 256:
         for vector in vectors:
             holes = set(map(vector.__getitem__, gaps))
             yield bytes(map(holes.__contains__, range(q)))
@@ -329,12 +314,13 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     Directions (subspaces for plane_dim < n-1) are checked in enumeration
     order, and the check stops at the first one without a full coset.  A
     coset is full exactly when no gap (point outside E) lies on it, so a
-    direction's holes are the levels of the gaps (see _hole_flags).  A
-    subspace that holds no gap is itself a full coset, and 0 its smallest
-    point, so a gap-free set lists no subspace; otherwise the vectors of
-    its dual functionals give every point's coset.  The witness picks the
-    smallest full level per direction, or the smallest point of any full
-    coset per subspace.
+    gap-free set gets 0 everywhere once its count of directions or
+    subspaces has passed the enumeration cap.  Otherwise a direction's
+    holes are the levels of the gaps (see _hole_flags), and a subspace
+    that holds no gap is a full coset with 0 its smallest point; any other
+    gets every point's coset from the vectors of its dual functionals.
+    The witness picks the smallest full level per direction, or the
+    smallest point of any full coset per subspace.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
@@ -342,6 +328,11 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     plane_dim = _resolve_plane_dim(n, plane_dim)
     q = f.q
 
+    if pset.cardinality == pset.universe:
+        if plane_dim < n - 1:
+            return KakeyaVerdict(True, plane_dim, (0,) * _subspace_count(q, n, plane_dim), None)
+        zeros = OffsetAssignment((0,) * _direction_count(q, n))
+        return KakeyaVerdict(True, plane_dim, zeros, None)
     if plane_dim == n - 1:
         levels = []
         for pos, holes in enumerate(_hole_flags(f, pset, _normal_indices(q, n))):
@@ -350,8 +341,6 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
                 return KakeyaVerdict(False, plane_dim, None, pos)
             levels.append(lvl)
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
-    if pset.cardinality == pset.universe:
-        return KakeyaVerdict(True, plane_dim, (0,) * _subspace_count(q, n, plane_dim), None)
 
     level_vector = _level_kernel(f)
     gaps = _gap_flags(pset)
@@ -374,29 +363,29 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
 def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) -> IncidenceReport:
     """Exact |I| and |W| for a set containing every assigned hyperplane.
 
-    The chosen hyperplane of a direction lies in E exactly when its level
-    is not the level of any gap (see _hole_flags).  |I|
-    counts (direction, point) incidences on the chosen hyperplanes; under
-    containment it is |S| q^(n-1).  |W| counts triples (w1, w2, v) with v
-    on both chosen hyperplanes; under containment the case split gives
-    |I| + |S|(|S|-1) q^(n-2) exactly.  The quotient |I|^2/|W| is an exact
-    rational lower bound for |E|.
+    E holds every chosen hyperplane exactly when it holds their union,
+    build_union of the assignment.  The gaps on chosen hyperplanes are the
+    union's points outside E, and only their hole flags (see _hole_flags)
+    name a failing set's first direction whose chosen level is a hole.
+    |I| counts (direction, point) incidences on the chosen hyperplanes;
+    under containment it is |S| q^(n-1).  |W| counts triples (w1, w2, v)
+    with v on both chosen hyperplanes; under containment the case split
+    gives |I| + |S|(|S|-1) q^(n-2) exactly.  The quotient |I|^2/|W| is an
+    exact rational lower bound for |E|.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
-    q, n = pset.q, pset.n
-    normals = _normal_indices(q, n)
-    levels = _check_assignment(f, normals, assignment)
-    for pos, (holes, lvl) in enumerate(zip(_hole_flags(f, pset, normals, levels), levels)):
-        if holes[lvl]:
-            raise ValueError(
-                f"hyperplane for direction #{pos} is not contained in the set"
-            )
+    q, n, total = pset.q, pset.n, pset.universe
+    s = _direction_count(q, n)
+    if pset.cardinality == total:
+        _check_assignment(f, s, assignment)
+    elif missed := build_union(f, n, assignment).bits & ~pset.bits:
+        holes = _hole_flags(f, PointSet(q, n, (1 << total) - 1 ^ missed), _normal_indices(q, n))
+        pos = next(pos for pos, (row, lvl) in enumerate(zip(holes, assignment.levels)) if row[lvl])
+        raise ValueError(f"hyperplane for direction #{pos} is not contained in the set")
 
-    s = len(normals)
     i_count = s * q ** (n - 1)
-    pairs_term = s * (s - 1) * q ** (n - 2) if n >= 2 else 0
-    w_count = i_count + pairs_term
+    w_count = i_count + (s * (s - 1) * q ** (n - 2) if n >= 2 else 0)
     return IncidenceReport(
         s_count=s,
         i_count=i_count,
@@ -490,6 +479,8 @@ def point_set_to_json(f: FieldSpec, pset: PointSet, include_points: bool = False
 
 def point_set_from_json(obj: dict) -> tuple[FieldSpec, PointSet]:
     """Validate and decode the point-set schema (q, p, k, n, bits_hex[, points])."""
+    if type(obj) is not dict:
+        raise ValueError("point set file must hold a JSON object")
     for key in ("q", "p", "k", "n", "bits_hex"):
         if key not in obj:
             raise ValueError(f"point set file missing key {key!r}")
@@ -536,8 +527,16 @@ def write_point_set(path, f: FieldSpec, pset: PointSet, include_points: bool = F
     Path(path).write_text(point_set_text(f, pset, include_points))
 
 
+def _read_json(path):
+    """The JSON value of a file; nesting too deep to decode is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def read_point_set(path) -> tuple[FieldSpec, PointSet]:
-    return point_set_from_json(json.loads(Path(path).read_text()))
+    return point_set_from_json(_read_json(path))
 
 
 def assignment_to_json(f: FieldSpec, n: int, assignment: OffsetAssignment) -> dict:
@@ -563,7 +562,7 @@ def write_assignment(path, f: FieldSpec, n: int, assignment: OffsetAssignment) -
 def read_assignment(path, q: int, n: int) -> OffsetAssignment:
     """The witness file's levels for a point set of F_q^n; the object form
     must name that space, whose direction count alone does not identify it."""
-    obj = json.loads(Path(path).read_text())
+    obj = _read_json(path)
     if isinstance(obj, dict):
         for key, want in (("q", q), ("n", n)):
             got = obj.get(key)

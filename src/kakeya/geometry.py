@@ -75,13 +75,21 @@ def count_directions_formula(q: int, n: int) -> int:
     return num // (q - 1)
 
 
+def _direction_count(q: int, n: int) -> int:
+    """count_directions_formula(q, n) of a space within the size cap,
+    refused above ENUM_CAP."""
+    check_space(q, n)
+    count = count_directions_formula(q, n)
+    if count > ENUM_CAP:
+        raise ValueError("direction count exceeds enumeration cap")
+    return count
+
+
 def _normal_indices(q: int, n: int) -> list[int]:
     """Point indices of the canonical normals, ascending, so entry i is the
     normal of direction #i.  An oversized space or direction count is
     refused before anything is built."""
-    check_space(q, n)
-    if count_directions_formula(q, n) > ENUM_CAP:
-        raise ValueError("direction count exceeds enumeration cap")
+    _direction_count(q, n)
     # The normal with first nonzero coordinate i set to 1 has index q^i * m,
     # m = 1 (mod q) and m < q^(n-i).
     return sorted(q**i * m for i in range(n) for m in range(1, q ** (n - i), q))

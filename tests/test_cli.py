@@ -292,6 +292,26 @@ def test_verify_rejects_malformed_file(tmp_path, capsys):
     assert "hex" in err
 
 
+# a JSON value that is not an object, and one nested too deep to decode
+@pytest.mark.parametrize("text", ["5", "null", "true", "[" * 200_000],
+                         ids=["int", "null", "bool", "deep"])
+def test_verify_and_stats_refuse_files_they_cannot_read(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    set_path = tmp_path / "set.json"
+    wit_path = tmp_path / "wit.json"
+    code, _, _ = run(capsys, ["construct", "--field", "2", "--n", "2", "--seed", "1",
+                              "--output", str(set_path), "--witness-out", str(wit_path)])
+    assert code == 0
+    for argv in (["verify", str(bad)],
+                 ["stats", str(bad), "--witness", str(wit_path)],
+                 ["stats", str(set_path), "--witness", str(bad)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_stats_matches_example(tmp_path, capsys):
     set_path = tmp_path / "set.json"
     wit_path = tmp_path / "wit.json"

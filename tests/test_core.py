@@ -441,11 +441,6 @@ def test_hole_flags_match_the_gap_level_brute_force(p, k, n):
         holes = gap_levels_brute(f, n, gaps)
         rows = list(_hole_flags(f, pset, normals))
         assert [{c for c in range(q) if row[c]} for row in rows] == holes
-        # asked for one level per direction, that level's flag is exact
-        chosen = [rng.randrange(q) for _ in normals]
-        rows = list(_hole_flags(f, pset, normals, chosen))
-        assert [bool(row[c]) for row, c in zip(rows, chosen)] == [
-            c in h for h, c in zip(holes, chosen)]
 
 
 def _counted_kernel(monkeypatch) -> list:
@@ -607,7 +602,9 @@ def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("p,k,n", GATHER_CELLS)
+# F_2^8 in the plane: 0xFF is a level there, so the union and the hole
+# flags are read along the directions
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS + [(2, 8, 2)])
 def test_incidence_stats_names_the_first_direction_not_contained(p, k, n):
     f = make_field(p, k)
     dirs = enumerate_directions(f, n)
