@@ -30,8 +30,14 @@ from .core import (
     read_point_set,
     write_assignment,
 )
-from .field import FieldSpec, factor_prime_power, parse_field_spec
-from .geometry import _normal_indices, count_directions_formula, enumerate_directions, point_coords
+from .field import FieldSpec, factor_prime_power, parse_field_spec, size_cap
+from .geometry import (
+    ENUM_CAP,
+    _normal_indices,
+    count_directions_formula,
+    enumerate_directions,
+    point_coords,
+)
 from .search import (
     DEFAULT_NODE_BUDGET,
     MAX_WORKERS,
@@ -82,7 +88,8 @@ def _rational_decimal(fr: Fraction, digits: int = 20) -> str:
 
 
 def _parse_range(text: str) -> list[int]:
-    """"2..5" -> [2, 3, 4, 5]; "7" -> [7]."""
+    """"2..5" -> [2, 3, 4, 5]; "7" -> [7].  A range of more than ENUM_CAP
+    values is refused before it is listed."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -91,6 +98,8 @@ def _parse_range(text: str) -> list[int]:
             raise ValueError(f"cannot parse range {text!r}") from None
         if hi_i < lo_i:
             raise ValueError(f"empty range {text!r}")
+        if hi_i - lo_i >= ENUM_CAP:
+            raise ValueError(f"range {text!r} has more than {ENUM_CAP} values")
         return list(range(lo_i, hi_i + 1))
     try:
         return [int(text)]
@@ -104,7 +113,11 @@ def _parse_range(text: str) -> list[int]:
 def cmd_bound(args) -> int:
     qs = _parse_range(args.q)
     ns = _parse_range(args.n_range)
+    cap = size_cap()
     for q in qs:
+        if q > cap:
+            # before the trial division in factor_prime_power
+            raise ValueError(f"field order {q} exceeds size cap {cap}")
         if q < 2 or factor_prime_power(q) is None:
             raise ValueError(f"q={q} is not a prime power")
     for n in ns:
@@ -338,18 +351,19 @@ def _selftest_checks():
             assert is_kakeya(f, PointSet(f.q, n, bits)).ok == oracles.is_gap_set_brute(f, n, gaps)
 
     def hole_flags_vs_brute(p, k, n):
-        # |S| - 1 gaps are read along the gaps, |S| along the directions
+        # one and two gaps are read along the gaps; |S| - 1 and |S|, more
+        # than a Kakeya set leaves, along the directions
         import random as _random
         from .core import _hole_flags
-        from .geometry import _normal_indices
+        from .geometry import _direction_count
         f = make_field(p, k)
-        normals = _normal_indices(f.q, n)
+        s = _direction_count(f.q, n)
         rng = _random.Random(11)
-        for count in (len(normals) - 1, len(normals)):
+        for count in (1, 2, s - 1, s):
             gaps = rng.sample(range(f.q**n), count)
             pset = PointSet(f.q, n, PointSet.full(f.q, n).bits & ~sum(1 << i for i in gaps))
             rows = [{c for c, hole in enumerate(row) if hole}
-                    for row in _hole_flags(f, pset, normals)]
+                    for row in _hole_flags(f, pset)]
             assert rows == oracles.gap_levels_brute(f, n, gaps)
 
     def union_vs_brute(p, k, n):

@@ -10,12 +10,15 @@ E) lies on it.  A set that contains a hyperplane in every direction has at
 least q^n - O(q^2) points, so a Kakeya set has few gaps.  The hyperplane
 checks need only the (direction x gap) table of levels, and since u . g =
 g . u it is built along its shorter side: one level vector per gap when
-there are fewer gaps G than directions |S|, else one per direction.  A
-check costs O(min(G, |S|) q^n) kernel work, and none for a gap-free set.
-For the same reason a union of assigned hyperplanes leaves few points
-open, and build_union reads its directions only until fewer points are
-open than directions are left, then one level vector per open point.
-E holds every assigned hyperplane exactly when it holds their union.
+there are fewer gaps G than directions |S| (and no more than the paper's
+bound leaves a Kakeya set), else one per direction.  A check costs
+O(min(G, |S|) q^n) kernel work, and none for a gap-free set.  For the same
+reason a union of assigned hyperplanes leaves few points open, and
+build_union reads its directions only until fewer points are open than
+directions are left, then one level vector per open point.  A point's
+levels at all the normals are n strided slices of its level vector, one
+per lead coordinate of the normal (geometry._normal_slices).  E holds
+every assigned hyperplane exactly when it holds their union.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .geometry import (
     _level_kernel,
     _level_masks_of,
     _normal_indices,
+    _normal_slices,
     _subspace_count,
     count_directions_formula,
     enumerate_directions,
@@ -141,13 +145,14 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     union with a hyperplane in every direction leaves O(q^2) points open,
     so it is usually finished along its shorter side: once a batch covers
     fewer new points than it has directions and fewer points are open than
-    directions are left, each open point gets one level vector, read at the
-    remaining normals.  The point is covered when one of those levels is
-    its direction's assigned level, that is when the XOR of the two byte
-    strings has a zero byte.  The cost is about (k + G) q^n bytes, for k
-    directions read before the switch and G points open at it, instead of
-    |S| q^n.  The read marks the points not read with 0xFF, so fields with
-    q >= 256 stay along the directions.
+    directions are left, each open point gets one level vector, read at
+    every normal by lead coordinate (see _normal_slices).  The point is
+    covered when one of those levels is its direction's assigned level,
+    that is when the XOR of the two byte strings has a zero byte; an open
+    point lies on none of the hyperplanes read so far, so those compare
+    unequal.  The cost is about (k + G) q^n bytes, for k directions read
+    before the switch and G points open at it, instead of |S| q^n.  Fields
+    with q > 256 have no byte levels and stay along the directions.
     """
     q = f.q
     normals = _normal_indices(q, n)
@@ -166,15 +171,20 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
         before, covered = covered, lanes.bit_count()
         if covered == total:
             break
-        if q < 256 and _switch_to_points(covered - before, total - covered, s - done):
+        if f.mul_rows is not None and _switch_to_points(
+                covered - before, total - covered, s - done):
             flags = bytearray(lanes.to_bytes(total, "little"))
-            read = _reader(normals[done:], total)
-            assigned = int.from_bytes(bytes(levels[done:]), "little")
+            slices, order = _normal_slices(q, n)
+            by_lead = bytearray(s)  # the assigned levels in lead order
+            for j, lvl in zip(order, levels):
+                by_lead[j] = lvl
+            assigned = int.from_bytes(by_lead, "little")
             level_vector = _level_kernel(f)
             open_points = list(compress(range(total), flags.translate(_OPEN_FLAGS)))
             for g, x in zip(open_points, _coords_of(open_points, q, n)):
-                found = int.from_bytes(read(level_vector(x)), "little") ^ assigned
-                if found.to_bytes(s - done, "little").find(0) >= 0:
+                vector = level_vector(x)
+                found = int.from_bytes(b"".join([vector[i] for i in slices]), "little")
+                if (found ^ assigned).to_bytes(s, "little").find(0) >= 0:
                     flags[g] = 1
             return PointSet(q, n, _flags_mask(bytes(flags)))
     return PointSet(q, n, _flags_mask(lanes.to_bytes(total, "little")))
@@ -201,23 +211,6 @@ _FF_UNLESS_ONE = b"\xff" + bytes(255)  # byte 0 -> 0xFF, any other byte -> 0
 _IS_FF = bytes(255) + b"\x01"  # byte 0xFF -> 1, any other byte -> 0
 
 
-def _reader(points: list[int], total: int):
-    """Return read(vector): the bytes of a level vector of byte levels
-    below 0xFF (q < 256) at the given point indices, ascending, in their
-    order.  Every other point is ORed to 0xFF, which no level is, and
-    deleted."""
-    is_read = bytearray(total)
-    for i in points:
-        is_read[i] = 1
-    others = int.from_bytes(is_read.translate(_FF_UNLESS_ONE), "little")
-
-    def read(vector: bytes) -> bytes:
-        return (int.from_bytes(vector, "little") | others).to_bytes(
-            total, "little").translate(None, b"\xff")
-
-    return read
-
-
 def _gap_flags(pset: PointSet) -> bytes:
     """Per point, 1 for a gap (a point outside pset) and 0 for a member."""
     return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_GAP_FLAGS)
@@ -228,46 +221,52 @@ def _member_flags(pset: PointSet) -> bytes:
     return format(pset.bits, f"0{pset.universe}b")[::-1].encode().translate(_MEMBER_FLAGS)
 
 
-def _hole_flags(f: FieldSpec, pset: PointSet, normals: list[int]):
-    """Yield, per direction in enumeration order (normals: the point indices
-    of their normals), its hole flags: q bytes, byte c nonzero exactly when
-    a gap of pset has level c.
+def _hole_flags(f: FieldSpec, pset: PointSet):
+    """Yield, per direction in enumeration order, its hole flags: q bytes,
+    byte c nonzero exactly when a gap of pset has level c.
 
     The level u . g of gap g under normal u is g . u, so the (direction x
     gap) table of levels can be built along either side, and the shorter
     one is taken:
-    - fewer gaps than directions: one level vector per gap, read at the
-      normals and ORed into one row of flags per level, in O(q |S| + q^n)
-      bytes;
+    - fewer gaps than directions, and few enough for a Kakeya set: one
+      level vector per gap, read at every normal by lead coordinate (see
+      _normal_slices) and ORed into one row of flags per level, in
+      O(q |S| + q^n) bytes.  This needs byte levels (q <= 256);
     - otherwise one level vector per direction, read at the gaps, lazily,
       so that a caller can stop at its first failing direction.
-    The gap side needs byte levels with 0xFF free to mark the points not
-    read (q < 256); larger fields are read along the directions.
+    A set with a hyperplane in every direction has at least (q^2n - q^n) /
+    (q^n + q^2 - 2q) points (for n = 1, at least one).  A set with more
+    gaps than that allows is not Kakeya, and along the directions it stops
+    at the first that fails, where along its gaps it could not stop.
     """
     q, n, total = pset.q, pset.n, pset.universe
     gap_flags = _gap_flags(pset)
     gaps = list(compress(range(total), gap_flags))
-    s = len(normals)
-    if len(gaps) < s and q < 256:
+    s = (total - 1) // (q - 1)
+    # the bound above, in integers
+    if (f.mul_rows is not None and len(gaps) < s
+            and pset.cardinality * (total + q * q - 2 * q) >= total * total - total):
+        slices, order = _normal_slices(q, n)
         level_vector = _level_kernel(f)
-        read = _reader(normals, total)
-        rows = [0] * q  # rows[c]: byte d is 1 when a gap has level c under normal #d
+        rows = [0] * q  # rows[c]: byte j is 1 when a gap has level c at lead position j
         for g in _coords_of(gaps, q, n):
-            at_normals = read(level_vector(g))
+            vector = level_vector(g)
+            at_normals = b"".join([vector[i] for i in slices])
             for c in range(q):
                 rows[c] |= int.from_bytes(_level_flags(at_normals, c), "little")
         table = bytearray(q * s)
         for c, row in enumerate(rows):
             table[c::q] = row.to_bytes(s, "little")
-        for i in range(0, q * s, q):
+        for i in map(q.__mul__, order):
             yield table[i:i + q]
         return
-    vectors = _direction_levels(f, _coords_of(normals, q, n))
+    vectors = _direction_levels(f, _coords_of(_normal_indices(q, n), q, n))
     if q >= 256:
         for vector in vectors:
             holes = set(map(vector.__getitem__, gaps))
             yield bytes(map(holes.__contains__, range(q)))
     else:
+        # every member maps to 0xFF, which no level of q < 256 is
         members = int.from_bytes(gap_flags.translate(_FF_UNLESS_ONE), "little")
         every = b"\xff" * total
         for vector in vectors:
@@ -335,7 +334,7 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
         return KakeyaVerdict(True, plane_dim, zeros, None)
     if plane_dim == n - 1:
         levels = []
-        for pos, holes in enumerate(_hole_flags(f, pset, _normal_indices(q, n))):
+        for pos, holes in enumerate(_hole_flags(f, pset)):
             lvl = holes.find(0)
             if lvl < 0:
                 return KakeyaVerdict(False, plane_dim, None, pos)
@@ -380,7 +379,7 @@ def incidence_stats(f: FieldSpec, pset: PointSet, assignment: OffsetAssignment) 
     if pset.cardinality == total:
         _check_assignment(f, s, assignment)
     elif missed := build_union(f, n, assignment).bits & ~pset.bits:
-        holes = _hole_flags(f, PointSet(q, n, (1 << total) - 1 ^ missed), _normal_indices(q, n))
+        holes = _hole_flags(f, PointSet(q, n, (1 << total) - 1 ^ missed))
         pos = next(pos for pos, (row, lvl) in enumerate(zip(holes, assignment.levels)) if row[lvl])
         raise ValueError(f"hyperplane for direction #{pos} is not contained in the set")
 

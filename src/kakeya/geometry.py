@@ -85,14 +85,29 @@ def _direction_count(q: int, n: int) -> int:
     return count
 
 
-def _normal_indices(q: int, n: int) -> list[int]:
-    """Point indices of the canonical normals, ascending, so entry i is the
-    normal of direction #i.  An oversized space or direction count is
-    refused before anything is built."""
+def _lead_normals(q: int, n: int) -> list[int]:
+    """Point indices of the canonical normals grouped by lead (first
+    nonzero) coordinate i, ascending within each group.  An oversized space
+    or direction count is refused before anything is built."""
     _direction_count(q, n)
     # The normal with first nonzero coordinate i set to 1 has index q^i * m,
-    # m = 1 (mod q) and m < q^(n-i).
-    return sorted(q**i * m for i in range(n) for m in range(1, q ** (n - i), q))
+    # m = 1 (mod q): every q^(i+1)-th point from q^i.
+    return [x for i in range(n) for x in range(q**i, q**n, q ** (i + 1))]
+
+
+def _normal_indices(q: int, n: int) -> list[int]:
+    """Point indices of the canonical normals, ascending, so entry i is the
+    normal of direction #i; refused as _lead_normals refuses."""
+    return sorted(_lead_normals(q, n))
+
+
+def _normal_slices(q: int, n: int) -> tuple[list[slice], list[int]]:
+    """The n slices that read a level vector at the canonical normals, one
+    per lead coordinate, and order: order[d] is the position of direction
+    #d in the slices' joined bytes."""
+    lead = _lead_normals(q, n)
+    slices = [slice(q**i, None, q ** (i + 1)) for i in range(n)]
+    return slices, sorted(range(len(lead)), key=lead.__getitem__)
 
 
 def _coords_of(indices, q: int, n: int) -> list[tuple[int, ...]]:
@@ -233,13 +248,18 @@ def _level_kernel(f: FieldSpec):
 
     add_flat: list[int] = []  # add_flat[r*q + a] = r + a, built on first use
 
+    def row(c) -> list[int]:
+        # c * x for every x; every canonical normal starts with 0 or 1
+        if c < 2:
+            return list(range(q)) if c else [0] * q
+        return [field_mul(f, c, x) for x in range(q)]
+
     def levels(u) -> list[int]:
-        out = [field_mul(f, u[0], x) for x in range(q)]
+        out = row(u[0])
         for c in u[1:]:
             if not add_flat:
                 add_flat.extend(field_add(f, r, a) for r in range(q) for a in range(q))
-            out = [add_flat[rq + a] for rq in (q * field_mul(f, c, x) for x in range(q))
-                   for a in out]
+            out = [add_flat[rq + a] for rq in map(q.__mul__, row(c)) for a in out]
         return out
 
     return levels

@@ -73,6 +73,30 @@ def test_bound_rejects_bad_ranges(capsys, q):
                    else f"error: cannot parse range {q!r}\n")
 
 
+def test_bound_refuses_a_field_above_the_size_cap_before_factoring(capsys, monkeypatch):
+    def refuse(q):
+        raise AssertionError("factor_prime_power called")
+
+    monkeypatch.setattr(cli, "factor_prime_power", refuse)
+    monkeypatch.delenv("KAKEYA_SIZE_CAP", raising=False)
+    q = "99999999999999999989"  # prime; its trial division would not end
+    code, out, err = run(capsys, ["bound", "--q", q, "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"error: field order {q} exceeds size cap 1048576\n"
+
+
+@pytest.mark.parametrize("option", ["--q", "--n"])
+def test_bound_refuses_a_range_above_the_enumeration_cap_at_once(capsys, option):
+    # 2,000,000 values, which would take far longer than a second to list
+    # and evaluate
+    ranges = {"--q": "2", "--n": "2", option: "2..2000001"}
+    start = time.process_time()
+    code, out, err = run(capsys, ["bound", "--q", ranges["--q"], "--n", ranges["--n"]])
+    assert time.process_time() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: range '2..2000001' has more than 1000000 values\n"
+
+
 def test_directions_csv_and_text(capsys):
     code, out, _ = run(capsys, ["directions", "--field", "3", "--n", "2", "--format", "csv"])
     assert code == 0

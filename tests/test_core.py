@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya import core
+from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import (
     KakeyaVerdict,
     OffsetAssignment,
@@ -372,8 +373,8 @@ GATHER_CELLS = [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 1, 3), (2, 2, 3)
 
 def _gap_counts(f, n) -> list[int]:
     """0, 1 and 2 gaps, and |S| - 1, |S| and |S| + 1: the (direction x gap)
-    level table is read along the gaps below |S| gaps, along the directions
-    from |S| on."""
+    level table is read along the gaps below |S| gaps (and within the
+    paper's bound), along the directions from |S| on."""
     s = len(enumerate_directions(f, n))
     return [c for c in (0, 1, 2, s - 1, s, s + 1) if 0 <= c <= f.q**n]
 
@@ -433,13 +434,12 @@ def test_incidence_stats_with_few_gaps(p, k, n):
 def test_hole_flags_match_the_gap_level_brute_force(p, k, n):
     f = make_field(p, k)
     q, total = f.q, f.q**n
-    normals = _normal_indices(q, n)
     rng = random.Random(total)
     for count in _gap_counts(f, n):
         gaps = rng.sample(range(total), count)
         pset = _without(f, n, gaps)
         holes = gap_levels_brute(f, n, gaps)
-        rows = list(_hole_flags(f, pset, normals))
+        rows = list(_hole_flags(f, pset))
         assert [{c for c in range(q) if row[c]} for row in rows] == holes
 
 
@@ -470,11 +470,13 @@ def _counted_kernel(monkeypatch) -> list:
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (5, 1, 2)])
 def test_level_vector_counts_are_pinned(p, k, n, monkeypatch):
-    # no gap: none; G < |S| gaps: one per gap; along the directions, a
-    # reject stops after its failing direction
+    # no gap: none; G < |S| gaps, no more than the paper's bound leaves a
+    # Kakeya set: one per gap; along the directions, a reject stops after
+    # its failing direction
     f = make_field(p, k)
     total = f.q**n
     s = len(enumerate_directions(f, n))
+    most_gaps = total - kakeya_lower_bound_ceiling(f.q, n)
     calls = _counted_kernel(monkeypatch)
     full = PointSet.full(f.q, n)
     assert is_kakeya(f, full).ok
@@ -485,8 +487,11 @@ def test_level_vector_counts_are_pinned(p, k, n, monkeypatch):
     for count in (1, s // 2, s - 1):
         pset = _without(f, n, rng.sample(range(total), count))
         del calls[:]
-        is_kakeya(f, pset)
-        assert len(calls) == count
+        verdict = is_kakeya(f, pset)
+        if count <= most_gaps:
+            assert len(calls) == count
+        else:
+            assert not verdict.ok and len(calls) == verdict.failing_index + 1
     rejects = 0
     for _ in range(40):
         pset = PointSet(f.q, n, rng.getrandbits(total))
@@ -575,16 +580,41 @@ def _lines_union(f, levels) -> PointSet:
     return PointSet(q, 2, bits)
 
 
-@pytest.mark.parametrize("p,k", [(2, 8), (257, 1)])
-def test_fields_of_256_or_more_elements_keep_the_direction_side(p, k, monkeypatch):
-    # 0xFF is a level there, so it cannot mark the points that are not read
-    f = make_field(p, k)
+def test_fields_above_256_elements_keep_the_direction_side(monkeypatch):
+    # their levels are not bytes, so the open points are not read
+    f = make_field(257, 1)
     monkeypatch.setattr(core, "_switch_to_points", SWITCHES["at once"])
     assignment = random_assignment(f, 2, 1)
     calls = _counted_kernel(monkeypatch)
     union = build_union(f, 2, assignment)
     assert len(calls) == f.q + 1
     assert union == _lines_union(f, assignment.levels)
+
+
+def test_f_256_reads_one_level_vector_per_gap(monkeypatch):
+    # F_2^8 has byte levels, so a plane set with few gaps reads along them;
+    # a planar union reads every direction as built
+    f = make_field(2, 8)
+    calls = _counted_kernel(monkeypatch)
+    rng = random.Random(256)
+    for count in (1, 2, 3):
+        gaps = rng.sample(range(f.q**2), count)
+        del calls[:]
+        verdict = is_kakeya(f, _without(f, 2, gaps))
+        assert len(calls) == count
+        assert verdict.ok and list(verdict.witness.levels) == _least_full_levels(f, 2, gaps)
+    assignment = random_assignment(f, 2, 1)
+    del calls[:]
+    assert build_union(f, 2, assignment) == _lines_union(f, assignment.levels)
+    assert len(calls) == f.q + 1
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_hole_flags_of_the_f_256_plane_match_the_gap_level_brute_force(count):
+    f = make_field(2, 8)
+    gaps = random.Random(count).sample(range(f.q**2), count)
+    rows = list(_hole_flags(f, _without(f, 2, gaps)))
+    assert [{c for c in range(f.q) if row[c]} for row in rows] == gap_levels_brute(f, 2, gaps)
 
 
 def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):
@@ -602,8 +632,8 @@ def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):
             call()
 
 
-# F_2^8 in the plane: 0xFF is a level there, so the union and the hole
-# flags are read along the directions
+# F_2^8 in the plane: the union is read along the directions, the hole
+# flags of its one or two points outside the set along those points
 @pytest.mark.parametrize("p,k,n", GATHER_CELLS + [(2, 8, 2)])
 def test_incidence_stats_names_the_first_direction_not_contained(p, k, n):
     f = make_field(p, k)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,9 @@ from kakeya.core import level_masks
 from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
     Direction,
+    _level_kernel,
+    _normal_indices,
+    _normal_slices,
     SubspaceBasis,
     count_directions_formula,
     count_fiber,
@@ -135,6 +139,30 @@ def test_enumerate_subspaces_refuses_a_bad_dimension_or_too_many_subspaces():
     # 2^20 - 1 lines of F_2^20, refused before any is built
     with pytest.raises(ValueError, match="subspace count exceeds enumeration cap"):
         enumerate_subspaces(f, 20, 1)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 1), (5, 1, 1), (2, 1, 4), (3, 1, 3), (7, 1, 2),
+                                   (2, 2, 3), (3, 2, 2), (2, 3, 2), (2, 8, 1), (2, 8, 2)])
+def test_normal_slices_read_the_normals_in_lead_order(p, k, n):
+    f = make_field(p, k)
+    q, total = f.q, f.q**n
+    normals = _normal_indices(q, n)
+    slices, order = _normal_slices(q, n)
+    assert len(slices) == n and sorted(order) == list(range(len(normals)))
+    # on the point indices themselves, and on the level vectors of points
+    joined = [x for i in slices for x in range(total)[i]]
+    assert [joined[j] for j in order] == normals
+    levels = _level_kernel(f)
+    rng = random.Random(total)
+    for g in [(1,) * n] + [point_coords(rng.randrange(total), q, n) for _ in range(3)]:
+        vector = levels(g)
+        at_normals = b"".join([vector[i] for i in slices])
+        assert bytes(at_normals[j] for j in order) == bytes(vector[x] for x in normals)
+
+
+def test_normal_slices_refuse_too_many_directions():
+    with pytest.raises(ValueError, match="direction count exceeds enumeration cap"):
+        _normal_slices(2, 20)
 
 
 def test_point_sets_refuse_indices_out_of_range():

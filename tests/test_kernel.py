@@ -68,6 +68,19 @@ def test_large_primes_match_dot(p, n):
         assert list(levels(u)) == _dot_levels(f, n, u)
 
 
+def test_the_line_over_f_2_20_makes_no_field_call(monkeypatch):
+    # a canonical normal starts with 0 or 1, whose rows are closed forms
+    f = make_field(2, 20)
+
+    def refuse(*args):
+        raise AssertionError("field_mul called")
+
+    monkeypatch.setattr(geometry, "field_mul", refuse)
+    assert _level_kernel(f)((1,)) == list(range(f.q))
+    assert _level_kernel(f)((0,)) == [0] * f.q
+    assert list(_direction_levels(f, [(1,), (0,)])) == [list(range(f.q)), [0] * f.q]
+
+
 def _normals(f, n):
     return [d.normal for d in enumerate_directions(f, n)]
 
