@@ -110,6 +110,13 @@ def _parse_range(text: str) -> list[int]:
 # -- bound -------------------------------------------------------------------
 
 
+def _too_many_digits(q: int, n: int, limit: int) -> ValueError:
+    """The refusal of a bound with more than `limit` digits."""
+    return ValueError(
+        f"q={q} n={n}: the bound has more than {limit} digits, the most this"
+        " process converts to text (PYTHONINTMAXSTRDIGITS raises it)")
+
+
 def cmd_bound(args) -> int:
     qs = _parse_range(args.q)
     ns = _parse_range(args.n_range)
@@ -123,12 +130,24 @@ def cmd_bound(args) -> int:
     for n in ns:
         if n < 2:
             raise ValueError(f"n={n} is out of range (need n >= 2)")
+    # Refuse the grid's largest bound, that of its largest q and n, before
+    # any power of q is built when it must have more digits than Python
+    # converts to text (0 means no limit).  For n >= 2 a bound is at least
+    # q^n - q^2 >= q^n / 2, and q^n has at least n (bit_length(q) - 1)
+    # bits; 0.30102 is just below log10(2).
+    limit = sys.get_int_max_str_digits()
+    q, n = max(qs), max(ns)
+    if limit and (n * (q.bit_length() - 1) - 1) * 30102 // 100000 >= limit:
+        raise _too_many_digits(q, n, limit)
+    most = 10**limit if limit else 0  # the least integer with too many digits
 
     header = ["q", "n", "numerator", "denominator", "decimal", "ceiling"]
     rows, items, lines = [], [], []
     for q in qs:
         for n in ns:
             fr = kakeya_lower_bound(q, n)
+            if most and max(fr.numerator, fr.denominator) >= most:
+                raise _too_many_digits(q, n, limit)
             approx, ceiling = _rational_decimal(fr), math.ceil(fr)
             row = (q, n, fr.numerator, fr.denominator, approx, ceiling)
             item = dict(zip(header, row))
@@ -327,16 +346,17 @@ def _selftest_checks():
             )
             assert verdict.ok == brute
 
-    def null_space_vs_annihilator(p, k, n):
-        from .geometry import enumerate_subspaces, null_space_basis
+    def kplane_vs_coset_brute(p, k, n):
+        # less the origin, every subspace holds a gap, and its least full
+        # coset is that of the least point off it
+        from .geometry import enumerate_subspaces
         f = make_field(p, k)
-        for dim in range(n + 1):
-            for sub in enumerate_subspaces(f, n, dim):
-                basis = null_space_basis(f, sub.rows, n)
-                zeros = oracles.annihilator_brute(f, sub.rows, n)
-                # independent vectors of the annihilator, as many as its dimension
-                assert set(basis) <= zeros and oracles.rank(f, basis) == len(basis)
-                assert len(zeros) == f.q ** len(basis)
+        pset = PointSet(f.q, n, PointSet.full(f.q, n).bits - 1)
+        for dim in range(1, n - 1):
+            verdict = is_kakeya(f, pset, dim)
+            reps = [oracles.least_full_coset_brute(f, pset, sub.rows, n)
+                    for sub in enumerate_subspaces(f, n, dim)]
+            assert verdict.ok and verdict.witness == tuple(reps)
 
     def gap_engine_vs_level_search(p, k, n):
         f = make_field(p, k)
@@ -427,8 +447,8 @@ def _selftest_checks():
         ("incidence triple count (3,2)", lambda: incidence(3, 1, 2)),
         ("coset containment brute force (2,3,k=1)", lambda: coset_check(2, 1, 3, 1)),
         ("coset containment brute force (2,3,k=2)", lambda: coset_check(2, 1, 3, 2)),
-        ("null space basis vs annihilator brute force F_4^3",
-         lambda: null_space_vs_annihilator(2, 2, 3)),
+        ("k-plane check vs coset brute force F_4^3 and F_3^4 less the origin",
+         lambda: (kplane_vs_coset_brute(2, 2, 3), kplane_vs_coset_brute(3, 1, 4))),
         ("powerset oracle vs exact search (2,2)", lambda: powerset_vs_exact(2, 1, 2)),
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
         ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),

@@ -35,19 +35,18 @@ from .field import FieldSpec, check_space, make_field
 from .geometry import (
     Direction,
     _coords_of,
+    _coset_union,
     _direction_count,
     _direction_levels,
     _flags_mask,
     _level_flags,
     _level_kernel,
     _level_masks_of,
-    _normal_indices,
+    _normal_coords,
     _normal_slices,
     _subspace_count,
     count_directions_formula,
-    enumerate_directions,
     enumerate_subspaces,
-    null_space_basis,
     point_coords,
 )
 from .pointset import PointSet
@@ -114,10 +113,8 @@ def _check_mask_bits(q: int, n: int) -> int:
 def level_masks(f: FieldSpec, n: int, dirs: list[Direction] | None = None) -> list[list[int]]:
     """Per direction, per level: the bitmask of that hyperplane's points."""
     _check_mask_bits(f.q, n)
-    if dirs is None:
-        dirs = enumerate_directions(f, n)
-    return [_level_masks_of(levels, f.q)
-            for levels in _direction_levels(f, [d.normal for d in dirs])]
+    normals = _normal_coords(f.q, n) if dirs is None else [d.normal for d in dirs]
+    return [_level_masks_of(levels, f.q) for levels in _direction_levels(f, normals)]
 
 
 def _check_assignment(f: FieldSpec, s: int, assignment: OffsetAssignment) -> tuple[int, ...]:
@@ -132,7 +129,6 @@ def _check_assignment(f: FieldSpec, s: int, assignment: OffsetAssignment) -> tup
 
 # build_union counts its union once per batch of this many directions
 _UNION_BATCH = 8
-_COORD_CHUNK = 1024
 _OPEN_FLAGS = bytes.maketrans(b"\0\1", b"\1\0")
 
 
@@ -155,15 +151,10 @@ def build_union(f: FieldSpec, n: int, assignment: OffsetAssignment) -> PointSet:
     with q > 256 have no byte levels and stay along the directions.
     """
     q = f.q
-    normals = _normal_indices(q, n)
-    total, s = q**n, len(normals)
+    total, s = q**n, _direction_count(q, n)
     levels = _check_assignment(f, s, assignment)
     lanes = covered = 0
-    # the normals' coordinates in chunks, so that a union that stops early
-    # does not list them all
-    coords = chain.from_iterable(_coords_of(normals[i:i + _COORD_CHUNK], q, n)
-                                 for i in range(0, s, _COORD_CHUNK))
-    vectors = _direction_levels(f, coords)
+    vectors = _direction_levels(f, _normal_coords(q, n))
     for done, (vector, lvl) in enumerate(zip(vectors, levels), 1):
         lanes |= int.from_bytes(_level_flags(vector, lvl), "little")
         if done % _UNION_BATCH:
@@ -260,7 +251,7 @@ def _hole_flags(f: FieldSpec, pset: PointSet):
         for i in map(q.__mul__, order):
             yield table[i:i + q]
         return
-    vectors = _direction_levels(f, _coords_of(_normal_indices(q, n), q, n))
+    vectors = _direction_levels(f, _normal_coords(q, n))
     if q >= 256:
         for vector in vectors:
             holes = set(map(vector.__getitem__, gaps))
@@ -285,16 +276,6 @@ def _span_points(level_vector, rows, q: int) -> list[int]:
     return points
 
 
-def _coset_keys(level_vector, duals, q: int):
-    """Per point, its coset of the subspace cut out by the dual functionals:
-    one byte when q^len(duals) <= 256, else a tuple of levels."""
-    vectors = [level_vector(u) for u in duals]
-    if q ** len(vectors) <= 256:
-        key = sum(int.from_bytes(v, "little") * q**j for j, v in enumerate(vectors))
-        return key.to_bytes(len(vectors[0]), "little")
-    return list(zip(*vectors))
-
-
 def _resolve_plane_dim(n: int, plane_dim: int | None) -> int:
     if plane_dim is None:
         plane_dim = n - 1
@@ -315,11 +296,12 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
     coset is full exactly when no gap (point outside E) lies on it, so a
     gap-free set gets 0 everywhere once its count of directions or
     subspaces has passed the enumeration cap.  Otherwise a direction's
-    holes are the levels of the gaps (see _hole_flags), and a subspace
-    that holds no gap is a full coset with 0 its smallest point; any other
-    gets every point's coset from the vectors of its dual functionals.
-    The witness picks the smallest full level per direction, or the
-    smallest point of any full coset per subspace.
+    holes are the levels of the gaps (see _hole_flags).  A subspace V
+    that holds no gap is a full coset with 0 its smallest point; for any
+    other the gaps are moved by every vector of V (geometry._coset_union),
+    and x + V is full exactly when x lies outside that set.  The witness
+    picks the smallest full level per direction, or the smallest point of
+    any full coset per subspace.
     """
     if f.q != pset.q:
         raise ValueError("field order does not match the point set")
@@ -342,18 +324,22 @@ def is_kakeya(f: FieldSpec, pset: PointSet, plane_dim: int | None = None) -> Kak
         return KakeyaVerdict(True, plane_dim, OffsetAssignment(tuple(levels)), None)
 
     level_vector = _level_kernel(f)
+    coset_union = _coset_union(f, n)
     gaps = _gap_flags(pset)
+    gap_bits = (1 << pset.universe) - 1 ^ pset.bits
     reps = []
     for pos, sub in enumerate(enumerate_subspaces(f, n, plane_dim)):
-        if not any(map(gaps.__getitem__, _span_points(level_vector, sub.rows, q))):
+        # a subspace that holds no gap is its own full coset; every
+        # subspace holds the origin
+        if pset.bits & 1 and not any(map(gaps.__getitem__,
+                                         _span_points(level_vector, sub.rows, q))):
             reps.append(0)
             continue
-        keys = _coset_keys(level_vector, null_space_basis(f, sub.rows, n), q)
-        holes = set(compress(keys, gaps))
-        # The first point whose coset has no gap is the smallest point of
-        # every full coset.
-        rep = bytes(map(holes.__contains__, keys)).find(0)
-        if rep < 0:
+        holes = coset_union(gap_bits, sub.rows)
+        # the least point outside holes, the smallest point of every full
+        # coset; q^n when there is none
+        rep = (~holes & holes + 1).bit_length() - 1
+        if rep == pset.universe:
             return KakeyaVerdict(False, plane_dim, None, pos)
         reps.append(rep)
     return KakeyaVerdict(True, plane_dim, tuple(reps), None)

@@ -5,22 +5,24 @@ subspace: the unique scalar multiple whose first nonzero coordinate is 1.
 Directions are ordered by the point index of that normal, which fixes the
 meaning of "direction #i" everywhere (witness files, CLI output, search).
 
-A k-dimensional subspace is its unique RREF basis, generated directly, and
-its dual functionals are read off those rows, so nothing here row-reduces.
-General row reduction and the per-element dot product live in oracles, as
-the independent checks of this module.
+A k-dimensional subspace is its unique RREF basis, generated directly, so
+nothing here row-reduces.  General row reduction and the per-element dot
+product live in oracles, as the independent checks of this module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .field import FieldSpec, check_space, field_add, field_mul, field_neg
+from .field import FieldSpec, check_space, field_add, field_mul
 
 ENUM_CAP = 10**6
+# Normals whose coordinates _normal_coords lists at a time.
+_COORD_CHUNK = 1024
 # Most bytes of shifted head vectors _direction_levels keeps, the same
 # 8 MiB as the block of count-table rows search builds at a time.
 _HEAD_BYTES = 1 << 23
@@ -115,9 +117,19 @@ def _coords_of(indices, q: int, n: int) -> list[tuple[int, ...]]:
     return list(zip(*[[x // d % q for x in indices] for d in map(q.__pow__, range(n))]))
 
 
+def _normal_coords(q: int, n: int):
+    """The coordinates of the canonical normals in direction order, listed
+    _COORD_CHUNK at a time, so that a caller that stops early does not
+    list them all; refused as _lead_normals refuses."""
+    normals = _normal_indices(q, n)
+    return itertools.chain.from_iterable(
+        _coords_of(normals[i:i + _COORD_CHUNK], q, n)
+        for i in range(0, len(normals), _COORD_CHUNK))
+
+
 def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:
     """All canonical normals, ascending by their point index."""
-    return [Direction(u) for u in _coords_of(_normal_indices(f.q, n), f.q, n)]
+    return list(map(Direction, _normal_coords(f.q, n)))
 
 
 def _independent_tuples(q: int, a: int, k: int) -> int:
@@ -163,26 +175,7 @@ def _subspace_count(q: int, n: int, k: int) -> int:
     return total
 
 
-# -- subspace enumeration and duals ------------------------------------------
-
-
-def null_space_basis(f: FieldSpec, rows, n: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of { x : r . x = 0 for every row r }, one vector per non-pivot
-    column.  The rows must be in reduced row echelon form, as
-    enumerate_subspaces yields them and as a canonical normal is: each
-    row's first nonzero entry is a 1, the only nonzero entry of its column,
-    so the pivots and the duals are read off the rows."""
-    pivots = [row.index(1) for row in rows]
-    basis = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = field_neg(f, row[free])
-        basis.append(tuple(v))
-    return tuple(basis)
+# -- subspaces and their cosets ---------------------------------------------
 
 
 def enumerate_subspaces(f: FieldSpec, n: int, k: int) -> list[SubspaceBasis]:
@@ -214,6 +207,48 @@ def enumerate_subspaces(f: FieldSpec, n: int, k: int) -> list[SubspaceBasis]:
             out.append(SubspaceBasis(tuple(tuple(r) for r in rows)))
     assert len(out) == total
     return out
+
+
+def _coset_union(f: FieldSpec, n: int):
+    """Return union(bits, rows): the points x + v of F_q^n, for x a point
+    of the q^n-bit set `bits` and v in the span of rows.
+
+    A point index is the n k base-p digits of its coordinates, and adding
+    a vector adds digit by digit mod p.  Adding c to digit j moves a point
+    up c p^j, or down (p - c) p^j where the digit wraps; the points that
+    move up are the low (p - c) p^j of each block of p^(j+1), so each half
+    is one AND with a periodic mask and one shift.  The span is closed
+    under a row times each element p^d, d < k, an F_p basis of F_q: the
+    set moved by w, then by 2w, 4w, ..., takes up every multiple of w.
+    """
+    p, k, total = f.p, f.k, f.q**n
+    steps = [p**j for j in range(n * k)]
+    # ones[j]: bit 0 of every block of p^(j+1) points
+    ones = [int("1".rjust(p * step, "0") * (total // (p * step)), 2) for step in steps]
+    # x -> a x for each element a = p^d, d < k
+    if f.mul_rows is None:
+        scalings = [functools.partial(field_mul, f, a) for a in map(p.__pow__, range(k))]
+    else:
+        scalings = [f.mul_rows[a].__getitem__ for a in map(p.__pow__, range(k))]
+
+    def union(bits: int, rows) -> int:
+        for row in rows:
+            for times in scalings:
+                digits = [x // step % p for x in map(times, row) for step in steps[:k]]
+                m = 1
+                while m < p:
+                    moved = bits
+                    for d, step, one in zip(digits, steps, ones):
+                        if c := m * d % p:
+                            # ((1 << (p - c) step) - 1) * one, by a shift:
+                            # the points whose digit is below p - c
+                            low = moved & ((one << (p - c) * step) - one)
+                            moved = low << c * step | (moved ^ low) >> (p - c) * step
+                    bits |= moved
+                    m *= 2
+        return bits
+
+    return union
 
 
 # -- the level kernel ----------------------------------------------------------

@@ -165,10 +165,17 @@ def triple_count_direct(
 
 
 def coset_containment_brute(f: FieldSpec, pset: PointSet, sub_rows, n: int) -> bool:
-    """Does some coset of the given subspace lie entirely in pset?
+    """Does some coset of the given subspace lie entirely in pset?"""
+    return least_full_coset_brute(f, pset, sub_rows, n) is not None
+
+
+def least_full_coset_brute(f: FieldSpec, pset: PointSet, sub_rows, n: int) -> int | None:
+    """The least point x whose coset x + span(sub_rows) lies entirely in
+    pset, or None if no coset does.
 
     Builds every coset explicitly from the span and translates it through
-    all points; no bucket counting involved.
+    all points in increasing order, so a coset is first met at its least
+    point; no bucket counting involved.
     """
     q = f.q
     k = len(sub_rows)
@@ -194,8 +201,8 @@ def coset_containment_brute(f: FieldSpec, pset: PointSet, sub_rows, n: int) -> b
             continue
         seen_cosets.add(coset)
         if coset <= member:
-            return True
-    return False
+            return start
+    return None
 
 
 def annihilator_brute(f: FieldSpec, rows, n: int) -> set[tuple[int, ...]]:

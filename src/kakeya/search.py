@@ -77,7 +77,9 @@ from .field import FieldSpec
 from .geometry import (
     _direction_levels,
     _level_masks_of,
+    _normal_coords,
     enumerate_directions,
+    point_coords,
 )
 from .pointset import PointSet
 
@@ -764,7 +766,7 @@ class _GapSearch:
 
     def __init__(self, f: FieldSpec, n: int, cap: int, budget: int):
         q = self.q = f.q
-        self.levels = list(_direction_levels(f, [d.normal for d in enumerate_directions(f, n)]))
+        self.levels = list(_direction_levels(f, _normal_coords(q, n)))
         self.masks = [_level_masks_of(lv, q) for lv in self.levels]
         self.frame = [0] + [q**i for i in range(n)]
         self.npoints = q**n
@@ -924,12 +926,21 @@ def minimal_kakeya_exact(
 
 def minimal_kakeya_powerset(f: FieldSpec, n: int) -> tuple[int, PointSet]:
     """Independent oracle: minimum over every subset of F_q^n passing the
-    containment test directly.  Limited to q^n <= 16 (2^16 subsets)."""
+    containment test directly.  Limited to q^n <= 16 (2^16 subsets).  Its
+    hyperplanes come point by point from per-element dot products, not
+    from the level kernel that the exact search reads."""
+    from .oracles import dot
+
     q = f.q
     total = q**n
     if total > _POWERSET_POINT_LIMIT:
         raise ValueError(f"powerset oracle supports q^n <= {_POWERSET_POINT_LIMIT}")
-    masks = level_masks(f, n)
+    masks = []  # masks[d][c]: the points at level c of direction #d
+    for d in enumerate_directions(f, n):
+        row = [0] * q
+        for x in range(total):
+            row[dot(f, d.normal, point_coords(x, q, n))] |= 1 << x
+        masks.append(row)
     best_size = total + 1
     best_bits = 0
     for subset in range(1 << total):

@@ -97,6 +97,47 @@ def test_bound_refuses_a_range_above_the_enumeration_cap_at_once(capsys, option)
     assert err == "error: range '2..2000001' has more than 1000000 values\n"
 
 
+@pytest.fixture
+def digits_4300():
+    """Python's default limit of 4,300 digits on int-to-str conversion."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_refuses_a_built_bound_past_the_digit_limit(capsys, digits_4300):
+    # q^n has at least 13,300 bits, too few to refuse up front; the built
+    # numerator has more than 4,300 digits
+    code, out, err = run(capsys, ["bound", "--q", "1048573", "--n", "700"])
+    assert (code, out) == (2, "")
+    assert err == ("error: q=1048573 n=700: the bound has more than 4300 digits, the most"
+                   " this process converts to text (PYTHONINTMAXSTRDIGITS raises it)\n")
+
+
+def test_bound_refuses_past_the_digit_limit_before_building_it(capsys, monkeypatch, digits_4300):
+    def refuse(q, n):
+        raise AssertionError("bound built")
+
+    monkeypatch.setattr(cli, "kakeya_lower_bound", refuse)
+    code, out, err = run(capsys, ["bound", "--q", "2", "--n", "1000000"])
+    assert (code, out) == (2, "")
+    assert err == ("error: q=2 n=1000000: the bound has more than 4300 digits, the most"
+                   " this process converts to text (PYTHONINTMAXSTRDIGITS raises it)\n")
+    # the grid's largest q and n are checked before any bound of the grid
+    code, _, err = run(capsys, ["bound", "--q", "2..3", "--n", "2..1000000"])
+    assert code == 2 and err.startswith("error: q=3 n=1000000: the bound has more than")
+
+
+def test_bound_prints_a_bound_within_the_digit_limit(capsys, digits_4300):
+    code, out, _ = run(capsys, ["bound", "--q", "2", "--n", "7200", "--format", "json"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    # (2^14400 - 2^7200) / 2^7200 = 2^7200 - 1
+    assert (row["numerator"], row["denominator"]) == (2**7200 - 1, 1)
+    assert len(str(row["numerator"])) == 2168
+
+
 def test_directions_csv_and_text(capsys):
     code, out, _ = run(capsys, ["directions", "--field", "3", "--n", "2", "--format", "csv"])
     assert code == 0

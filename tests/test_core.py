@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya import core
+from kakeya import core, geometry
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import (
     KakeyaVerdict,
@@ -859,3 +859,22 @@ def test_point_index_helper_consistency():
     obj = point_set_to_json(f, pset)
     assert int(obj["bits_hex"], 16) & 1 == 1
     assert point_index((0, 0), 2) == 0
+
+
+def test_a_reject_lists_one_chunk_of_normals(monkeypatch):
+    """A random set of F_2^16 fails at direction #0; the directions' side
+    lists the normals' coordinates a chunk at a time, so it lists one."""
+    listed = []
+
+    def counting(indices, q, n):
+        indices = list(indices)
+        listed.append(len(indices))
+        return coords_of(indices, q, n)
+
+    coords_of = geometry._coords_of
+    monkeypatch.setattr(geometry, "_coords_of", counting)
+    monkeypatch.setattr(core, "_coords_of", counting)
+    pset = PointSet(2, 16, random.Random(16).getrandbits(1 << 16))
+    verdict = is_kakeya(make_field(2, 1), pset)
+    assert (verdict.ok, verdict.failing_index) == (False, 0)
+    assert 0 < sum(listed) <= geometry._COORD_CHUNK

@@ -17,8 +17,8 @@ from kakeya import cli, search
 from kakeya.bounds import kakeya_lower_bound, kakeya_lower_bound_ceiling
 from kakeya.core import build_union, is_kakeya
 from kakeya.field import field_add, field_mul, field_sub, make_field
-from kakeya.geometry import enumerate_directions, null_space_basis, point_coords, point_index
-from kakeya.oracles import dot, is_gap_set_brute, rank
+from kakeya.geometry import enumerate_directions, point_coords, point_index
+from kakeya.oracles import annihilator_brute, dot, is_gap_set_brute, rank, rref
 from kakeya.pointset import PointSet
 from kakeya.search import minimal_kakeya_exact, minimal_kakeya_powerset
 
@@ -276,7 +276,7 @@ def test_lemma_b_a_hyperplane_is_a_smaller_space(p, k, n):
         c = rng.randrange(f.q)
         lead = next(i for i, a in enumerate(u) if a)  # u[lead] = 1
         origin = [c if i == lead else 0 for i in range(n)]
-        chart = _affine_map(f, n, origin, null_space_basis(f, [u], n))
+        chart = _affine_map(f, n, origin, rref(f, annihilator_brute(f, [u], n))[0])
         assert all(dot(f, u, point_coords(x, f.q, n)) == c for x in chart)
         subset = rng.sample(range(f.q ** (n - 1)), rng.randrange(2 * f.q + 1))
         assert (is_gap_set_brute(f, n - 1, subset)

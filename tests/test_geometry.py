@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from kakeya.core import level_masks
 from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
     Direction,
+    _coset_union,
     _level_kernel,
     _normal_indices,
     _normal_slices,
@@ -17,7 +19,6 @@ from kakeya.geometry import (
     count_subspaces,
     enumerate_directions,
     enumerate_subspaces,
-    null_space_basis,
     point_coords,
     point_index,
 )
@@ -240,20 +241,20 @@ def test_direction_subspace_duality_bijection():
     n = 3
     dirs = enumerate_directions(f, n)
     # the null space of each normal, in RREF
-    via_duality = {SubspaceBasis(rref(f, null_space_basis(f, [d.normal], n))[0]) for d in dirs}
+    via_duality = {SubspaceBasis(rref(f, annihilator_brute(f, [d.normal], n))[0]) for d in dirs}
     enumerated = set(enumerate_subspaces(f, n, n - 1))
     assert via_duality == enumerated
     assert len(via_duality) == len(dirs)
     # each normal annihilates its null space
     for d in dirs:
-        for row in null_space_basis(f, [d.normal], n):
+        for row in rref(f, annihilator_brute(f, [d.normal], n))[0]:
             assert dot(f, d.normal, row) == 0
 
 
 def test_direction_subspace_has_rank_n_minus_1():
     f = make_field(2, 1)
     for d in enumerate_directions(f, 3):
-        basis = null_space_basis(f, [d.normal], 3)
+        basis = rref(f, annihilator_brute(f, [d.normal], 3))[0]
         assert rank(f, basis) == 2
 
 
@@ -323,18 +324,29 @@ def test_rref_reproduces_known_form():
     assert rank(f, [(1, 1, 0), (1, 1, 0)]) == 1
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 3)])
-def test_null_space_basis_spans_the_annihilator(p, k, n):
-    """The duals read off RREF rows span exactly the points that every row
-    annihilates, found point by point, at every subspace dimension."""
+@pytest.mark.parametrize("p,k,n", [(2, 1, 4), (3, 1, 3), (5, 1, 2), (7, 1, 2), (2, 2, 3),
+                                   (2, 3, 2), (3, 2, 2), (2, 4, 2)])
+@pytest.mark.parametrize("byte_tables", [True, False])
+def test_coset_union_matches_per_point_translation(p, k, n, byte_tables):
+    """The points x + v, x in a random set and v in the span of random
+    rows, against per-point field_add and field_mul; without byte tables
+    the multiples of the rows come from field_mul."""
     f = make_field(p, k)
-    for dim in range(n + 1):
-        for sub in enumerate_subspaces(f, n, dim):
-            basis = null_space_basis(f, sub.rows, n)
-            span = set()
-            for coeffs in itertools.product(range(f.q), repeat=len(basis)):
-                v = (0,) * n
-                for c, row in zip(coeffs, basis):
-                    v = tuple(field_add(f, a, field_mul(f, c, b)) for a, b in zip(v, row))
-                span.add(v)
-            assert span == annihilator_brute(f, sub.rows, n)
+    if not byte_tables:
+        f = dataclasses.replace(f, mul_rows=None)
+    q = f.q
+    union = _coset_union(f, n)
+    rng = random.Random(p * 100 + k * 10 + n)
+    for _ in range(6):
+        bits = rng.getrandbits(q**n) & rng.getrandbits(q**n) & rng.getrandbits(q**n)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randrange(3))]
+        span = {(0,) * n}
+        for row in rows:
+            span = {tuple(field_add(f, a, field_mul(f, c, b)) for a, b in zip(v, row))
+                    for v in span for c in range(q)}
+        expected = 0
+        for x in _members(bits):
+            coords = point_coords(x, q, n)
+            for v in span:
+                expected |= 1 << point_index([field_add(f, a, b) for a, b in zip(coords, v)], q)
+        assert union(bits, rows) == expected

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kakeya.core import OffsetAssignment, build_union, is_kakeya, level_masks
 from kakeya import geometry
-from kakeya.field import make_field
+from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
     _direction_levels,
     _flags_mask,
@@ -21,8 +21,9 @@ from kakeya.geometry import (
     enumerate_directions,
     enumerate_subspaces,
     point_coords,
+    point_index,
 )
-from kakeya.oracles import coset_containment_brute, dot
+from kakeya.oracles import coset_containment_brute, dot, least_full_coset_brute
 from kakeya.pointset import PointSet
 
 # Every p^k <= 32 with n <= 4, kept to at most 4096 points so the per-point
@@ -38,6 +39,9 @@ KERNEL_CELLS = [
 # Small enough for coset_containment_brute at every plane dimension.
 ORACLE_CELLS = [(2, 1, 1), (5, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2),
                 (2, 1, 3), (3, 1, 3), (2, 1, 4)]
+# (p, k, n) cells whose k-plane checks are compared subspace by subspace
+# with least_full_coset_brute: F_2^5, F_3^4, F_4^3, F_5^3, F_8^3, F_9^3
+KPLANE_CELLS = [(2, 1, 5), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 3, 3), (3, 2, 3)]
 
 
 def _dot_levels(f, n, u):
@@ -213,3 +217,78 @@ def test_line_cosets_beyond_one_byte_keys():
     off_plane = PointSet.from_indices(17, 3, (i for i in range(17**3) if i % 17))
     verdict = is_kakeya(f, off_plane, 1)
     assert not verdict.ok and verdict.failing_index == 0
+
+
+def _kplane_sets(q, n, rng):
+    """Named point sets of F_q^n: less the origin, with one to three random
+    gaps, and random sets, sparse and dense."""
+    total = q**n
+    full = (1 << total) - 1
+    sets = [("less the origin", full - 1)]
+    for count in (1, 2, 3):
+        sets.append((f"{count} gaps", full & ~sum(1 << x for x in rng.sample(range(total), count))))
+    sets.append(("random", rng.getrandbits(total)))
+    sets.append(("dense", full & ~(rng.getrandbits(total) & rng.getrandbits(total)
+                                   & rng.getrandbits(total))))
+    return sets
+
+
+def _transversal(f, n, rows, rng):
+    """The full set of F_q^n less one random point of each coset of the
+    span of rows, by per-element arithmetic: that subspace has no full
+    coset, while most others keep one."""
+    q = f.q
+    span = [(0,) * n]
+    for row in rows:
+        span = [tuple(field_add(f, a, field_mul(f, c, b)) for a, b in zip(v, row))
+                for v in span for c in range(q)]
+    bits, seen = (1 << q**n) - 1, set()
+    for x in range(q**n):
+        if x not in seen:
+            base = point_coords(x, q, n)
+            coset = [point_index([field_add(f, a, b) for a, b in zip(base, v)], q) for v in span]
+            seen.update(coset)
+            bits &= ~(1 << rng.choice(coset))
+    return bits
+
+
+@pytest.mark.parametrize("p,k,n", KPLANE_CELLS)
+def test_kplane_checks_match_the_least_full_cosets(p, k, n):
+    """Verdict, representatives and failing index of every k-plane check
+    against the least full coset of each subspace, found coset by coset."""
+    f = make_field(p, k)
+    q = f.q
+    rng = random.Random(p * 100 + k * 10 + n)
+    for plane_dim in range(1, n - 1):
+        subs = enumerate_subspaces(f, n, plane_dim)
+        broken = rng.choice(subs[1:]).rows
+        for name, bits in _kplane_sets(q, n, rng) + [
+                ("transversal", _transversal(f, n, broken, rng))]:
+            pset = PointSet(q, n, bits)
+            reps = []
+            for sub in subs:
+                reps.append(least_full_coset_brute(f, pset, sub.rows, n))
+                if reps[-1] is None:
+                    break
+            verdict = is_kakeya(f, pset, plane_dim)
+            if reps[-1] is None:
+                assert (verdict.ok, verdict.failing_index) == (False, len(reps) - 1), name
+            else:
+                assert verdict.ok and verdict.witness == tuple(reps), name
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_line_cosets_of_f_2_9_and_f_2_10_less_the_origin(n):
+    """Lines of F_2^n less the origin: 2^(n-1) cosets each, 256 and 512,
+    which one-byte coset keys could not both name.  Every line holds the
+    gap 0, and its least full coset is that of point 1, or of point 2 for
+    the line through 1."""
+    f = make_field(2, 1)
+    pset = PointSet(2, n, PointSet.full(2, n).bits - 1)
+    lines = enumerate_subspaces(f, n, 1)
+    verdict = is_kakeya(f, pset, 1)
+    assert verdict.ok
+    assert verdict.witness == tuple(2 if line.rows == ((1,) + (0,) * (n - 1),) else 1
+                                    for line in lines)
+    assert list(verdict.witness) == [least_full_coset_brute(f, pset, line.rows, n)
+                                     for line in lines]

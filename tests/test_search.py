@@ -478,6 +478,19 @@ def test_powerset_oracle_agreement(p, n):
     assert oracle_size == minimal_kakeya_exact(field, n).min_size
 
 
+def test_powerset_oracle_reads_no_level_kernel(monkeypatch):
+    """The oracle that checks the exact search builds its hyperplanes
+    point by point, not from the level masks the search reads."""
+    def refuse(*args):
+        raise AssertionError("level kernel read")
+
+    fields = [make_field(3, 1), make_field(2, 2)]
+    minima = [minimal_kakeya_exact(f, 2).min_size for f in fields]
+    for name in ("level_masks", "_direction_levels", "_level_masks_of"):
+        monkeypatch.setattr(search, name, refuse)
+    assert [minimal_kakeya_powerset(f, 2)[0] for f in fields] == minima
+
+
 def test_powerset_oracle_size_guard():
     f = make_field(3, 1)
     with pytest.raises(ValueError):
