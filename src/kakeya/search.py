@@ -10,11 +10,12 @@ the level search, which proves the planar minima (n <= 2).
 Any Kakeya set contains one full hyperplane per direction, and that union
 is itself Kakeya, so the global minimum is attained on unions determined
 by per-direction level assignments.  The search space is therefore q^|S|
-assignments rather than 2^(q^n) subsets.  Two kinds of maps of F_q^n keep
-the union size and shrink it further:
+assignments rather than 2^(q^n) subsets.  Three kinds of maps of F_q^n
+keep the union size and shrink it further:
 
 - translations shift levels by normal . t, so fixing the n standard-basis
-  directions to level 0 removes a factor q^n;
+  directions to level 0 removes a factor q^n and keeps the canonical
+  witness (see `_search_space`);
 - scalings x -> a*x (a != 0) send every level c to a*c, so while every
   level on a search path is 0 a node tries only levels 0 and 1;
 - the maps that permute the n axis hyperplanes (a coordinate permutation,
@@ -65,7 +66,6 @@ import multiprocessing.connection
 import random
 import sys
 import traceback
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -477,81 +477,80 @@ class _Searcher:
         return level
 
 
-def _lex_smallest_witness(table, fixed, target, budget) -> tuple[int, ...] | None:
+def _lex_smallest_witness(table, root, target, budget) -> tuple[int, ...] | None:
     """First (hence lexicographically smallest) assignment of the proven
-    optimal size, scanning directions in enumeration order and levels
-    ascending.  A partial union is pruned once it, plus the overlap bound
-    of the free directions still open, exceeds the target.  Returns None once
-    more than `budget` nodes would be visited.
+    optimal size, scanning the free directions of the open node `root` in
+    enumeration order and levels ascending.  A partial union is pruned once
+    it, plus the overlap bound of the free directions still open, exceeds
+    the target.  Returns None once more than `budget` nodes would be visited.
 
-    Two rules skip children without changing the answer.  While every level
-    so far is 0, only levels 0 and 1 are tried: an optimum whose first
-    nonzero level is c > 1 scales by 1/c (x -> x/c keeps the fixed levels
-    at 0) to a lexicographically smaller optimum.  Once a node's first
-    child fails, each later sibling is priced by `_child_floor` from the
-    node's own gains and cut, as one node, when that already passes the
-    target; no floor is computed on a path that goes straight down.
+    The root's axis directions stay at level 0, which keeps the answer (see
+    `_search_space`), and two rules skip children without changing it.
+    While every level so far is 0, only levels 0 and 1 are tried: an
+    optimum whose first nonzero level is c > 1 scales by 1/c (x -> x/c
+    keeps the axes at 0) to a lexicographically smaller optimum.  Once a
+    node's first child fails, each later sibling is priced by `_child_floor`
+    from the node's own gains and cut, as one node, when that already passes
+    the target; no floor is computed on a path that goes straight down.
 
     The path is one level per direction, often deeper than Python's
     recursion limit, so its open nodes are kept on an explicit stack.
     """
-    q, s, pair, masks = table.q, table.s, table.pair, table.masks
+    q, pair, masks = table.q, table.pair, table.masks
     lanes_of, gains_of, cover = table.lanes, table.gains, table.cover
-    fixed_set = set(fixed)
-    choices = [(0,) if pos in fixed_set else range(q) for pos in range(s)]
-    # the directions still open at depth pos are opens[open_at[pos]:]
-    opens = [d for d in range(s) if d not in fixed_set]
-    open_at = [bisect_left(opens, pos) for pos in range(s)]
-    levels = [0] * s
+    mask, counts, free, levels = root
+    levels = list(levels)
+    depth = len(free)
     nodes = 0
-    # One frame per open node on the path, the node at depth pos in
-    # path[pos]: [mask, counts, union size, gains, the size each level adds,
-    # the levels left to try, zero, whether a child was entered, floor].
+    # One frame per open node on the path, the node at depth i (which sets
+    # direction free[i]) in path[i]: [mask, counts, union size, gains, the
+    # size each level adds, the levels left to try, zero, whether a child
+    # was entered, floor].
     path = []
-    pos, mask, counts, zero = 0, 0, table.full, True  # the node to enter
+    i, zero = 0, not any(levels)  # the node to enter is at depth i
     while True:
         if nodes >= budget:
             return None
         nodes += 1
         msize = mask.bit_count()
-        if pos == s:
+        if i == depth:
             if msize == target:
                 return tuple(levels)
         else:
             lanes = lanes_of(counts)
-            gains = gains_of(lanes, opens[open_at[pos]:])
+            gains = gains_of(lanes, free[i:])
             if msize + _overlap_bound(gains, pair) <= target:
-                tries = iter(choices[pos][:2] if zero else choices[pos])
-                path.append([mask, counts, msize, gains, lanes[pos * q:pos * q + q], tries,
-                             zero, False, None])
+                d = free[i]
+                path.append([mask, counts, msize, gains, lanes[d * q:d * q + q],
+                             iter(range(2 if zero else q)), zero, False, None])
         # enter the next child of the deepest open node; a node whose levels
         # have all been tried fails, and its parent tries its next level
         while path:
-            pos = len(path) - 1
-            frame = path[pos]
+            i = len(path) - 1
+            frame = path[i]
             mask, counts, msize, gains, added, tries, zero, entered, floor = frame
             for lvl in tries:
                 csize = msize + added[lvl]
                 if csize > target:
                     continue
-                if entered and pos + 1 < s:  # an earlier child failed
+                if entered and i + 1 < depth:  # an earlier child failed
                     if floor is None:
-                        # the child's open directions are the node's, less pos
-                        floor = frame[8] = _child_floor(
-                            gains if pos in fixed_set else gains[1:], pair)
+                        # the child's open directions are the node's, less free[i]
+                        floor = frame[8] = _child_floor(gains[1:], pair)
                     if csize + floor > target:
                         if nodes >= budget:
                             return None
                         nodes += 1
                         continue
                 frame[7] = True
-                levels[pos] = lvl
-                row = masks[pos]
+                d = free[i]
+                levels[d] = lvl
+                row = masks[d]
                 # a leaf reads only its mask
-                counts = cover(counts, row[lvl] & ~mask) if pos + 1 < s else 0
+                counts = cover(counts, row[lvl] & ~mask) if i + 1 < depth else 0
                 mask |= row[lvl]
                 zero = zero and lvl == 0
-                pos += 1
+                i += 1
                 break
             else:
                 path.pop()
@@ -695,37 +694,43 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
     return seed.min_size, list(seed.witness.levels)
 
 
-def _search_space(f: FieldSpec, n: int, normalize: bool = True):
+def _search_space(f: FieldSpec, n: int):
     """The directions of F_q^n, the count table over their level masks, and
-    the directions held at level 0: the standard basis, whose normals are
-    the only ones with a single nonzero entry, when `normalize`, else none.
-    The table's size is checked before any direction is listed."""
-    _Counts.check(f.q, n)
+    the open root of the search: (mask, counts, free directions, levels)
+    once the n axis directions e_i hold their level-0 hyperplanes.  The
+    table's size is checked before any direction is listed.
+
+    Fixing the axes changes neither the minimum nor the lexicographically
+    smallest optimum.  Translating along x_i moves the level of e_i, and of
+    no direction listed before it: e_i sits at position (q^i - 1)/(q - 1),
+    after exactly the normals supported on coordinates below i.  So the
+    translations that put e_0, ..., e_(n-1) at level 0 in turn keep the size
+    and never raise an assignment in the lexicographic order."""
+    q = f.q
+    _Counts.check(q, n)
     dirs = enumerate_directions(f, n)
     table = _Counts(f, n, level_masks(f, n, dirs))
-    fixed = [pos for pos, d in enumerate(dirs) if d.normal.count(0) == n - 1]
-    return dirs, table, fixed if normalize else []
+    axes = {(q**i - 1) // (q - 1) for i in range(n)}
+    mask = 0
+    for pos in axes:
+        mask |= table.masks[pos][0]
+    free = [pos for pos in range(table.s) if pos not in axes]
+    return dirs, table, (mask, table.cover(table.full, mask), free, [0] * table.s)
 
 
-def _level_search(f: FieldSpec, n: int, dirs, table, fixed, node_budget: int,
+def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
                   workers: int) -> tuple[int, list[int], int, bool]:
-    """Branch and bound over level assignments from the greedy incumbent,
-    stopped early once the incumbent meets the ceiling of the lower bound.
-    `fixed` lists the directions held at level 0; the axis maps are used
-    when it is not empty.  Returns the best size and its levels, the nodes
+    """Branch and bound over level assignments below the open node `root`
+    of `_search_space`, from the greedy incumbent, stopped early once the
+    incumbent meets the ceiling of the lower bound; the axis maps merge
+    nodes two levels down.  Returns the best size and its levels, the nodes
     visited and whether that size is proven minimal."""
-    s = table.s
     lb_ceil = math.ceil(_instance_lower_bound(f.q, n))
-    best_size, best_levels = _greedy_seed(f, n, s)
+    best_size, best_levels = _greedy_seed(f, n, table.s)
     if best_size <= lb_ceil:
         return best_size, best_levels, 0, True
-    base_mask = 0
-    for pos in fixed:
-        base_mask |= table.masks[pos][0]
-    free = [i for i in range(s) if i not in fixed]
-    axes = _AxisMaps(f, dirs, free) if fixed else None
+    axes = _AxisMaps(f, dirs, root[2])
     searcher = _Searcher(table, node_budget, lb_ceil, best_size, axes=axes)
-    root = (base_mask, table.cover(table.full, base_mask), free, [0] * s)
     if workers == 1:
         searcher.run(*root)
         tasks = None
@@ -743,9 +748,9 @@ def _level_search(f: FieldSpec, n: int, dirs, table, fixed, node_budget: int,
 
 
 def _level_minimum(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
-    """The minimum of F_q^n that the level search proves on one core, with
-    the standard-basis directions fixed, and its nodes; None in place of the
-    minimum once the budget runs out.  No canonical-witness pass."""
+    """The minimum of F_q^n that the level search proves on one core, and
+    its nodes; None in place of the minimum once the budget runs out.  No
+    canonical-witness pass."""
     size, _, nodes, optimal = _level_search(f, n, *_search_space(f, n), budget, 1)
     return (size if optimal else None), nodes
 
@@ -857,13 +862,13 @@ def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
     with more points spans F_q^n affinely: an affine map puts the frame
     {0, e_1, ..., e_n} inside it.  When n >= q-1 the frame has q affinely
     independent points, which some u sends onto F_q, so then
-    g(q, n) = g(q, n-1).  The planar value comes from the level search.
+    g(q, n) = g(q, n-1); in one step, g(q, n) = g(q, min(n, max(q-2, 1))).
+    The planar value comes from the level search.
     """
     q = f.q
+    n = min(n, max(q - 2, 1))
     if n == 1:
         return q - 1, 0
-    if n >= q - 1:
-        return _gap_size(f, n - 1, budget)
     if n == 2:
         size, nodes = _level_minimum(f, 2, budget)
         return (None if size is None else q * q - size), nodes
@@ -879,7 +884,6 @@ def minimal_kakeya_exact(
     n: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
-    normalize: bool = True,
 ) -> SearchResult:
     """Exact minimum cardinality of a Kakeya set w.r.t. hyperplanes in F_q^n.
 
@@ -887,18 +891,18 @@ def minimal_kakeya_exact(
     deterministic greedy incumbent.  For n >= 3 the minimum is q^n minus
     the largest gap set (`_gap_size`), and workers start no process.  With
     proof_of_optimality the witness is canonical (lexicographically
-    smallest optimal assignment in the searched space).  The search and
-    the canonical-witness pass may each visit node_budget nodes; if either
-    runs out, the best upper bound found (for n >= 3 the greedy one) is
-    returned with the flag false.  nodes_explored counts the search's nodes,
-    with those of every worker, and never exceeds node_budget.
+    smallest optimal assignment).  The search and the canonical-witness
+    pass may each visit node_budget nodes; if either runs out, the best
+    upper bound found (for n >= 3 the greedy one) is returned with the flag
+    false.  nodes_explored counts the search's nodes, with those of every
+    worker, and never exceeds node_budget.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     # the search and the canonical-witness pass both read the table
-    dirs, table, fixed = _search_space(f, n, normalize)
+    dirs, table, root = _search_space(f, n)
     lb = _instance_lower_bound(f.q, n)
 
     best_levels = None
@@ -908,10 +912,10 @@ def minimal_kakeya_exact(
         best_size = f.q**n - gap if optimal else None
     else:
         best_size, best_levels, nodes, optimal = _level_search(
-            f, n, dirs, table, fixed, node_budget, workers)
+            f, n, dirs, table, root, node_budget, workers)
 
     if optimal:
-        canonical = _lex_smallest_witness(table, fixed, best_size, node_budget)
+        canonical = _lex_smallest_witness(table, root, best_size, node_budget)
         if canonical is None:
             # a proof must come with the canonical witness, so report a bound
             optimal = False

@@ -175,7 +175,7 @@ def test_criterion_9_performance_floor():
 
         f3 = make_field(3, 1)
         start = time.perf_counter()
-        result = minimal_kakeya_exact(f3, 3, normalize=True)
+        result = minimal_kakeya_exact(f3, 3)
         search_elapsed = time.perf_counter() - start
         assert result.proof_of_optimality
         assert search_elapsed < 60.0, f"search took {search_elapsed:.1f} s"

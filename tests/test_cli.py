@@ -583,11 +583,11 @@ def test_heuristic_search_refuses_oversized_masks_at_once(capsys):
 
 
 def test_search_no_normalize(capsys):
-    code, out, _ = run(capsys, [
-        "search", "--field", "2", "--n", "2", "--no-normalize", "--format", "json",
-    ])
-    assert code == 0
-    assert json.loads(out)["min_size"] == 3
+    # the axis directions are always fixed, so the switch is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--field", "2", "--n", "2", "--no-normalize"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-normalize" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -58,6 +58,12 @@ def test_gap_sizes(q, n, g, most):
         assert nodes == search._gap_size(f, n - 1, 10**6)[1]
 
 
+def test_gap_size_takes_lemma_d_in_one_step():
+    # one call per n would pass Python's recursion limit
+    assert search._gap_size(make_field(2, 1), 5000, 1) == (1, 0)
+    assert search._gap_size(make_field(3, 1), 5000, 1) == (2, 0)
+
+
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 1, 3)])
 def test_gap_sizes_match_every_subset(p, k, n):
     f = make_field(p, k)

@@ -88,24 +88,16 @@ def test_bound_attained_at_2_2_and_2_3():
         assert minimal_kakeya_exact(f, n).min_size == kakeya_lower_bound_ceiling(p, n)
 
 
-def _open_root(f, n, normalize=True):
-    """The directions, the count table and the root node (mask, counts,
-    free directions, levels) of the search; `normalize` fixes the
-    standard-basis directions at level 0."""
-    dirs, table, fixed = search._search_space(f, n, normalize)
-    base_mask = 0
-    for pos in fixed:
-        base_mask |= table.masks[pos][0]
-    free = [i for i in range(len(dirs)) if i not in fixed]
-    return dirs, table, (base_mask, table.cover(table.full, base_mask), free, [0] * len(dirs))
-
-
-def _search_from_scratch(f, n, normalize, axes=True):
+def _search_from_scratch(f, n, frame=True, axes=True):
     """Branch and bound with no greedy incumbent and no lower-bound exit,
-    so the prunes decide the whole tree.  `axes` turns the isomorph check
-    two levels down on or off (it needs `normalize`)."""
-    dirs, table, root = _open_root(f, n, normalize)
-    maps = search._AxisMaps(f, dirs, root[2]) if normalize and axes else None
+    so the prunes decide the whole tree.  With `frame` it starts from the
+    search's root, the axis directions at level 0; without, from the empty
+    union with every direction free.  `axes` turns the isomorph check two
+    levels down on or off (it needs the frame)."""
+    dirs, table, root = search._search_space(f, n)
+    if not frame:
+        root = (0, table.full, list(range(table.s)), [0] * table.s)
+    maps = search._AxisMaps(f, dirs, root[2]) if frame and axes else None
     searcher = search._Searcher(table, 10**7, 0, f.q**n + 1, axes=maps)
     assert searcher.run(*root)
     assert searcher.completed
@@ -118,18 +110,17 @@ def test_exact_matches_brute_force_assignment_scan():
     for p, k, n in BRUTE_CELLS:
         f = make_field(p, k)
         brute, _ = _assignment_minimum_brute(f, n)
-        # minimal_kakeya_exact checks isomorphs only when it normalizes
-        for normalize in (True, False):
-            result = minimal_kakeya_exact(f, n, normalize=normalize)
-            assert result.proof_of_optimality
-            assert result.min_size == brute
-            assert _search_from_scratch(f, n, normalize) == brute
-        assert _search_from_scratch(f, n, True, axes=False) == brute
+        result = minimal_kakeya_exact(f, n)
+        assert result.proof_of_optimality
+        assert result.min_size == brute
+        assert _search_from_scratch(f, n) == brute
+        assert _search_from_scratch(f, n, axes=False) == brute
+        assert _search_from_scratch(f, n, frame=False) == brute
 
 
 def test_run_stops_on_a_spent_budget_or_a_met_lower_bound():
     f = make_field(7, 1)
-    _, table, root = _open_root(f, 2)
+    _, table, root = search._search_space(f, 2)
     spent = search._Searcher(table, 5, 0, 50)
     assert not spent.run(*root)
     assert (spent.nodes, spent.completed, spent.hit_lb) == (5, False, False)
@@ -149,7 +140,7 @@ def test_workers_take_up_the_shared_incumbent_with_each_batch():
     """A worker's shared array holds (incumbent size, nodes left): each
     draw takes a batch and the incumbent under one lock, and a worker's own
     find never raises the incumbent."""
-    _, table, _ = _open_root(make_field(7, 1), 2)
+    _, table, _ = search._search_space(make_field(7, 1), 2)
     shared = multiprocessing.get_context().Array("q", (47, 100))
     searcher = search._Searcher(table, 0, 31, 50, shared)
     assert searcher._draw()
@@ -171,9 +162,9 @@ def test_workers_take_up_the_shared_incumbent_with_each_batch():
 def test_search_from_scratch_agrees_across_normalization():
     for p, k, n in [(7, 1, 2), (3, 1, 3), (2, 2, 3)]:
         f = make_field(p, k)
-        plain = _search_from_scratch(f, n, False)
-        assert _search_from_scratch(f, n, True) == plain
-        assert _search_from_scratch(f, n, True, axes=False) == plain
+        plain = _search_from_scratch(f, n, frame=False)
+        assert _search_from_scratch(f, n) == plain
+        assert _search_from_scratch(f, n, axes=False) == plain
 
 
 def _point_map(f, n, perm, mu, j):
@@ -233,16 +224,12 @@ def test_axis_key_names_the_orbit(p, k, n):
 
 @pytest.mark.parametrize("p,k,n", [(5, 1, 2), (7, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)])
 def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
-    """Every node two levels below the normalized root, searched to the
-    end on its own: nodes that share a key share the subtree minimum."""
+    """Every node two levels below the search's root, searched to the end
+    on its own: nodes that share a key share the subtree minimum."""
     f = make_field(p, k)
-    dirs, table, fixed = search._search_space(f, n)
+    dirs, table, (base_mask, _, free, _) = search._search_space(f, n)
     masks = table.masks
-    free = [i for i in range(len(dirs)) if i not in fixed]
     axes = search._AxisMaps(f, dirs, free)
-    base_mask = 0
-    for pos in fixed:
-        base_mask |= masks[pos][0]
     minima = {}
     for d1, d2 in itertools.combinations(free, 2):
         rest = [d for d in free if d not in (d1, d2)]
@@ -498,12 +485,13 @@ def test_powerset_oracle_size_guard():
 
 
 def test_normalization_does_not_change_minimum():
+    """The search fixes the axis directions at level 0; a search with every
+    direction free finds the same minimum."""
     for p, n, expected in KNOWN_MINIMA:
         f = make_field(p, 1)
-        normalized = minimal_kakeya_exact(f, n, normalize=True)
-        plain = minimal_kakeya_exact(f, n, normalize=False)
-        assert normalized.min_size == plain.min_size == expected
-        assert normalized.proof_of_optimality and plain.proof_of_optimality
+        result = minimal_kakeya_exact(f, n)
+        assert result.proof_of_optimality and result.min_size == expected
+        assert _search_from_scratch(f, n, frame=False) == expected
 
 
 def test_worker_counts_agree():
@@ -707,8 +695,8 @@ def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
 
 def test_witness_is_lexicographically_smallest():
     f = make_field(2, 1)
-    # unnormalized: compare against the full brute-force scan
-    result = minimal_kakeya_exact(f, 2, normalize=False)
+    # the axis directions are fixed, yet the witness is the least of all
+    result = minimal_kakeya_exact(f, 2)
     optima = [
         levels
         for levels in itertools.product(range(2), repeat=3)
@@ -720,7 +708,7 @@ def test_witness_is_lexicographically_smallest():
 
 def test_witness_canonical_in_normalized_space():
     f = make_field(3, 1)
-    result = minimal_kakeya_exact(f, 2, normalize=True)
+    result = minimal_kakeya_exact(f, 2)
     dirs = enumerate_directions(f, 2)
     fixed = [i for i, d in enumerate(dirs) if d.normal in {(1, 0), (0, 1)}]
     optima = []
@@ -732,16 +720,17 @@ def test_witness_canonical_in_normalized_space():
     assert result.witness.levels == min(optima)
 
 
-@pytest.mark.parametrize("p,k,n,normalize", [(2, 2, 2, True), (5, 1, 2, True),
-                                               (3, 1, 2, False), (2, 1, 3, False)])
-def test_witness_matches_a_brute_force_lex_scan(p, k, n, normalize):
-    """The canonical pass tries levels 0 and 1 only while every level so far
-    is 0, and cuts siblings by the child floor; neither may change the first
-    optimum of a scan over every assignment."""
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2),
+                                   (2, 1, 3), (3, 1, 3)])
+def test_witness_matches_a_brute_force_lex_scan(p, k, n):
+    """The canonical pass starts with the axis directions at level 0, tries
+    levels 0 and 1 only while every level so far is 0, and cuts siblings by
+    the child floor; none of these may change the first optimum of a scan
+    over every assignment."""
     f = make_field(p, k)
-    result = minimal_kakeya_exact(f, n, normalize=normalize)
+    result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality
-    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size, normalize=normalize)
+    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size, normalize=False)
     assert result.witness.levels == brute
     assert next(c for c in brute if c) == 1
 
@@ -760,8 +749,8 @@ def test_canonical_pass_runs_deeper_than_the_recursion_limit():
 
 
 # nodes the canonical-witness pass visits on its way to the witness
-CANONICAL_PASS_NODES = [((7, 1, 2), 49), ((3, 2, 2), 637), ((11, 1, 2), 5_446),
-                        ((5, 1, 3), 34), ((2, 2, 4), 87), ((2, 1, 6), 64)]
+CANONICAL_PASS_NODES = [((7, 1, 2), 47), ((3, 2, 2), 635), ((11, 1, 2), 5_444),
+                        ((5, 1, 3), 31), ((2, 2, 4), 83), ((2, 1, 6), 58)]
 
 
 @pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
@@ -769,20 +758,20 @@ def test_canonical_pass_node_counts_are_pinned(cell, nodes):
     p, k, n = cell
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
-    _, table, fixed = search._search_space(f, n)
-    args = (table, fixed, result.min_size)
+    _, table, root = search._search_space(f, n)
+    args = (table, root, result.min_size)
     assert search._lex_smallest_witness(*args, nodes) == result.witness.levels
     assert search._lex_smallest_witness(*args, nodes - 1) is None
 
 
 def test_canonical_pass_runs_out_at_a_floor_cut_sibling():
     """A budget spent on a sibling that the child floor cuts ends the pass
-    as any other node does: on (7,2) nodes 8, 11 and 12, among others, are
-    such siblings, and no budget below the pinned 49 gives a witness."""
-    _, table, fixed = search._search_space(make_field(7, 1), 2)
-    for budget in range(1, 49):
-        assert search._lex_smallest_witness(table, fixed, 31, budget) is None
-    assert search._lex_smallest_witness(table, fixed, 31, 49) == CANONICAL_WITNESSES[7, 1, 2]
+    as any other node does: on (7,2) nodes 6, 9 and 10, among others, are
+    such siblings, and no budget below the pinned 47 gives a witness."""
+    _, table, root = search._search_space(make_field(7, 1), 2)
+    for budget in range(1, 47):
+        assert search._lex_smallest_witness(table, root, 31, budget) is None
+    assert search._lex_smallest_witness(table, root, 31, 47) == CANONICAL_WITNESSES[7, 1, 2]
 
 
 def test_lex_scan_finds_nothing_for_a_size_no_union_has():
@@ -1058,15 +1047,15 @@ def test_exact_3_3_value():
 
 
 def test_degenerate_n_1():
-    # greedy meets the lower bound 1, with or without normalization, so no
-    # searcher is ever built (with normalization no direction is left free)
+    # greedy meets the lower bound 1, so no searcher is ever built, and the
+    # root, the one axis direction at level 0, is the canonical pass's leaf
     f = make_field(5, 1)
-    for normalize in (True, False):
-        for workers in (1, 2):
-            result = minimal_kakeya_exact(f, 1, workers=workers, normalize=normalize)
-            assert result.min_size == 1
-            assert result.proof_of_optimality
-            assert result.nodes_explored == 0
+    for workers in (1, 2):
+        result = minimal_kakeya_exact(f, 1, workers=workers)
+        assert result.min_size == 1
+        assert result.proof_of_optimality
+        assert result.nodes_explored == 0
+        assert result.witness.levels == (0,)
 
 
 def test_search_result_lower_bound_consistency():
