@@ -428,6 +428,26 @@ def _selftest_checks():
         assert result.witness.levels == oracles.lex_smallest_optimum_brute(
             f, n, result.min_size, normalize=False)
 
+    def child_price_vs_brute(p, k):
+        # every child of one open direction of random partial unions
+        import random as _random
+        f = make_field(p, k)
+        _, table, _ = search._search_space(f, 2)
+        rng = _random.Random(17)
+        for _ in range(4):
+            free = rng.sample(range(table.s), table.s)
+            mask, counts = 0, table.full
+            while len(free) > 2 and rng.randrange(3):
+                row = table.masks[free.pop()][rng.randrange(f.q)]
+                mask, counts = mask | row, table.cover(counts, row & ~mask)
+            d = free.pop()
+            lanes = table.lanes(counts)
+            gains = table.gains(lanes, free)
+            lines = table.cheapest_lines(lanes, free, gains)
+            for row in table.masks[d]:
+                assert search._planar_price(lines, gains, row & ~mask) == (
+                    oracles.cheapest_gains_brute(f, 2, PointSet(f.q, 2, mask | row), free))
+
     checks = [
         ("field axioms F_2", lambda: oracles.check_field_axioms(make_field(2, 1))),
         ("field axioms F_4", lambda: oracles.check_field_axioms(make_field(2, 2))),
@@ -457,6 +477,8 @@ def _selftest_checks():
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
         ("canonical witness vs brute-force lex scan of every assignment (5,2)",
          lambda: canonical_vs_lex_scan(5, 1, 2)),
+        ("child price vs brute force (7,2), F_9^2",
+         lambda: (child_price_vs_brute(7, 1), child_price_vs_brute(3, 2))),
         ("union vs brute force (3,3)", lambda: union_vs_brute(3, 1, 3)),
         ("union vs brute force F_4^3", lambda: union_vs_brute(2, 2, 3)),
         ("union vs brute force (5,3)", lambda: union_vs_brute(5, 1, 3)),

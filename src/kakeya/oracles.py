@@ -232,6 +232,21 @@ def gap_levels_brute(f: FieldSpec, n: int, gaps) -> list[set[int]]:
     return [{dot(f, d.normal, x) for x in coords} for d in enumerate_directions(f, n)]
 
 
+def cheapest_gains_brute(f: FieldSpec, n: int, covered: PointSet, free) -> list[int]:
+    """Per direction of `free` (positions in enumeration order), the fewest
+    points outside `covered` on any of its hyperplanes, counted point by
+    point from per-element dot products."""
+    q = f.q
+    normals = [d.normal for d in enumerate_directions(f, n)]
+    counts = [[0] * q for _ in free]
+    for x in range(q**n):
+        if not covered.contains(x):
+            coords = point_coords(x, q, n)
+            for row, d in zip(counts, free):
+                row[dot(f, normals[d], coords)] += 1
+    return [min(row) for row in counts]
+
+
 def lex_smallest_optimum_brute(f: FieldSpec, n: int, size: int, normalize: bool = True):
     """The lexicographically smallest level assignment, over the directions
     in enumeration order, whose union of hyperplanes has `size` points, or

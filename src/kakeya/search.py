@@ -26,22 +26,26 @@ keep the union size and shrink it further:
 Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
 of distinct directions meet in q^(n-2) points, so the open directions add
 at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
-The same fact prices a child before it is built: its hyperplane takes at
+The same fact floors a child before it is built: its hyperplane takes at
 most q^(n-2) points from each other direction's, so each of its gains is
-at most q^(n-2) below its parent's (`_child_floor`).  A child that this
-floor cuts would be cut on entry anyway, so it counts as one node but its
-counts are never built.  The canonical-witness pass prices the siblings
-after a failed child the same way, and tries only levels 0 and 1 while
-every level so far is 0.  No prune changes the minimum or the canonical
-witness.
+at most q^(n-2) below its parent's (`_child_floor`).  In the plane it
+prices the child exactly: two lines of distinct directions meet in one
+point, so a gain drops by one exactly when the child's new points meet one
+of that direction's cheapest lines (`_planar_price`).  Above the plane a
+child that passes the floor is covered first and priced from its own
+counts.  A child cut by its floor or its price counts as one node, as its
+entry would; only priced survivors are covered and entered, with their
+gains and bound.  The canonical-witness pass floors the siblings after a
+failed child the same way, and tries only levels 0 and 1 while every level
+so far is 0.  No prune changes the minimum or the canonical witness.
 
 Each node carries, beside its union mask, one packed integer of counts:
 for every (direction, level), the points of that hyperplane the union has
 not covered yet (`_Counts`).  A level's gain is its count, so a node reads
-its branching direction, its options and the gains of the overlap bound
-off one `to_bytes` of the counts instead of recounting q*|free| unions; a
-child subtracts one precomputed per-point row for each point it covers.
-The table of rows is charged with the masks against core.MASK_BITS_CAP.
+its branching direction, its options and its cheapest lines off one
+`to_bytes` of the counts instead of recounting q*|free| unions; a child
+subtracts one precomputed per-point row for each point it covers.  The
+table of rows is charged with the masks against core.MASK_BITS_CAP.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -205,6 +209,31 @@ class _Counts:
         q = self.q
         return [min(lanes[d * q:d * q + q]) for d in free]
 
+    def cheapest_lines(self, lanes, free, gains) -> list[int]:
+        """Per direction of `free`, the union of its levels whose lane holds
+        its cheapest gain.  The lanes are bytes, as they are in the plane,
+        so `bytes.find` finds those levels."""
+        q, masks = self.q, self.masks
+        out = []
+        for d, gain in zip(free, gains):
+            row, start, stop = masks[d], d * q, d * q + q
+            union = 0
+            at = lanes.find(gain, start, stop)
+            while at >= 0:
+                union |= row[at - start]
+                at = lanes.find(gain, at + 1, stop)
+            out.append(union)
+        return out
+
+
+def _planar_price(lines, gains, new: int) -> list[int]:
+    """A planar child's cheapest gains on its open directions, from its
+    parent's `gains` there and `lines`, their cheapest lines
+    (`_Counts.cheapest_lines`).  The child's new points lie on one line,
+    which meets every line of another direction in exactly one point, so a
+    gain drops by one exactly when they meet one of its cheapest lines."""
+    return [gain - 1 if new & union else gain for gain, union in zip(gains, lines)]
+
 
 def _overlap_bound(gains, pair: int) -> int:
     """Fewest new points any completion adds, given each free direction's
@@ -346,8 +375,11 @@ class _Searcher:
         search must stop: the budget is spent (`completed` turns false) or
         an incumbent meets the lower bound (`hit_lb` turns true)."""
         self.levels = list(levels)
+        table = self.table
+        gains = table.gains(table.lanes(counts), free)
         try:
-            self._node(mask, counts, free, not any(levels))
+            self._node(mask, counts, free, not any(levels), gains,
+                       _overlap_bound(gains, table.pair))
         except _BudgetExhausted:
             self.completed = False
             return False
@@ -395,53 +427,72 @@ class _Searcher:
         if size <= self.lb_ceil:
             raise _ProvedOptimal
 
-    def _node(self, mask: int, counts: int, free, zero: bool) -> None:
+    def _node(self, mask: int, counts: int, free, zero: bool, gains, lower: int) -> None:
         """Branch on one free direction: fail-first, the one whose cheapest
         level adds the most new points (the first such), so partial unions
-        grow and prune early.  Each child that survives the cuts is searched,
-        or kept open while the frontier is built.  `zero` is true while every
-        level on the path is 0: the mask is then fixed by the scalings
-        x -> a*x, which send level c to a*c, so levels 0 and 1 cover every
-        orbit.  Two levels down, a child is dropped when an axis map sends it
-        to a node met before (see `_seen_before`)."""
+        grow and prune early.  The node comes priced: `gains` are its
+        cheapest gains on `free` and `lower` their overlap bound.  Each child
+        is priced before it is built, and one that survives the cuts is
+        searched, or kept open, unpriced, while the frontier is built.
+        `zero` is true while every level on the path is 0: the mask is then
+        fixed by the scalings x -> a*x, which send level c to a*c, so levels
+        0 and 1 cover every orbit.  Two levels down, a child is dropped when
+        an axis map sends it to a node met before (see `_seen_before`)."""
         self._enter()
         msize = mask.bit_count()
-        table = self.table
-        lanes = table.lanes(counts)
-        gains = table.gains(lanes, free)
-        lower = _overlap_bound(gains, table.pair)
+        # `run` or the parent priced the node; a worker's `_enter` may have
+        # drawn a lower bound since
         if msize + lower >= self.bound:
             return
+        table = self.table
+        lanes = table.lanes(counts)
         i = gains.index(max(gains))
         d = free[i]
         q = table.q
         added = lanes[d * q:d * q + q]
-        rest = free[:i] + free[i + 1:]
+        rest, rest_gains = free[:i] + free[i + 1:], gains[:i] + gains[i + 1:]
         row = table.masks[d]
         two_down = self.axes is not None and len(rest) == len(self.axes.open) - 2
         # The least any child's completion adds: `_child_floor` of the gains
         # left once d's, the largest, is taken out, which is `lower` less
-        # that gain.  Children kept open by the frontier are all entered
-        # later, so none is cut here.
-        floor = lower - gains[i] if self._opened is None else 0
+        # that gain.
+        floor = lower - gains[i]
+        lines = None  # the cheapest lines of `rest`, built for the first priced child
         for lvl in sorted(range(2 if zero else q), key=added.__getitem__):
             csize = msize + added[lvl]
             if csize >= self.bound:
                 break  # the levels are in ascending order of size
             self.levels[d] = lvl
-            if rest:
-                if two_down and self._seen_before(free, d, lvl):
-                    continue
-                if csize + floor >= self.bound:
-                    self._enter()  # the child's own bound would cut it
-                    continue
-                cmask, ccounts = mask | row[lvl], table.cover(counts, row[lvl] & ~mask)
-                if self._opened is None:
-                    self._node(cmask, ccounts, rest, zero and lvl == 0)
-                else:
-                    self._opened.append((cmask, ccounts, rest, self.levels.copy()))
-            else:
+            if not rest:
                 self._record(csize)
+                continue
+            if two_down and self._seen_before(free, d, lvl):
+                continue
+            if self._opened is not None:  # `run` prices it when it is searched
+                self._opened.append((mask | row[lvl], table.cover(counts, row[lvl] & ~mask),
+                                     rest, self.levels.copy()))
+                continue
+            if csize + floor >= self.bound:
+                self._enter()  # the child's own bound would cut it
+                continue
+            new = row[lvl] & ~mask
+            # In the plane (pair 1) the child is priced from the cheapest
+            # lines and covered only if it survives; above it, it is covered
+            # first and priced from its own lanes.
+            if table.pair == 1:
+                if lines is None:
+                    lines = table.cheapest_lines(lanes, rest, rest_gains)
+                ccounts, cgains = None, _planar_price(lines, rest_gains, new)
+            else:
+                ccounts = table.cover(counts, new)
+                cgains = table.gains(table.lanes(ccounts), rest)
+            clower = _overlap_bound(cgains, table.pair)
+            if csize + clower >= self.bound:
+                self._enter()  # cut by its price, as on entry
+                continue
+            if ccounts is None:
+                ccounts = table.cover(counts, new)
+            self._node(mask | row[lvl], ccounts, rest, zero and lvl == 0, cgains, clower)
 
     def _seen_before(self, free, d: int, lvl: int) -> bool:
         """Whether an axis map sends the child with d at level lvl, two

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from kakeya import core, oracles, search
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import KakeyaVerdict, OffsetAssignment, build_union, is_kakeya, level_masks
-from kakeya.field import field_inv, field_mul, field_pow, make_field
+from kakeya.field import factor_prime_power, field_inv, field_mul, field_pow, make_field
 from kakeya.geometry import enumerate_directions, point_coords, point_index
 from kakeya.pointset import PointSet
 from kakeya.search import (
@@ -415,6 +415,86 @@ def test_child_floor_never_exceeds_the_childs_own_bound():
                 assert floor <= search._overlap_bound(table.gains(table.lanes(child), rest), pair)
 
 
+def _random_planar_children(rng, p, k):
+    """A random partial union of the plane over F_(p^k), at least two
+    directions open, and one of them, d, at random: (table, mask, counts,
+    d, the other open directions, their gains and their cheapest lines)."""
+    f, masks, table = _count_table(p, k, 2)
+    s = len(masks)
+    order = rng.sample(range(s), s)
+    cut = rng.randrange(s - 1)
+    mask, counts = 0, table.full
+    for d in order[:cut]:
+        row = masks[d][rng.randrange(f.q)]
+        counts = table.cover(counts, row & ~mask)
+        mask |= row
+    free = order[cut:]
+    d = free.pop(rng.randrange(len(free)))
+    lanes = table.lanes(counts)
+    gains = table.gains(lanes, free)
+    return table, mask, counts, d, free, gains, table.cheapest_lines(lanes, free, gains)
+
+
+def test_planar_price_is_the_built_childs_own():
+    """In the plane a child's gains, priced from its parent's gains and
+    cheapest lines without covering it, are the gains of the built child,
+    so the overlap bound is the child's own and never below the floor."""
+    rng = random.Random(23)
+    for p, k in [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        for _ in range(30):
+            table, mask, counts, d, rest, gains, lines = _random_planar_children(rng, p, k)
+            floor = search._child_floor(gains, table.pair)
+            for row in table.masks[d]:
+                price = search._planar_price(lines, gains, row & ~mask)
+                built = table.gains(table.lanes(table.cover(counts, row & ~mask)), rest)
+                assert price == built
+                bound = search._overlap_bound(price, table.pair)
+                assert bound == search._overlap_bound(built, table.pair)
+                assert bound >= floor
+
+
+def test_planar_price_matches_a_point_by_point_count():
+    rng = random.Random(29)
+    for p, k in [(5, 1), (2, 2)]:
+        f = make_field(p, k)
+        for _ in range(3):
+            table, mask, _, d, rest, gains, lines = _random_planar_children(rng, p, k)
+            for row in table.masks[d]:
+                covered = PointSet(f.q, 2, mask | row)
+                assert search._planar_price(lines, gains, row & ~mask) == (
+                    oracles.cheapest_gains_brute(f, 2, covered, rest))
+
+
+def test_planar_count_lanes_are_bytes():
+    """The planar price finds the cheapest lines with `bytes.find`, so
+    every plane the count table admits has one-byte lanes."""
+    admitted = []
+    for q in range(2, 257):
+        if factor_prime_power(q) is None:
+            continue
+        try:
+            search._Counts.check(q, 2)
+        except ValueError:
+            continue
+        admitted.append(q)
+        assert search._lane_width(q) == 1
+    assert admitted[:3] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("p,k,opened,nodes", [(5, 1, 6, 6), (7, 1, 35, 9), (3, 2, 38, 8)])
+def test_frontier_keeps_children_open_and_unpriced(p, k, opened, nodes):
+    """With two workers the parent opens the nodes it opened when every
+    child was built before any cut: a price on the way would cut some."""
+    f = make_field(p, k)
+    dirs, table, root = search._search_space(f, 2)
+    lb_ceil = math.ceil(search._instance_lower_bound(f.q, 2))
+    size, _ = search._greedy_seed(f, 2, table.s)
+    searcher = search._Searcher(table, 10**6, lb_ceil, size,
+                                axes=search._AxisMaps(f, dirs, root[2]))
+    tasks = searcher.frontier(root, 2)
+    assert (len(tasks), searcher.nodes) == (opened, nodes)
+
+
 def _planar_minimum(q):
     """Blokhuis and Mazzocca (2008): q(q+1)/2 + (q-1)/2 for odd q and
     q(q+1)/2 for even q.  A test expectation only."""
@@ -786,6 +866,16 @@ def test_children_cut_by_the_floor_count_as_nodes():
     assert proven.witness.levels == CANONICAL_WITNESSES[3, 2, 2]
     short = minimal_kakeya_exact(f, 2, node_budget=2_567)
     assert not short.proof_of_optimality and short.nodes_explored == 2_567
+
+
+def test_children_cut_by_their_price_count_as_nodes():
+    # (7,2) cuts 105 children by their price and 56 by the floor
+    f = make_field(7, 1)
+    proven = minimal_kakeya_exact(f, 2, node_budget=204)
+    assert proven.proof_of_optimality and proven.nodes_explored == 204
+    assert proven.witness.levels == CANONICAL_WITNESSES[7, 1, 2]
+    short = minimal_kakeya_exact(f, 2, node_budget=203)
+    assert not short.proof_of_optimality and short.nodes_explored == 203
 
 
 def _killed_worker(widx, *args):
