@@ -40,12 +40,23 @@ from .geometry import (
     enumerate_subspaces,
 )
 from .pointset import PointSet
-from .search import (
-    SearchResult,
-    greedy_upper_bound,
-    minimal_kakeya_exact,
-    minimal_kakeya_powerset,
-)
+
+# The search engine loads on first use, so that the commands and callers
+# that never search do not import it (nor multiprocessing).
+_SEARCH_NAMES = frozenset({
+    "SearchResult",
+    "greedy_upper_bound",
+    "minimal_kakeya_exact",
+    "minimal_kakeya_powerset",
+})
+
+
+def __getattr__(name):
+    if name in _SEARCH_NAMES:
+        from . import search
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CauchySchwarzCount",

@@ -3,14 +3,17 @@ construction, incidence reports, exact search and the self-test suite.
 
 Exit codes: 0 success/verified, 1 verified-false, 2 usage or validation
 error, 3 search budget exhausted without a proof of optimality.
+
+Each command imports only what it runs: only search and selftest load the
+search engine, and only --format csv loads csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
+import itertools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -19,6 +22,8 @@ from pathlib import Path
 
 from .bounds import kakeya_lower_bound, planar_lower_bound
 from .core import (
+    DEFAULT_NODE_BUDGET,
+    MAX_WORKERS,
     OffsetAssignment,
     build_union,
     incidence_stats,
@@ -33,17 +38,10 @@ from .core import (
 from .field import FieldSpec, factor_prime_power, parse_field_spec, size_cap
 from .geometry import (
     ENUM_CAP,
-    _normal_indices,
+    _normal_coords,
     count_directions_formula,
     enumerate_directions,
     point_coords,
-)
-from .search import (
-    DEFAULT_NODE_BUDGET,
-    MAX_WORKERS,
-    greedy_upper_bound,
-    minimal_kakeya_exact,
-    minimal_kakeya_powerset,
 )
 
 SCHEMA_VERSION = 1
@@ -71,6 +69,8 @@ def _render(args, record: dict, lines: list[str], table=None) -> None:
     if args.format == "json":
         text = json_text({"schema_version": SCHEMA_VERSION, **record})
     elif args.format == "csv" and table is not None:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table[0])
@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
         reps = [point_coords(i, q, n) for i in witness]
         lines = ["KAKEYA", f"witness coset representatives: {reps}"]
     elif verdict.plane_dim == max(n - 1, 0):
-        normal = point_coords(_normal_indices(q, n)[verdict.failing_index], q, n)
+        normal = next(itertools.islice(_normal_coords(q, n), verdict.failing_index, None))
         lines = ["NOT KAKEYA", f"no full hyperplane for direction #{verdict.failing_index}"
                                f" normal ({', '.join(map(str, normal))})"]
     else:
@@ -265,11 +265,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     f, n = _space(args)
     if args.heuristic_only:
-        result = greedy_upper_bound(f, n, restarts=args.restarts, seed=args.seed)
+        result = search.greedy_upper_bound(f, n, restarts=args.restarts, seed=args.seed)
     else:
-        result = minimal_kakeya_exact(f, n, node_budget=args.budget, workers=args.workers)
+        result = search.minimal_kakeya_exact(f, n, node_budget=args.budget,
+                                             workers=args.workers)
     lb = result.lower_bound_used
     witness = list(result.witness.levels)
     status = "exact minimum" if result.proof_of_optimality else "upper bound"
@@ -327,8 +330,8 @@ def _selftest_checks():
 
     def powerset_vs_exact(p, k, n):
         f = make_field(p, k)
-        oracle_size, _ = minimal_kakeya_powerset(f, n)
-        assert oracle_size == minimal_kakeya_exact(f, n).min_size
+        oracle_size, _ = search.minimal_kakeya_powerset(f, n)
+        assert oracle_size == search.minimal_kakeya_exact(f, n).min_size
 
     def coset_check(p, k, n, plane_dim):
         import random as _random
@@ -389,7 +392,7 @@ def _selftest_checks():
         # random unions fill the space; the search's witness leaves its gaps open
         f = make_field(p, k)
         assignments = [random_assignment(f, n, seed) for seed in range(3)]
-        assignments.append(minimal_kakeya_exact(f, n).witness)
+        assignments.append(search.minimal_kakeya_exact(f, n).witness)
         for assignment in assignments:
             assert build_union(f, n, assignment) == oracles.union_brute(f, n, assignment)
 
@@ -402,7 +405,7 @@ def _selftest_checks():
         normals = [d.normal for d in enumerate_directions(f, n)]
         rng = _random.Random(13)
         assignments = [random_assignment(f, n, seed) for seed in range(3)]
-        assignments.append(minimal_kakeya_exact(f, n).witness)
+        assignments.append(search.minimal_kakeya_exact(f, n).witness)
         for assignment in assignments:
             union = build_union(f, n, assignment)
             members = list(union.indices())
@@ -423,7 +426,7 @@ def _selftest_checks():
 
     def canonical_vs_lex_scan(p, k, n):
         f = make_field(p, k)
-        result = minimal_kakeya_exact(f, n)
+        result = search.minimal_kakeya_exact(f, n)
         assert result.proof_of_optimality
         assert result.witness.levels == oracles.lex_smallest_optimum_brute(
             f, n, result.min_size, normalize=False)

@@ -21,7 +21,7 @@ from operator import itemgetter
 from .field import FieldSpec, check_space, field_add, field_mul
 
 ENUM_CAP = 10**6
-# Normals whose coordinates _normal_coords lists at a time.
+# About how many normals one window of _normal_windows holds.
 _COORD_CHUNK = 1024
 # Most bytes of shifted head vectors _direction_levels keeps, the same
 # 8 MiB as the block of count-table rows search builds at a time.
@@ -97,12 +97,6 @@ def _lead_normals(q: int, n: int) -> list[int]:
     return [x for i in range(n) for x in range(q**i, q**n, q ** (i + 1))]
 
 
-def _normal_indices(q: int, n: int) -> list[int]:
-    """Point indices of the canonical normals, ascending, so entry i is the
-    normal of direction #i; refused as _lead_normals refuses."""
-    return sorted(_lead_normals(q, n))
-
-
 def _normal_slices(q: int, n: int) -> tuple[list[slice], list[int]]:
     """The n slices that read a level vector at the canonical normals, one
     per lead coordinate, and order: order[d] is the position of direction
@@ -117,14 +111,31 @@ def _coords_of(indices, q: int, n: int) -> list[tuple[int, ...]]:
     return list(zip(*[[x // d % q for x in indices] for d in map(q.__pow__, range(n))]))
 
 
+def _normal_windows(q: int, n: int):
+    """The point indices of the canonical normals, ascending, one window of
+    (q - 1) * _COORD_CHUNK points at a time.  The normals of lead i are
+    every q^(i+1)-th point from q^i, so a window holds at most
+    _COORD_CHUNK + n of them, and a space of at most _COORD_CHUNK normals
+    is one window."""
+    total, width = q**n, (q - 1) * _COORD_CHUNK
+    for lo in range(1, total, width):
+        hi = min(lo + width, total)
+        window = []
+        for i in range(n):
+            step = q ** (i + 1)
+            window.extend(range(lo + (q**i - lo) % step, hi, step))
+        window.sort()
+        yield window
+
+
 def _normal_coords(q: int, n: int):
     """The coordinates of the canonical normals in direction order, listed
-    _COORD_CHUNK at a time, so that a caller that stops early does not
-    list them all; refused as _lead_normals refuses."""
-    normals = _normal_indices(q, n)
+    one window of about _COORD_CHUNK at a time, so that a caller that stops
+    early neither lists nor sorts them all; refused as _lead_normals
+    refuses."""
+    _direction_count(q, n)
     return itertools.chain.from_iterable(
-        _coords_of(normals[i:i + _COORD_CHUNK], q, n)
-        for i in range(0, len(normals), _COORD_CHUNK))
+        _coords_of(window, q, n) for window in _normal_windows(q, n))
 
 
 def enumerate_directions(f: FieldSpec, n: int) -> list[Direction]:

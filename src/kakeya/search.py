@@ -58,7 +58,9 @@ run never visits more nodes than the budget, and a worker runs out only
 once that count is empty.  The shared incumbent size sits beside that
 count, and a worker takes it up with each batch.  Each worker sends its
 outcome over a pipe of its own, so one that dies is reported as soon as
-its pipe closes.
+its pipe closes.  Only this path imports multiprocessing, in the parent,
+so a serial search does not load it; a worker imports nothing unless it
+fails.
 """
 
 from __future__ import annotations
@@ -66,17 +68,23 @@ from __future__ import annotations
 import array
 import itertools
 import math
-import multiprocessing.connection
 import random
 import sys
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import core
 from .bounds import kakeya_lower_bound
-from .core import OffsetAssignment, _check_mask_bits, build_union, is_kakeya, level_masks
+from .core import (
+    DEFAULT_NODE_BUDGET,
+    MAX_WORKERS,
+    OffsetAssignment,
+    _check_mask_bits,
+    build_union,
+    is_kakeya,
+    level_masks,
+)
 from .field import FieldSpec
 from .geometry import (
     _direction_levels,
@@ -87,9 +95,6 @@ from .geometry import (
 )
 from .pointset import PointSet
 
-DEFAULT_NODE_BUDGET = 10_000_000
-# Most processes one parallel search may start.
-MAX_WORKERS = 64
 _POWERSET_POINT_LIMIT = 16
 # Nodes a worker draws at a time from the budget the workers share.
 _NODE_BATCH = 64
@@ -643,6 +648,7 @@ def _search_worker(widx, searcher, tasks, next_task, conn):
                 break
         conn.send(searcher.outcome())
     except Exception as exc:  # surface the failure instead of hanging the parent
+        import traceback
         conn.send(f"{exc!r}\n{traceback.format_exc()}")
 
 
@@ -650,6 +656,8 @@ def _collect_results(procs) -> list[_Outcome]:
     """The outcome of each (worker index, process, reader) in procs, in that
     order.  A worker that reports a failure, or whose pipe closes without a
     result (killed, out of memory), raises RuntimeError."""
+    import multiprocessing.connection
+
     results: dict[int, _Outcome] = {}
     waiting = {reader: (widx, proc) for widx, proc, reader in procs}
     while waiting:
@@ -674,6 +682,8 @@ def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_O
     in batches from what the parent left of node_budget.  Returns each
     worker's outcome, in worker order.  On an error or an interrupt the
     workers started so far are terminated; all are joined."""
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     searcher = _Searcher(parent.table, 0, parent.lb_ceil, parent.bound,
                          ctx.Array("q", (parent.bound, node_budget - parent.nodes)), parent.axes)

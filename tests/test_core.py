@@ -30,7 +30,7 @@ from kakeya.core import (
 )
 from kakeya.field import field_add, field_mul, field_sub, make_field, parse_field_spec
 from kakeya.geometry import (
-    _normal_indices,
+    count_directions_formula,
     count_subspaces,
     enumerate_directions,
     enumerate_subspaces,
@@ -90,7 +90,7 @@ UNION_CELLS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (7, 1, 2), (2, 1, 3), (3, 1, 3),
 def test_build_union_matches_the_brute_force_union(p, k, n, switch, monkeypatch):
     monkeypatch.setattr(core, "_switch_to_points", SWITCHES[switch])
     f = make_field(p, k)
-    s = len(_normal_indices(f.q, n))
+    s = count_directions_formula(f.q, n)
     rng = random.Random(s)
     # every hyperplane through 0, random levels, and levels 0 and 1 only
     assignments = [OffsetAssignment((0,) * s)]
@@ -106,7 +106,7 @@ def test_build_union_matches_the_brute_force_union_on_drawn_assignments(data):
     p, k, n = data.draw(st.sampled_from(
         [(7, 1, 2), (3, 1, 3), (2, 2, 3), (5, 1, 3), (2, 1, 4), (3, 1, 4), (2, 1, 5)]))
     f = make_field(p, k)
-    s = len(_normal_indices(f.q, n))
+    s = count_directions_formula(f.q, n)
     levels = data.draw(st.lists(st.integers(0, f.q - 1), min_size=s, max_size=s))
     assignment = OffsetAssignment(tuple(levels))
     want = union_brute(f, n, assignment)
@@ -198,7 +198,7 @@ def test_a_gap_free_set_lists_no_subspace(p, k, n, monkeypatch):
     for dim in range(1, n - 1):
         reps = (0,) * count_subspaces(f.q, n, dim)
         assert is_kakeya(f, full, dim) == KakeyaVerdict(True, dim, reps, None)
-    levels = OffsetAssignment((0,) * len(_normal_indices(f.q, n)))
+    levels = OffsetAssignment((0,) * count_directions_formula(f.q, n))
     assert is_kakeya(f, full, n - 1) == KakeyaVerdict(True, n - 1, levels, None)
 
 
@@ -536,7 +536,7 @@ def test_union_level_vector_counts_are_pinned(monkeypatch):
     for p, k, n in [(3, 1, 2), (7, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 3), (2, 2, 3),
                     (5, 1, 3), (7, 1, 3), (2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 4)]:
         f = make_field(p, k)
-        s = len(_normal_indices(f.q, n))
+        s = count_directions_formula(f.q, n)
         assignments = [random_assignment(f, n, seed) for seed in range(3)]
         if n >= 3 and f.q <= 5:  # the exact search is slow from (7,3) on
             assignments.append(minimal_kakeya_exact(f, n).witness)

@@ -7,11 +7,12 @@ import pytest
 from kakeya.core import level_masks
 from kakeya.field import field_add, field_mul, make_field
 from kakeya.geometry import (
+    _COORD_CHUNK,
     Direction,
     _coset_union,
     _level_kernel,
-    _normal_indices,
     _normal_slices,
+    _normal_windows,
     SubspaceBasis,
     count_directions_formula,
     count_fiber,
@@ -147,7 +148,7 @@ def test_enumerate_subspaces_refuses_a_bad_dimension_or_too_many_subspaces():
 def test_normal_slices_read_the_normals_in_lead_order(p, k, n):
     f = make_field(p, k)
     q, total = f.q, f.q**n
-    normals = _normal_indices(q, n)
+    normals = [x for window in _normal_windows(q, n) for x in window]
     slices, order = _normal_slices(q, n)
     assert len(slices) == n and sorted(order) == list(range(len(normals)))
     # on the point indices themselves, and on the level vectors of points
@@ -159,6 +160,18 @@ def test_normal_slices_read_the_normals_in_lead_order(p, k, n):
         vector = levels(g)
         at_normals = b"".join([vector[i] for i in slices])
         assert bytes(at_normals[j] for j in order) == bytes(vector[x] for x in normals)
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (3, 8), (4, 6), (5, 5), (7, 4), (31, 3), (32, 3)])
+def test_normal_windows_list_the_normals_in_order(q, n):
+    """The windows, joined, are the normals in direction order; none is
+    empty or holds more than _COORD_CHUNK + n, and a space of at most
+    _COORD_CHUNK normals ((31,3) has 993, (32,3) 1,057) is one window."""
+    brute = [x for x in range(1, q**n) if next(c for c in point_coords(x, q, n) if c) == 1]
+    windows = list(_normal_windows(q, n))
+    assert [x for window in windows for x in window] == brute
+    assert all(0 < len(window) <= _COORD_CHUNK + n for window in windows)
+    assert (len(windows) == 1) == (len(brute) <= _COORD_CHUNK)
 
 
 def test_normal_slices_refuse_too_many_directions():

@@ -685,7 +685,7 @@ def test_workers_started_without_fork_agree(monkeypatch, method):
     f = make_field(3, 2)
     expected = minimal_kakeya_exact(f, 2)
     ctx = multiprocessing.get_context(method)
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: ctx)
     result = minimal_kakeya_exact(f, 2, workers=2)
     assert result.proof_of_optimality
     assert (result.min_size, result.witness) == (expected.min_size, expected.witness)
@@ -747,7 +747,7 @@ def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
     f = make_field(3, 2)
     expected = minimal_kakeya_exact(f, 2)
     ctx = _RecordingContext()
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: ctx)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: ctx)
     out = {}
     runner = threading.Thread(target=lambda: out.setdefault(
         "result", minimal_kakeya_exact(f, 2, workers=8)))
@@ -884,7 +884,7 @@ def _killed_worker(widx, *args):
 
 def test_dead_worker_raises_instead_of_hanging(monkeypatch):
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: fork)
     monkeypatch.setattr(search, "_search_worker", _killed_worker)
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"worker \d+ exited with code 9"):
@@ -904,7 +904,7 @@ def _run_failing_in_workers(self, *node):
 
 def test_failed_worker_raises_its_error(monkeypatch):
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: fork)
     monkeypatch.setattr(search._Searcher, "run", _run_failing_in_workers)
     with pytest.raises(RuntimeError, match=r"worker \d+ failed: ValueError\('broken node'\)") as err:
         minimal_kakeya_exact(make_field(5, 1), 2, workers=2)
@@ -918,7 +918,7 @@ def _search_with_a_dying_worker(monkeypatch, dying):
     error message, or None if it has not ended within 10 s.  No child is
     left running either way."""
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: fork)
 
     def dies_or_sleeps(widx, *args):
         if widx == dying:
@@ -957,7 +957,7 @@ def test_failed_start_stops_the_workers_already_started(monkeypatch):
     """A start that fails (here EAGAIN, as when no process id is free)
     terminates and joins the workers started before it."""
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr(search.multiprocessing, "get_context", lambda *args: fork)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *args: fork)
     start = multiprocessing.process.BaseProcess.start
     started = []
 
