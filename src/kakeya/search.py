@@ -5,7 +5,8 @@ gap set: a set on which every direction's functional misses a value, so
 that its complement is Kakeya.  `_gap_size` computes g from the planar
 value and a few lemmas, with a small branch and bound over gap sets that
 hold a fixed frame of n+1 points when n < q-1.  The rest of this module is
-the level search, which proves the planar minima (n <= 2).
+the level search, which proves the planar minima (n <= 2), and the
+canonical-witness pass, which every proof ends with.
 
 Any Kakeya set contains one full hyperplane per direction, and that union
 is itself Kakeya, so the global minimum is attained on unions determined
@@ -15,7 +16,7 @@ keep the union size and shrink it further:
 
 - translations shift levels by normal . t, so fixing the n standard-basis
   directions to level 0 removes a factor q^n and keeps the canonical
-  witness (see `_search_space`);
+  witness (see `_search_frame`);
 - scalings x -> a*x (a != 0) send every level c to a*c, so while every
   level on a search path is 0 a node tries only levels 0 and 1;
 - the maps that permute the n axis hyperplanes (a coordinate permutation,
@@ -35,9 +36,7 @@ of that direction's cheapest lines (`_planar_price`).  Above the plane a
 child that passes the floor is covered first and priced from its own
 counts.  A child cut by its floor or its price counts as one node, as its
 entry would; only priced survivors are covered and entered, with their
-gains and bound.  The canonical-witness pass floors the siblings after a
-failed child the same way, and tries only levels 0 and 1 while every level
-so far is 0.  No prune changes the minimum or the canonical witness.
+gains and bound.  No prune changes the minimum or the canonical witness.
 
 Each node carries, beside its union mask, one packed integer of counts:
 for every (direction, level), the points of that hyperplane the union has
@@ -45,7 +44,16 @@ not covered yet (`_Counts`).  A level's gain is its count, so a node reads
 its branching direction, its options and its cheapest lines off one
 `to_bytes` of the counts instead of recounting q*|free| unions; a child
 subtracts one precomputed per-point row for each point it covers.  The
-table of rows is charged with the masks against core.MASK_BITS_CAP.
+table of rows is charged with the masks against core.MASK_BITS_CAP for
+every n, though only the level search builds it.
+
+The canonical-witness pass scans assignments in lexicographic order from
+the same root and tries only levels 0 and 1 while every level so far is 0.
+It cuts a child whose union passes the proven size.  In the plane it also
+reads the count table: it cuts a node by the overlap bound and floors the
+siblings after a failed child.  Above the plane it builds no table: an
+optimum leaves only g(q, n) = O(q^2) points open, so the scan on union
+size alone goes nearly straight down.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -533,37 +541,44 @@ class _Searcher:
         return level
 
 
-def _lex_smallest_witness(table, root, target, budget) -> tuple[int, ...] | None:
+def _lex_smallest_witness(masks, mask: int, free, target: int, budget: int,
+                          table=None) -> tuple[int, ...] | None:
     """First (hence lexicographically smallest) assignment of the proven
-    optimal size, scanning the free directions of the open node `root` in
-    enumeration order and levels ascending.  A partial union is pruned once
-    it, plus the overlap bound of the free directions still open, exceeds
-    the target.  Returns None once more than `budget` nodes would be visited.
+    optimal size, scanning `free`, the free directions of the search's root
+    union `mask`, in enumeration order and levels ascending.  A child is cut
+    once its union has more points than the target.  Returns None once more
+    than `budget` nodes would be visited.
 
     The root's axis directions stay at level 0, which keeps the answer (see
-    `_search_space`), and two rules skip children without changing it.
-    While every level so far is 0, only levels 0 and 1 are tried: an
-    optimum whose first nonzero level is c > 1 scales by 1/c (x -> x/c
-    keeps the axes at 0) to a lexicographically smaller optimum.  Once a
-    node's first child fails, each later sibling is priced by `_child_floor`
-    from the node's own gains and cut, as one node, when that already passes
-    the target; no floor is computed on a path that goes straight down.
+    `_search_frame`), and while every level so far is 0 only levels 0 and 1
+    are tried: an optimum whose first nonzero level is c > 1 scales by 1/c
+    (x -> x/c keeps the axes at 0) to a lexicographically smaller optimum.
+
+    With a count `table` (the plane) two more cuts apply.  A node is cut on
+    entry once its union plus the overlap bound of the free directions still
+    open passes the target.  Once a node's first child fails, each later
+    sibling is priced by `_child_floor` from the node's own gains and cut,
+    as one node, when that already passes the target; no floor is computed
+    on a path that goes straight down.  Above the plane the scan reads no
+    table: an optimum leaves only g(q, n) = O(q^2) of the q^n points open,
+    and on size cuts alone the scan goes nearly straight down (at most
+    |free| + q nodes on every cell the tests pin), so the bounds would only
+    cost time.  In the plane they are needed: without them the pass on
+    (13,2) visits about 6x the nodes.
 
     The path is one level per direction, often deeper than Python's
     recursion limit, so its open nodes are kept on an explicit stack.
     """
-    q, pair, masks = table.q, table.pair, table.masks
-    lanes_of, gains_of, cover = table.lanes, table.gains, table.cover
-    mask, counts, free, levels = root
-    levels = list(levels)
-    depth = len(free)
+    q, depth = len(masks[0]), len(free)
+    counts = None if table is None else table.cover(table.full, mask)
+    levels = [0] * len(masks)
     nodes = 0
     # One frame per open node on the path, the node at depth i (which sets
     # direction free[i]) in path[i]: [mask, counts, union size, gains, the
     # size each level adds, the levels left to try, zero, whether a child
-    # was entered, floor].
+    # was entered, floor].  Without a table, counts and gains are None.
     path = []
-    i, zero = 0, not any(levels)  # the node to enter is at depth i
+    i, zero = 0, True  # the node to enter is at depth i
     while True:
         if nodes >= budget:
             return None
@@ -573,12 +588,18 @@ def _lex_smallest_witness(table, root, target, budget) -> tuple[int, ...] | None
             if msize == target:
                 return tuple(levels)
         else:
-            lanes = lanes_of(counts)
-            gains = gains_of(lanes, free[i:])
-            if msize + _overlap_bound(gains, pair) <= target:
-                d = free[i]
-                path.append([mask, counts, msize, gains, lanes[d * q:d * q + q],
-                             iter(range(2 if zero else q)), zero, False, None])
+            d, tries = free[i], range(2 if zero else q)
+            if table is None:
+                row = masks[d]
+                path.append([mask, None, msize, None,
+                             [(mask | row[lvl]).bit_count() - msize for lvl in tries],
+                             iter(tries), zero, False, None])
+            else:
+                lanes = table.lanes(counts)
+                gains = table.gains(lanes, free[i:])
+                if msize + _overlap_bound(gains, table.pair) <= target:
+                    path.append([mask, counts, msize, gains, lanes[d * q:d * q + q],
+                                 iter(tries), zero, False, None])
         # enter the next child of the deepest open node; a node whose levels
         # have all been tried fails, and its parent tries its next level
         while path:
@@ -589,10 +610,10 @@ def _lex_smallest_witness(table, root, target, budget) -> tuple[int, ...] | None
                 csize = msize + added[lvl]
                 if csize > target:
                     continue
-                if entered and i + 1 < depth:  # an earlier child failed
+                if entered and gains is not None and i + 1 < depth:  # an earlier child failed
                     if floor is None:
                         # the child's open directions are the node's, less free[i]
-                        floor = frame[8] = _child_floor(gains[1:], pair)
+                        floor = frame[8] = _child_floor(gains[1:], table.pair)
                     if csize + floor > target:
                         if nodes >= budget:
                             return None
@@ -603,7 +624,8 @@ def _lex_smallest_witness(table, root, target, budget) -> tuple[int, ...] | None
                 levels[d] = lvl
                 row = masks[d]
                 # a leaf reads only its mask
-                counts = cover(counts, row[lvl] & ~mask) if i + 1 < depth else 0
+                if counts is not None and i + 1 < depth:
+                    counts = table.cover(counts, row[lvl] & ~mask)
                 mask |= row[lvl]
                 zero = zero and lvl == 0
                 i += 1
@@ -755,11 +777,11 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
     return seed.min_size, list(seed.witness.levels)
 
 
-def _search_space(f: FieldSpec, n: int):
-    """The directions of F_q^n, the count table over their level masks, and
-    the open root of the search: (mask, counts, free directions, levels)
-    once the n axis directions e_i hold their level-0 hyperplanes.  The
-    table's size is checked before any direction is listed.
+def _search_frame(f: FieldSpec, n: int):
+    """The directions of F_q^n, their level masks, and the root of every
+    search: the union `mask` of the n axis directions e_i at level 0 and
+    the `free` directions left.  The size cap and the count table's charge
+    are checked before any direction is listed.
 
     Fixing the axes changes neither the minimum nor the lexicographically
     smallest optimum.  Translating along x_i moves the level of e_i, and of
@@ -770,13 +792,25 @@ def _search_space(f: FieldSpec, n: int):
     q = f.q
     _Counts.check(q, n)
     dirs = enumerate_directions(f, n)
-    table = _Counts(f, n, level_masks(f, n, dirs))
+    masks = level_masks(f, n, dirs)
     axes = {(q**i - 1) // (q - 1) for i in range(n)}
     mask = 0
     for pos in axes:
-        mask |= table.masks[pos][0]
-    free = [pos for pos in range(table.s) if pos not in axes]
-    return dirs, table, (mask, table.cover(table.full, mask), free, [0] * table.s)
+        mask |= masks[pos][0]
+    return dirs, masks, mask, [pos for pos in range(len(masks)) if pos not in axes]
+
+
+def _level_root(f: FieldSpec, n: int, masks, mask: int, free):
+    """The count table over the frame's `masks`, and the frame's root as an
+    open node of the level search: (mask, counts, free directions, levels)."""
+    table = _Counts(f, n, masks)
+    return table, (mask, table.cover(table.full, mask), free, [0] * table.s)
+
+
+def _search_space(f: FieldSpec, n: int):
+    """The directions of `_search_frame`, its count table and open root."""
+    dirs, masks, mask, free = _search_frame(f, n)
+    return (dirs, *_level_root(f, n, masks, mask, free))
 
 
 def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
@@ -950,40 +984,45 @@ def minimal_kakeya_exact(
 
     For n <= 2, branch and bound over level assignments, seeded with a
     deterministic greedy incumbent.  For n >= 3 the minimum is q^n minus
-    the largest gap set (`_gap_size`), and workers start no process.  With
-    proof_of_optimality the witness is canonical (lexicographically
-    smallest optimal assignment).  The search and the canonical-witness
-    pass may each visit node_budget nodes; if either runs out, the best
-    upper bound found (for n >= 3 the greedy one) is returned with the flag
-    false.  nodes_explored counts the search's nodes, with those of every
-    worker, and never exceeds node_budget.
+    the largest gap set (`_gap_size`), no count table is built, and workers
+    start no process.  With proof_of_optimality the witness is canonical
+    (lexicographically smallest optimal assignment), found by
+    `_lex_smallest_witness`: with the count table in the plane, on union
+    size alone above it.  The search and the canonical-witness pass may
+    each visit node_budget nodes; if either runs out, the best upper bound
+    found (for n >= 3 the greedy one) is returned with the flag false.
+    nodes_explored counts the search's nodes, with those of every worker,
+    and never exceeds node_budget.  An oversized cell is refused before
+    anything is built, by the same count-table charge for every n.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
-    # the search and the canonical-witness pass both read the table
-    dirs, table, root = _search_space(f, n)
+    # refuses an oversized cell before anything is built or priced
+    dirs, masks, mask, free = _search_frame(f, n)
     lb = _instance_lower_bound(f.q, n)
 
-    best_levels = None
+    best_levels, table = None, None
     if n >= 3:
         gap, nodes = _gap_size(f, n, node_budget)
         optimal = gap is not None
         best_size = f.q**n - gap if optimal else None
     else:
+        # the level search and the canonical-witness pass both read the table
+        table, root = _level_root(f, n, masks, mask, free)
         best_size, best_levels, nodes, optimal = _level_search(
             f, n, dirs, table, root, node_budget, workers)
 
     if optimal:
-        canonical = _lex_smallest_witness(table, root, best_size, node_budget)
+        canonical = _lex_smallest_witness(masks, mask, free, best_size, node_budget, table)
         if canonical is None:
             # a proof must come with the canonical witness, so report a bound
             optimal = False
         else:
             best_levels = list(canonical)
     if best_levels is None:
-        best_size, best_levels = _greedy_seed(f, n, table.s)
+        best_size, best_levels = _greedy_seed(f, n, len(masks))
     witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, math.ceil(lb))
     return SearchResult(best_size, witness, nodes, optimal, lb)

@@ -172,9 +172,11 @@ def test_canonical_witnesses_of_the_level_search_are_kept(cell):
     assert result.witness.levels == CANONICAL_WITNESSES[cell]
 
 
-@pytest.mark.parametrize("q,n,minimum,nodes", [(5, 3, 117, 119), (4, 4, 250, 0), (5, 4, 617, 119)])
+@pytest.mark.parametrize("q,n,minimum,nodes", [(5, 3, 117, 119), (4, 4, 250, 0), (5, 4, 617, 119),
+                                               (2, 12, 4095, 0)])
 def test_cells_beyond_the_level_search_are_proven_fast(q, n, minimum, nodes):
-    # the level search took 650,306 nodes on (5,3) and 57,873 on (4,4)
+    # the level search took 650,306 nodes on (5,3) and 57,873 on (4,4); a
+    # canonical pass priced from the count table took 3.8 s on (2,12)
     f = _field(q)
     start = time.process_time()
     result = minimal_kakeya_exact(f, n)

@@ -1,5 +1,6 @@
 import errno
 import functools
+import gc
 import inspect
 import itertools
 import math
@@ -801,12 +802,13 @@ def test_witness_canonical_in_normalized_space():
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2),
-                                   (2, 1, 3), (3, 1, 3)])
+                                   (2, 1, 3), (3, 1, 3), (2, 1, 4)])
 def test_witness_matches_a_brute_force_lex_scan(p, k, n):
     """The canonical pass starts with the axis directions at level 0, tries
-    levels 0 and 1 only while every level so far is 0, and cuts siblings by
-    the child floor; none of these may change the first optimum of a scan
-    over every assignment."""
+    levels 0 and 1 only while every level so far is 0, and, in the plane,
+    cuts nodes by the overlap bound and siblings by the child floor; above
+    it, by union size alone.  None of these may change the first optimum of
+    a scan over every assignment."""
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality
@@ -833,25 +835,66 @@ CANONICAL_PASS_NODES = [((7, 1, 2), 47), ((3, 2, 2), 635), ((11, 1, 2), 5_444),
                         ((5, 1, 3), 31), ((2, 2, 4), 83), ((2, 1, 6), 58)]
 
 
+def _canonical_pass(f, n, target, budget):
+    """The canonical-witness pass as `minimal_kakeya_exact` runs it: with
+    the count table in the plane, on union size alone above it."""
+    _, masks, mask, free = search._search_frame(f, n)
+    table = search._Counts(f, n, masks) if n <= 2 else None
+    return search._lex_smallest_witness(masks, mask, free, target, budget, table)
+
+
 @pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
 def test_canonical_pass_node_counts_are_pinned(cell, nodes):
     p, k, n = cell
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
-    _, table, root = search._search_space(f, n)
-    args = (table, root, result.min_size)
-    assert search._lex_smallest_witness(*args, nodes) == result.witness.levels
-    assert search._lex_smallest_witness(*args, nodes - 1) is None
+    assert _canonical_pass(f, n, result.min_size, nodes) == result.witness.levels
+    assert _canonical_pass(f, n, result.min_size, nodes - 1) is None
 
 
 def test_canonical_pass_runs_out_at_a_floor_cut_sibling():
     """A budget spent on a sibling that the child floor cuts ends the pass
     as any other node does: on (7,2) nodes 6, 9 and 10, among others, are
     such siblings, and no budget below the pinned 47 gives a witness."""
-    _, table, root = search._search_space(make_field(7, 1), 2)
+    f = make_field(7, 1)
     for budget in range(1, 47):
-        assert search._lex_smallest_witness(table, root, 31, budget) is None
-    assert search._lex_smallest_witness(table, root, 31, 47) == CANONICAL_WITNESSES[7, 1, 2]
+        assert _canonical_pass(f, 2, 31, budget) is None
+    assert _canonical_pass(f, 2, 31, 47) == CANONICAL_WITNESSES[7, 1, 2]
+
+
+# (p, k, n): every n >= 3 cell of tests/test_gaps.py's GAP_TABLE, with (3,6)
+PASS_GRID = ([(2, 1, n) for n in range(3, 9)] + [(3, 1, n) for n in range(3, 7)]
+             + [(2, 2, n) for n in range(3, 6)] + [(5, 1, 3), (5, 1, 4)])
+
+
+@pytest.mark.parametrize("p,k,n", PASS_GRID)
+def test_canonical_pass_above_the_plane_barely_backtracks(p, k, n):
+    """On union size alone the pass above the plane goes nearly straight
+    down: at most |free| + q nodes, where |free| is the directions off the
+    axes.  A cell that starts to backtrack fails here instead of quietly
+    spending the pass's budget."""
+    f = make_field(p, k)
+    result = minimal_kakeya_exact(f, n)
+    assert result.proof_of_optimality
+    _, _, _, free = search._search_frame(f, n)
+    assert _canonical_pass(f, n, result.min_size, len(free) + f.q) == result.witness.levels
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (2, 1, 4), (5, 1, 3), (2, 1, 8)])
+def test_only_the_planar_base_builds_a_count_table(p, k, n, monkeypatch):
+    """Above the plane no count table is built: the only one is the (q,2)
+    search under `_gap_size`, and q <= 3 has none at all."""
+    built = []
+    init = search._Counts.__init__
+
+    def record(self, f, dim, masks):
+        built.append(dim)
+        init(self, f, dim, masks)
+
+    monkeypatch.setattr(search._Counts, "__init__", record)
+    f = make_field(p, k)
+    assert minimal_kakeya_exact(f, n).proof_of_optimality
+    assert built == ([2] if f.q >= 4 else [])
 
 
 def test_lex_scan_finds_nothing_for_a_size_no_union_has():
@@ -981,8 +1024,11 @@ def test_parallel_searches_leave_no_file_open(monkeypatch):
         return len(os.listdir("/proc/self/fd"))
 
     f = make_field(7, 1)
-    # the first shared value of a process opens the file that backs them all
+    # the first shared value of a process opens the file that backs them all;
+    # files an earlier test left in cyclic garbage (a kept traceback holds
+    # its workers) close whenever the collector runs, so collect them first
     minimal_kakeya_exact(f, 2, workers=2)
+    gc.collect()
     before = open_files()
     for _ in range(5):
         minimal_kakeya_exact(f, 2, workers=2)
