@@ -428,8 +428,7 @@ def _selftest_checks():
         f = make_field(p, k)
         result = search.minimal_kakeya_exact(f, n)
         assert result.proof_of_optimality
-        assert result.witness.levels == oracles.lex_smallest_optimum_brute(
-            f, n, result.min_size, normalize=False)
+        assert result.witness.levels == oracles.lex_smallest_optimum_brute(f, n, result.min_size)
 
     def child_price_vs_brute(p, k):
         # every child of one open direction of random partial unions
@@ -481,6 +480,7 @@ def _selftest_checks():
         ("canonical witness vs brute-force lex scan of every assignment (5,2)",
          lambda: canonical_vs_lex_scan(5, 1, 2)),
         ("canonical witness vs brute-force lex scan (2,4)", lambda: canonical_vs_lex_scan(2, 1, 4)),
+        ("canonical witness vs brute-force lex scan (3,3)", lambda: canonical_vs_lex_scan(3, 1, 3)),
         ("child price vs brute force (7,2), F_9^2",
          lambda: (child_price_vs_brute(7, 1), child_price_vs_brute(3, 2))),
         ("union vs brute force (3,3)", lambda: union_vs_brute(3, 1, 3)),

@@ -16,7 +16,7 @@ keep the union size and shrink it further:
 
 - translations shift levels by normal . t, so fixing the n standard-basis
   directions to level 0 removes a factor q^n and keeps the canonical
-  witness (see `_search_frame`);
+  witness (see `_search_space`);
 - scalings x -> a*x (a != 0) send every level c to a*c, so while every
   level on a search path is 0 a node tries only levels 0 and 1;
 - the maps that permute the n axis hyperplanes (a coordinate permutation,
@@ -47,13 +47,13 @@ subtracts one precomputed per-point row for each point it covers.  The
 table of rows is charged with the masks against core.MASK_BITS_CAP for
 every n, though only the level search builds it.
 
-The canonical-witness pass scans assignments in lexicographic order from
-the same root and tries only levels 0 and 1 while every level so far is 0.
-It cuts a child whose union passes the proven size.  In the plane it also
-reads the count table: it cuts a node by the overlap bound and floors the
-siblings after a failed child.  Above the plane it builds no table: an
-optimum leaves only g(q, n) = O(q^2) points open, so the scan on union
-size alone goes nearly straight down.
+The canonical-witness pass scans assignments in lexicographic order with
+the axes at level 0, tries only levels 0 and 1 while every level so far is
+0, and cuts a child whose union passes the proven size.  In the plane
+(`_lex_smallest_witness`) it also reads the count table for the overlap
+bound and the child floor.  Above it an optimum leaves only g(q, n) =
+O(q^2) points open, so `_open_point_witness` keeps the union's complement
+and builds no level mask or table of the cell.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -76,6 +76,7 @@ from __future__ import annotations
 import array
 import itertools
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
@@ -541,101 +542,116 @@ class _Searcher:
         return level
 
 
-def _lex_smallest_witness(masks, mask: int, free, target: int, budget: int,
-                          table=None) -> tuple[int, ...] | None:
-    """First (hence lexicographically smallest) assignment of the proven
-    optimal size, scanning `free`, the free directions of the search's root
-    union `mask`, in enumeration order and levels ascending.  A child is cut
-    once its union has more points than the target.  Returns None once more
-    than `budget` nodes would be visited.
+def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tuple[int, ...] | None:
+    """The canonical witness in the plane: the first (hence lexicographically
+    smallest) assignment of the proven optimal size, scanning the free
+    directions of the level search's `root` (the axes at level 0, see
+    `_search_space`) in enumeration order and levels ascending; None once
+    more than `budget` nodes would be visited.
 
-    The root's axis directions stay at level 0, which keeps the answer (see
-    `_search_frame`), and while every level so far is 0 only levels 0 and 1
-    are tried: an optimum whose first nonzero level is c > 1 scales by 1/c
-    (x -> x/c keeps the axes at 0) to a lexicographically smaller optimum.
-
-    With a count `table` (the plane) two more cuts apply.  A node is cut on
-    entry once its union plus the overlap bound of the free directions still
-    open passes the target.  Once a node's first child fails, each later
-    sibling is priced by `_child_floor` from the node's own gains and cut,
-    as one node, when that already passes the target; no floor is computed
-    on a path that goes straight down.  Above the plane the scan reads no
-    table: an optimum leaves only g(q, n) = O(q^2) of the q^n points open,
-    and on size cuts alone the scan goes nearly straight down (at most
-    |free| + q nodes on every cell the tests pin), so the bounds would only
-    cost time.  In the plane they are needed: without them the pass on
-    (13,2) visits about 6x the nodes.
-
-    The path is one level per direction, often deeper than Python's
-    recursion limit, so its open nodes are kept on an explicit stack.
+    While every level so far is 0 only levels 0 and 1 are tried: an optimum
+    whose first nonzero level is c > 1 scales by 1/c (x -> x/c keeps the
+    axes at 0) to a lexicographically smaller one.  A child is cut once its
+    union passes the target, a node on entry once its union plus the
+    overlap bound does, and, once a child fails, each later sibling, as one
+    node, once its union plus `_child_floor` does; without these bounds the
+    pass on (13,2) visits about 6x the nodes.  The count table's charge
+    admits no plane past q = 139, so the scan recurses at most 138 deep.
     """
-    q, depth = len(masks[0]), len(free)
-    counts = None if table is None else table.cover(table.full, mask)
-    levels = [0] * len(masks)
-    nodes = 0
-    # One frame per open node on the path, the node at depth i (which sets
-    # direction free[i]) in path[i]: [mask, counts, union size, gains, the
-    # size each level adds, the levels left to try, zero, whether a child
-    # was entered, floor].  Without a table, counts and gains are None.
-    path = []
-    i, zero = 0, True  # the node to enter is at depth i
-    while True:
-        if nodes >= budget:
-            return None
-        nodes += 1
+    mask, counts, free, levels = root
+    levels = list(levels)
+    q, pair, depth = table.q, table.pair, len(free)
+    tick = itertools.count(1)  # numbers the nodes as they are visited
+
+    def visit(i: int, mask: int, counts: int, zero: bool) -> bool:
+        if next(tick) > budget:
+            raise _BudgetExhausted
         msize = mask.bit_count()
         if i == depth:
-            if msize == target:
-                return tuple(levels)
-        else:
-            d, tries = free[i], range(2 if zero else q)
-            if table is None:
-                row = masks[d]
-                path.append([mask, None, msize, None,
-                             [(mask | row[lvl]).bit_count() - msize for lvl in tries],
-                             iter(tries), zero, False, None])
-            else:
-                lanes = table.lanes(counts)
-                gains = table.gains(lanes, free[i:])
-                if msize + _overlap_bound(gains, table.pair) <= target:
-                    path.append([mask, counts, msize, gains, lanes[d * q:d * q + q],
-                                 iter(tries), zero, False, None])
-        # enter the next child of the deepest open node; a node whose levels
-        # have all been tried fails, and its parent tries its next level
-        while path:
-            i = len(path) - 1
-            frame = path[i]
-            mask, counts, msize, gains, added, tries, zero, entered, floor = frame
-            for lvl in tries:
-                csize = msize + added[lvl]
-                if csize > target:
-                    continue
-                if entered and gains is not None and i + 1 < depth:  # an earlier child failed
-                    if floor is None:
-                        # the child's open directions are the node's, less free[i]
-                        floor = frame[8] = _child_floor(gains[1:], table.pair)
-                    if csize + floor > target:
-                        if nodes >= budget:
-                            return None
-                        nodes += 1
-                        continue
-                frame[7] = True
-                d = free[i]
-                levels[d] = lvl
-                row = masks[d]
-                # a leaf reads only its mask
-                if counts is not None and i + 1 < depth:
-                    counts = table.cover(counts, row[lvl] & ~mask)
-                mask |= row[lvl]
-                zero = zero and lvl == 0
-                i += 1
-                break
-            else:
-                path.pop()
+            return msize == target
+        lanes = table.lanes(counts)
+        gains = table.gains(lanes, free[i:])
+        if msize + _overlap_bound(gains, pair) > target:
+            return False
+        d, floor = free[i], None  # the floor is priced once a child fails
+        for lvl in range(2 if zero else q):
+            csize = msize + lanes[d * q + lvl]
+            if csize > target:
                 continue
+            if floor is not None and csize + floor > target:
+                if next(tick) > budget:  # cut by the floor, as on entry
+                    raise _BudgetExhausted
+                continue
+            levels[d] = lvl
+            row = table.masks[d][lvl]
+            if visit(i + 1, mask | row, table.cover(counts, row & ~mask), zero and lvl == 0):
+                return True
+            if floor is None:  # the child's open directions are the node's, less d
+                floor = _child_floor(gains[1:], pair)
+        return False
+
+    try:
+        if visit(0, mask, counts, True):
+            return tuple(levels)
+    except _BudgetExhausted:
+        return None
+    raise AssertionError("no assignment of the proven optimal size found")
+
+
+def _open_point_witness(f: FieldSpec, n: int, target: int, budget: int) -> tuple[int, ...] | None:
+    """The canonical witness above the plane: the first assignment, in the
+    order and under the rules of `_lex_smallest_witness`, whose union has
+    `target` points; None once more than `budget` nodes would be visited.
+
+    The scan keeps the union's complement: with the axes at level 0 the open
+    points are the (q-1)^n with no zero coordinate.  A child keeps the open
+    points off its hyperplane and is cut when fewer than q^n - target would
+    stay open, so a node reads only its open points' levels under its own
+    direction and nothing q^n-sized is built.  The count table's charge
+    admits no n >= 3 cell past q = 23, so the field's byte tables exist.
+    The path is one level per direction, often deeper than Python's
+    recursion limit, so the scan keeps a stack of its nodes' children.
+    """
+    q, keep = f.q, f.q**n - target
+    # shift[c][x] is the translate table y -> c*x + y
+    shift = [[f.add_tables[r] for r in row] for row in f.mul_rows]
+    # off[c] maps level c to 0 and every other level to 1
+    off = [b"\1" * c + b"\0" + b"\1" * (255 - c) for c in range(q)]
+    normals = list(_normal_coords(q, n))
+    free = [pos for pos, u in enumerate(normals) if u.count(0) < n - 1]
+    levels = [0] * len(normals)
+
+    def children(i: int, cols, nopen: int, zero: bool):
+        # nodes (depth, open points' coordinate columns, open count, zero)
+        # the first nonzero coordinate of a normal is 1; zeros are skipped
+        (lead, _), *rest = [(j, c) for j, c in enumerate(normals[free[i]]) if c]
+        lv = cols[lead]
+        for j, c in rest:
+            lv = bytes(map(operator.getitem, map(shift[c].__getitem__, cols[j]), lv))
+        for lvl in range(2 if zero else q):
+            cut = lv.count(lvl)
+            if nopen - cut >= keep:
+                levels[free[i]] = lvl
+                kept = cols
+                if cut:
+                    flags = lv.translate(off[lvl])
+                    kept = [bytes(itertools.compress(col, flags)) for col in cols]
+                yield i + 1, kept, nopen - cut, zero and lvl == 0
+
+    cols = [bytes(col) for col in zip(*itertools.product(range(1, q), repeat=n))]
+    stack, tick = [iter([(0, cols, len(cols[0]), True)])], itertools.count(1)
+    while stack:
+        for i, cols, nopen, zero in stack[-1]:
+            if next(tick) > budget:
+                return None
+            if i < len(free):
+                stack.append(children(i, cols, nopen, zero))
+            elif nopen == keep:
+                return tuple(levels)
             break
-        else:
-            raise AssertionError("no assignment of the proven optimal size found")
+        else:  # every child tried: the node fails
+            stack.pop()
+    raise AssertionError("no assignment of the proven optimal size found")
 
 
 def _verify_result(f: FieldSpec, n: int, witness: OffsetAssignment, size: int, lb_ceil: int) -> None:
@@ -777,11 +793,11 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
     return seed.min_size, list(seed.witness.levels)
 
 
-def _search_frame(f: FieldSpec, n: int):
-    """The directions of F_q^n, their level masks, and the root of every
-    search: the union `mask` of the n axis directions e_i at level 0 and
-    the `free` directions left.  The size cap and the count table's charge
-    are checked before any direction is listed.
+def _search_space(f: FieldSpec, n: int):
+    """The directions of F_q^n, the count table over their level masks, and
+    the level search's root: the open node (mask, counts, free directions,
+    levels) with the n axis directions e_i at level 0.  The size cap and the
+    table's charge are checked before any direction is listed.
 
     Fixing the axes changes neither the minimum nor the lexicographically
     smallest optimum.  Translating along x_i moves the level of e_i, and of
@@ -792,25 +808,13 @@ def _search_frame(f: FieldSpec, n: int):
     q = f.q
     _Counts.check(q, n)
     dirs = enumerate_directions(f, n)
-    masks = level_masks(f, n, dirs)
+    table = _Counts(f, n, level_masks(f, n, dirs))
     axes = {(q**i - 1) // (q - 1) for i in range(n)}
     mask = 0
     for pos in axes:
-        mask |= masks[pos][0]
-    return dirs, masks, mask, [pos for pos in range(len(masks)) if pos not in axes]
-
-
-def _level_root(f: FieldSpec, n: int, masks, mask: int, free):
-    """The count table over the frame's `masks`, and the frame's root as an
-    open node of the level search: (mask, counts, free directions, levels)."""
-    table = _Counts(f, n, masks)
-    return table, (mask, table.cover(table.full, mask), free, [0] * table.s)
-
-
-def _search_space(f: FieldSpec, n: int):
-    """The directions of `_search_frame`, its count table and open root."""
-    dirs, masks, mask, free = _search_frame(f, n)
-    return (dirs, *_level_root(f, n, masks, mask, free))
+        mask |= table.masks[pos][0]
+    free = [pos for pos in range(table.s) if pos not in axes]
+    return dirs, table, (mask, table.cover(table.full, mask), free, [0] * table.s)
 
 
 def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
@@ -982,47 +986,46 @@ def minimal_kakeya_exact(
 ) -> SearchResult:
     """Exact minimum cardinality of a Kakeya set w.r.t. hyperplanes in F_q^n.
 
-    For n <= 2, branch and bound over level assignments, seeded with a
-    deterministic greedy incumbent.  For n >= 3 the minimum is q^n minus
-    the largest gap set (`_gap_size`), no count table is built, and workers
-    start no process.  With proof_of_optimality the witness is canonical
-    (lexicographically smallest optimal assignment), found by
-    `_lex_smallest_witness`: with the count table in the plane, on union
-    size alone above it.  The search and the canonical-witness pass may
-    each visit node_budget nodes; if either runs out, the best upper bound
-    found (for n >= 3 the greedy one) is returned with the flag false.
-    nodes_explored counts the search's nodes, with those of every worker,
-    and never exceeds node_budget.  An oversized cell is refused before
-    anything is built, by the same count-table charge for every n.
+    For n <= 2, branch and bound over level assignments from a greedy
+    incumbent, then `_lex_smallest_witness` over the same count table.  For
+    n >= 3, q^n less the largest gap set (`_gap_size`), then
+    `_open_point_witness`, with no level mask or count table of the cell
+    and no worker process.  With proof_of_optimality the witness is
+    canonical (the lexicographically smallest optimal assignment).  The
+    search and the canonical pass may each visit node_budget nodes; if
+    either runs out, the best upper bound found (for n >= 3 the greedy one)
+    is returned with the flag false.  nodes_explored counts the search's
+    nodes, with those of every worker, and never exceeds node_budget.  An
+    oversized cell is refused before anything is built or priced, by the
+    same count-table charge for every n.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
     # refuses an oversized cell before anything is built or priced
-    dirs, masks, mask, free = _search_frame(f, n)
+    _Counts.check(f.q, n)
     lb = _instance_lower_bound(f.q, n)
 
-    best_levels, table = None, None
+    best_levels, canonical = None, None
     if n >= 3:
         gap, nodes = _gap_size(f, n, node_budget)
-        optimal = gap is not None
-        best_size = f.q**n - gap if optimal else None
+        if gap is not None:
+            best_size = f.q**n - gap
+            canonical = _open_point_witness(f, n, best_size, node_budget)
     else:
-        # the level search and the canonical-witness pass both read the table
-        table, root = _level_root(f, n, masks, mask, free)
+        dirs, table, root = _search_space(f, n)
         best_size, best_levels, nodes, optimal = _level_search(
             f, n, dirs, table, root, node_budget, workers)
+        if optimal:
+            canonical = _lex_smallest_witness(table, root, best_size, node_budget)
 
+    # a proof must come with the canonical witness, or the size is a bound
+    optimal = canonical is not None
     if optimal:
-        canonical = _lex_smallest_witness(masks, mask, free, best_size, node_budget, table)
-        if canonical is None:
-            # a proof must come with the canonical witness, so report a bound
-            optimal = False
-        else:
-            best_levels = list(canonical)
-    if best_levels is None:
-        best_size, best_levels = _greedy_seed(f, n, len(masks))
+        best_levels = list(canonical)
+    elif best_levels is None:
+        best_size, best_levels = _greedy_seed(f, n, (f.q**n - 1) // (f.q - 1))
     witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, math.ceil(lb))
     return SearchResult(best_size, witness, nodes, optimal, lb)

@@ -2,6 +2,7 @@
 proves, the lemmas it rests on, checked point by point, and the duality
 between Kakeya sets and gap sets against a brute-force oracle."""
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -40,6 +41,18 @@ CANONICAL_WITNESSES = {
     (5, 1, 3): (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 4, 0, 4, 4, 0, 3, 2, 0, 3, 3, 2, 0, 1,
                 0, 1, 1, 3, 4, 0, 0),
 }
+# (p, k, n, minimum, nodes_explored, the first 16 hex digits of the sha256
+# of the witness's levels as bytes) of proofs past the reach of the
+# brute-force lex scan, so the canonical pass keeps them byte for byte
+WITNESS_DIGESTS = [
+    (2, 1, 10, 1023, 0, "4fb34aedbfd1764c"),
+    (3, 1, 7, 2185, 0, "d08287c52f69ba19"),
+    (2, 2, 5, 1018, 0, "764e5f50683c12a2"),
+    (5, 1, 5, 3117, 119, "87b794255e12a896"),
+    (2, 2, 6, 4090, 0, "0892bf28835b74b2"),
+    (2, 1, 12, 4095, 0, "1135bdaee56f3d67"),
+    (3, 1, 8, 6559, 0, "c3ecb65149d4fc41"),
+]
 # (p, k, n) cells for the duality test
 DUALITY_CELLS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)]
 
@@ -170,6 +183,14 @@ def test_canonical_witnesses_of_the_level_search_are_kept(cell):
     result = minimal_kakeya_exact(make_field(*cell[:2]), cell[2])
     assert result.proof_of_optimality
     assert result.witness.levels == CANONICAL_WITNESSES[cell]
+
+
+@pytest.mark.parametrize("p,k,n,minimum,nodes,digest", WITNESS_DIGESTS)
+def test_canonical_witnesses_past_the_lex_scan_are_pinned(p, k, n, minimum, nodes, digest):
+    result = minimal_kakeya_exact(make_field(p, k), n)
+    assert result.proof_of_optimality
+    assert (result.min_size, result.nodes_explored) == (minimum, nodes)
+    assert hashlib.sha256(bytes(result.witness.levels)).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("q,n,minimum,nodes", [(5, 3, 117, 119), (4, 4, 250, 0), (5, 4, 617, 119),

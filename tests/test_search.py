@@ -480,6 +480,8 @@ def test_planar_count_lanes_are_bytes():
         admitted.append(q)
         assert search._lane_width(q) == 1
     assert admitted[:3] == [2, 3, 4]
+    # the planar canonical pass recurses once per free direction, q - 1 deep
+    assert admitted[-1] - 1 == 138 < sys.getrecursionlimit() // 4
 
 
 @pytest.mark.parametrize("p,k,opened,nodes", [(5, 1, 6, 6), (7, 1, 35, 9), (3, 2, 38, 8)])
@@ -812,7 +814,7 @@ def test_witness_matches_a_brute_force_lex_scan(p, k, n):
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality
-    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size, normalize=False)
+    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size)
     assert result.witness.levels == brute
     assert next(c for c in brute if c) == 1
 
@@ -836,11 +838,13 @@ CANONICAL_PASS_NODES = [((7, 1, 2), 47), ((3, 2, 2), 635), ((11, 1, 2), 5_444),
 
 
 def _canonical_pass(f, n, target, budget):
-    """The canonical-witness pass as `minimal_kakeya_exact` runs it: with
-    the count table in the plane, on union size alone above it."""
-    _, masks, mask, free = search._search_frame(f, n)
-    table = search._Counts(f, n, masks) if n <= 2 else None
-    return search._lex_smallest_witness(masks, mask, free, target, budget, table)
+    """The canonical-witness pass as `minimal_kakeya_exact` runs it: from
+    the level search's root with the count table in the plane, over the
+    open points above it."""
+    if n >= 3:
+        return search._open_point_witness(f, n, target, budget)
+    _, table, root = search._search_space(f, n)
+    return search._lex_smallest_witness(table, root, target, budget)
 
 
 @pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
@@ -876,25 +880,36 @@ def test_canonical_pass_above_the_plane_barely_backtracks(p, k, n):
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality
-    _, _, _, free = search._search_frame(f, n)
-    assert _canonical_pass(f, n, result.min_size, len(free) + f.q) == result.witness.levels
+    free = len(result.witness) - n
+    assert _canonical_pass(f, n, result.min_size, free + f.q) == result.witness.levels
 
 
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (2, 1, 4), (5, 1, 3), (2, 1, 8)])
 def test_only_the_planar_base_builds_a_count_table(p, k, n, monkeypatch):
-    """Above the plane no count table is built: the only one is the (q,2)
-    search under `_gap_size`, and q <= 3 has none at all."""
-    built = []
+    """Above the plane no count table, level mask or direction list of the
+    cell is built: the only ones are those of the (q,2) search under
+    `_gap_size`, and q <= 3 has none at all."""
+    built, masks, dirs = [], [], []
     init = search._Counts.__init__
 
     def record(self, f, dim, masks):
         built.append(dim)
         init(self, f, dim, masks)
 
+    def recorder(calls, real):
+        def call(f, dim, *args):
+            calls.append(dim)
+            return real(f, dim, *args)
+        return call
+
     monkeypatch.setattr(search._Counts, "__init__", record)
+    monkeypatch.setattr(search, "level_masks", recorder(masks, search.level_masks))
+    monkeypatch.setattr(search, "enumerate_directions",
+                        recorder(dirs, search.enumerate_directions))
     f = make_field(p, k)
     assert minimal_kakeya_exact(f, n).proof_of_optimality
     assert built == ([2] if f.q >= 4 else [])
+    assert set(masks) == set(dirs) == ({2} if f.q >= 4 else set())
 
 
 def test_lex_scan_finds_nothing_for_a_size_no_union_has():
