@@ -360,10 +360,9 @@ def _selftest_checks():
                     for sub in enumerate_subspaces(f, n, dim)]
             assert verdict.ok and verdict.witness == tuple(reps)
 
-    def gap_engine_vs_level_search(p, k, n):
+    def gap_engine_vs_brute(p, k, n):
         f = make_field(p, k)
-        gap, _ = search._gap_size(f, n, 10**6)
-        assert search._level_minimum(f, n, 10**6)[0] == f.q**n - gap
+        assert search._gap_size(f, n, 10**6)[0] == oracles.gap_size_brute(f, n)
 
     def complement_duality(p, k, n):
         f = make_field(p, k)
@@ -473,7 +472,8 @@ def _selftest_checks():
          lambda: (kplane_vs_coset_brute(2, 2, 3), kplane_vs_coset_brute(3, 1, 4))),
         ("powerset oracle vs exact search (2,2)", lambda: powerset_vs_exact(2, 1, 2)),
         ("powerset oracle vs exact search (3,2)", lambda: powerset_vs_exact(3, 1, 2)),
-        ("gap engine vs level search (3,3)", lambda: gap_engine_vs_level_search(3, 1, 3)),
+        ("gap engine vs brute-force gap-set scan (3,3), F_4^3",
+         lambda: (gap_engine_vs_brute(3, 1, 3), gap_engine_vs_brute(2, 2, 3))),
         ("complement duality F_3^2", lambda: complement_duality(3, 1, 2)),
         ("hole flags vs gap-level brute force (3,3)", lambda: hole_flags_vs_brute(3, 1, 3)),
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),

@@ -518,11 +518,13 @@ def write_point_set(path, f: FieldSpec, pset: PointSet, include_points: bool = F
 
 
 def _read_json(path):
-    """The JSON value of a file; nesting too deep to decode is a ValueError."""
+    """The JSON value of a file; one that cannot be decoded is a ValueError naming it."""
     try:
         return json.loads(Path(path).read_text())
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to decode") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_point_set(path) -> tuple[FieldSpec, PointSet]:

@@ -225,6 +225,29 @@ def is_gap_set_brute(f: FieldSpec, n: int, points) -> bool:
     return True
 
 
+def gap_size_brute(f: FieldSpec, n: int) -> int:
+    """g(q, n), the most points of a gap set of F_q^n, by a depth-first scan
+    of the point sets that hold the origin (a translate of a gap set is
+    one): points join in index order, and a set grows while every direction
+    still misses a level.  Levels are per-element dot products.  The scan
+    visits every such set, so it suits gap sets of at most about 8 points."""
+    q, total = f.q, f.q**n
+    normals = [d.normal for d in enumerate_directions(f, n)]
+    # levels[x][d]: the level of point x under direction #d, as a bit
+    levels = [[1 << dot(f, u, point_coords(x, q, n)) for u in normals] for x in range(total)]
+
+    def most(last: int, met) -> int:
+        # met[d]: the levels direction #d meets on the set, as bits
+        best = 0
+        for x in range(last + 1, total):
+            joined = [m | bit for m, bit in zip(met, levels[x])]
+            if (1 << q) - 1 not in joined:
+                best = max(best, 1 + most(x, joined))
+        return best
+
+    return 1 + most(0, levels[0])
+
+
 def gap_levels_brute(f: FieldSpec, n: int, gaps) -> list[set[int]]:
     """Per direction in enumeration order, the levels of the given points
     (indices), from per-element dot products."""

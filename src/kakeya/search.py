@@ -24,28 +24,24 @@ keep the union size and shrink it further:
   down to another with the same subtree minimum, so a node whose orbit
   was met before at that depth is skipped.
 
-Branch and bound also cuts a node by a pairwise-overlap bound: hyperplanes
-of distinct directions meet in q^(n-2) points, so the open directions add
-at least the sum of their t largest cheapest gains less C(t,2)*q^(n-2).
-The same fact floors a child before it is built: its hyperplane takes at
-most q^(n-2) points from each other direction's, so each of its gains is
-at most q^(n-2) below its parent's (`_child_floor`).  In the plane it
-prices the child exactly: two lines of distinct directions meet in one
-point, so a gain drops by one exactly when the child's new points meet one
-of that direction's cheapest lines (`_planar_price`).  Above the plane a
-child that passes the floor is covered first and priced from its own
-counts.  A child cut by its floor or its price counts as one node, as its
-entry would; only priced survivors are covered and entered, with their
-gains and bound.  No prune changes the minimum or the canonical witness.
+The level search runs in the plane, where two lines of distinct
+directions meet in exactly one point.  Branch and bound also cuts a node
+by a pairwise-overlap bound: the open directions add at least the sum of
+their t largest cheapest gains less C(t,2).  The same fact floors a child
+before it is built, since each of its gains is at most one below its
+parent's (`_child_floor`), and prices it exactly: a gain drops by one
+exactly when the child's new points meet one of that direction's cheapest
+lines (`_planar_price`).  A child cut by its floor or its price counts as
+one node, as its entry would; only priced survivors are covered and
+entered, with their gains and bound.  No prune changes the minimum or the
+canonical witness.
 
 Each node carries, beside its union mask, one packed integer of counts:
-for every (direction, level), the points of that hyperplane the union has
-not covered yet (`_Counts`).  A level's gain is its count, so a node reads
-its branching direction, its options and its cheapest lines off one
-`to_bytes` of the counts instead of recounting q*|free| unions; a child
-subtracts one precomputed per-point row for each point it covers.  The
-table of rows is charged with the masks against core.MASK_BITS_CAP for
-every n, though only the level search builds it.
+for every (direction, level), the points of that line the union has not
+covered yet, one byte each (`_Counts`).  A level's gain is its count, so a
+node reads its branching direction, its options and its cheapest lines
+off one `to_bytes` of the counts instead of recounting q*|free| unions; a
+child subtracts one precomputed per-point row for each point it covers.
 
 The canonical-witness pass scans assignments in lexicographic order with
 the axes at level 0, tries only levels 0 and 1 while every level so far is
@@ -73,12 +69,10 @@ fails.
 
 from __future__ import annotations
 
-import array
 import itertools
 import math
 import operator
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,39 +122,32 @@ class _ProvedOptimal(Exception):
     pass
 
 
-def _lane_width(most: int) -> int:
-    """Bytes per count lane that hold every value up to `most`: 1 or 2.
-    Hyperplanes of q^(n-1) >= 2^16 points, whose lanes need 4 bytes, are
-    refused: then |S| >= 2^16 and q^(n+1) >= 2^18, so the table alone would
-    hold 32*|S|*q^(n+1) >= 2^39 bits, far above core.MASK_BITS_CAP = 2^32."""
-    if most >= 1 << 16:
-        raise ValueError(f"hyperplanes of {most} points need count lanes wider than 2 bytes")
-    return 1 if most < 1 << 8 else 2
-
-
 class _Counts:
-    """Counts of the points a partial union has not covered yet, one per
-    (direction d, level l), packed into one integer: lane d*q + l, w bytes
-    wide, holds the uncovered points of hyperplane (d, l).  The cost of a
-    level is its lane, so no node recounts a union.
+    """Counts of the points a partial union of F_q^n, n <= 2, has not
+    covered yet, one per (direction d, level l), packed into one integer:
+    lane d*q + l, one byte, holds the uncovered points of line (d, l), at
+    most q of them.  The cost of a level is its lane, so no node recounts a
+    union.
 
-    pts[x] has a 1 in the lane of each hyperplane through point x, so
-    covering x subtracts pts[x]; a lane never goes below 0 and never
-    borrows from the next.  `full` is the count of the empty union: q^(n-1)
-    in every lane.  It carries its masks, its direction count s, and `pair`,
-    the points two hyperplanes of distinct directions share.
+    pts[x] has a 1 in the lane of each line through point x, so covering x
+    subtracts pts[x]; a lane never goes below 0 and never borrows from the
+    next.  `full` is the count of the empty union: q^(n-1) in every lane.
+    It carries its masks and its direction count s.
     """
 
     @staticmethod
     def check(q: int, n: int) -> None:
         """Refuse F_q^n above the size cap, its level masks alone above
         MASK_BITS_CAP, then masks and a count table that together would
-        exceed it.  The table holds q^n rows of |S|*q lanes, w bytes each;
-        both sizes follow from (q, n), so the check comes before any
-        direction is listed.  Masks that fit leave fewer than 2^16 points
-        per hyperplane (see `_lane_width`)."""
+        exceed it.  The table holds q^n rows of |S|*q one-byte lanes, so the
+        charge admits no plane past q = 139; both sizes follow from (q, n),
+        so the check comes before any direction is listed.  For n >= 3 no
+        table is built: the charge there, at the lane width of its
+        hyperplanes' q^(n-1) points, is an admission rule kept until
+        ROADMAP's admission item settles which cells that route takes."""
         mask_bits = _check_mask_bits(q, n)
-        bits = mask_bits + 8 * _lane_width(q ** (n - 1)) * mask_bits
+        width = 1 if q ** (n - 1) < 1 << 8 else 2
+        bits = mask_bits + 8 * width * mask_bits
         if bits > core.MASK_BITS_CAP:
             raise ValueError(
                 f"level masks and uncovered-point counts for q={q}, n={n} need"
@@ -172,10 +159,8 @@ class _Counts:
         q, s = f.q, len(masks)
         npoints = q**n
         self.q, self.s, self.masks = q, s, masks
-        self.pair = q ** max(0, n - 2)
-        self.w = w = _lane_width(npoints // q)
-        self.nbytes = nbytes = s * q * w
-        ones = int.from_bytes((1).to_bytes(w, "little") * (s * q), "little")
+        self.nbytes = nbytes = s * q
+        ones = int.from_bytes(b"\1" * nbytes, "little")
         self.full = npoints // q * ones
         # The rows are built a block of points at a time in one buffer of at
         # most _COUNT_BLOCK_BYTES, turned into ints before the next block,
@@ -192,7 +177,7 @@ class _Counts:
             low, digits = (1 << width) - 1, f"0{width}b"
             rows = bytearray(width * nbytes)
             for lane, mask in enumerate(itertools.chain.from_iterable(masks)):
-                rows[lane * w::nbytes] = format(mask >> start & low, digits).encode()
+                rows[lane::nbytes] = format(mask >> start & low, digits).encode()
             view = memoryview(rows)
             self.pts += [int.from_bytes(view[x:x + nbytes], "little") - ascii_zeros
                          for x in range((width - 1) * nbytes, -1, -nbytes)]
@@ -207,15 +192,9 @@ class _Counts:
             new ^= 1 << x
         return counts
 
-    def lanes(self, counts: int):
-        """The counts as a sequence indexed by d*q + l."""
-        raw = counts.to_bytes(self.nbytes, "little")
-        if self.w == 1:
-            return raw
-        lanes = array.array("H", raw)
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        return lanes
+    def lanes(self, counts: int) -> bytes:
+        """The counts as bytes indexed by d*q + l."""
+        return counts.to_bytes(self.nbytes, "little")
 
     def gains(self, lanes, free) -> list[int]:
         """Each free direction's cheapest gain: the fewest new points any of
@@ -225,8 +204,7 @@ class _Counts:
 
     def cheapest_lines(self, lanes, free, gains) -> list[int]:
         """Per direction of `free`, the union of its levels whose lane holds
-        its cheapest gain.  The lanes are bytes, as they are in the plane,
-        so `bytes.find` finds those levels."""
+        its cheapest gain, found by `bytes.find` on the lanes."""
         q, masks = self.q, self.masks
         out = []
         for d, gain in zip(free, gains):
@@ -249,26 +227,26 @@ def _planar_price(lines, gains, new: int) -> list[int]:
     return [gain - 1 if new & union else gain for gain, union in zip(gains, lines)]
 
 
-def _overlap_bound(gains, pair: int) -> int:
+def _overlap_bound(gains) -> int:
     """Fewest new points any completion adds, given each free direction's
-    cheapest gain.  Hyperplanes of distinct directions meet in `pair` =
-    q^(n-2) points, so the t largest gains add at least their sum less
-    C(t,2)*pair; the best t is where the next gain stops exceeding t*pair."""
+    cheapest gain.  Lines of distinct directions meet in one point, so the
+    t largest gains add at least their sum less C(t,2); the best t is where
+    the next gain stops exceeding t."""
     total = 0
     for t, gain in enumerate(sorted(gains, reverse=True)):
-        step = gain - t * pair
+        step = gain - t
         if step <= 0:
             break
         total += step
     return total
 
 
-def _child_floor(gains, pair: int) -> int:
+def _child_floor(gains) -> int:
     """Fewest new points any completion of a child adds, priced from its
     parent's cheapest gains on the child's open directions.  The child's
-    hyperplane meets each of theirs in `pair` points, so each gain drops by
-    at most `pair`, and `_overlap_bound` never falls as a gain grows."""
-    return _overlap_bound([g - pair for g in gains], pair)
+    line meets each of theirs in one point, so each gain drops by at most
+    one, and `_overlap_bound` never falls as a gain grows."""
+    return _overlap_bound([g - 1 for g in gains])
 
 
 class _AxisMaps:
@@ -392,8 +370,7 @@ class _Searcher:
         table = self.table
         gains = table.gains(table.lanes(counts), free)
         try:
-            self._node(mask, counts, free, not any(levels), gains,
-                       _overlap_bound(gains, table.pair))
+            self._node(mask, counts, free, not any(levels), gains, _overlap_bound(gains))
         except _BudgetExhausted:
             self.completed = False
             return False
@@ -490,23 +467,15 @@ class _Searcher:
                 self._enter()  # the child's own bound would cut it
                 continue
             new = row[lvl] & ~mask
-            # In the plane (pair 1) the child is priced from the cheapest
-            # lines and covered only if it survives; above it, it is covered
-            # first and priced from its own lanes.
-            if table.pair == 1:
-                if lines is None:
-                    lines = table.cheapest_lines(lanes, rest, rest_gains)
-                ccounts, cgains = None, _planar_price(lines, rest_gains, new)
-            else:
-                ccounts = table.cover(counts, new)
-                cgains = table.gains(table.lanes(ccounts), rest)
-            clower = _overlap_bound(cgains, table.pair)
+            if lines is None:
+                lines = table.cheapest_lines(lanes, rest, rest_gains)
+            cgains = _planar_price(lines, rest_gains, new)
+            clower = _overlap_bound(cgains)
             if csize + clower >= self.bound:
                 self._enter()  # cut by its price, as on entry
                 continue
-            if ccounts is None:
-                ccounts = table.cover(counts, new)
-            self._node(mask | row[lvl], ccounts, rest, zero and lvl == 0, cgains, clower)
+            self._node(mask | row[lvl], table.cover(counts, new), rest, zero and lvl == 0,
+                       cgains, clower)
 
     def _seen_before(self, free, d: int, lvl: int) -> bool:
         """Whether an axis map sends the child with d at level lvl, two
@@ -560,7 +529,7 @@ def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tup
     """
     mask, counts, free, levels = root
     levels = list(levels)
-    q, pair, depth = table.q, table.pair, len(free)
+    q, depth = table.q, len(free)
     tick = itertools.count(1)  # numbers the nodes as they are visited
 
     def visit(i: int, mask: int, counts: int, zero: bool) -> bool:
@@ -571,7 +540,7 @@ def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tup
             return msize == target
         lanes = table.lanes(counts)
         gains = table.gains(lanes, free[i:])
-        if msize + _overlap_bound(gains, pair) > target:
+        if msize + _overlap_bound(gains) > target:
             return False
         d, floor = free[i], None  # the floor is priced once a child fails
         for lvl in range(2 if zero else q):
@@ -587,7 +556,7 @@ def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tup
             if visit(i + 1, mask | row, table.cover(counts, row & ~mask), zero and lvl == 0):
                 return True
             if floor is None:  # the child's open directions are the node's, less d
-                floor = _child_floor(gains[1:], pair)
+                floor = _child_floor(gains[1:])
         return False
 
     try:
@@ -719,7 +688,8 @@ def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_O
     them in order and share the incumbent.  The processes draw their nodes
     in batches from what the parent left of node_budget.  Returns each
     worker's outcome, in worker order.  On an error or an interrupt the
-    workers started so far are terminated; all are joined."""
+    workers started so far are terminated; all are joined and closed, which
+    releases their pipe ends at once."""
     import multiprocessing
 
     ctx = multiprocessing.get_context()
@@ -744,6 +714,7 @@ def _run_workers(tasks, workers, parent: _Searcher, node_budget: int) -> list[_O
     finally:
         for _, proc, _ in procs:
             proc.join()
+            proc.close()
         for reader in readers:
             reader.close()
 
@@ -794,10 +765,12 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
 
 
 def _search_space(f: FieldSpec, n: int):
-    """The directions of F_q^n, the count table over their level masks, and
-    the level search's root: the open node (mask, counts, free directions,
-    levels) with the n axis directions e_i at level 0.  The size cap and the
-    table's charge are checked before any direction is listed.
+    """The directions of F_q^n, n <= 2, the count table over their level
+    masks, and the level search's root: the open node (mask, counts, free
+    directions, levels) with the n axis directions e_i at level 0.  The size
+    cap and the table's charge are checked before any direction is listed.
+    Above the plane lines no longer meet in one point, so `_planar_price`
+    would cut unsoundly; that route is `_gap_size`.
 
     Fixing the axes changes neither the minimum nor the lexicographically
     smallest optimum.  Translating along x_i moves the level of e_i, and of
@@ -805,6 +778,7 @@ def _search_space(f: FieldSpec, n: int):
     after exactly the normals supported on coordinates below i.  So the
     translations that put e_0, ..., e_(n-1) at level 0 in turn keep the size
     and never raise an assignment in the lexicographic order."""
+    assert n <= 2, "the level search prices children as lines of the plane"
     q = f.q
     _Counts.check(q, n)
     dirs = enumerate_directions(f, n)
@@ -844,14 +818,6 @@ def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
         if o.levels is not None and o.size < best_size:
             best_size, best_levels = o.size, o.levels
     return best_size, best_levels, nodes, optimal
-
-
-def _level_minimum(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
-    """The minimum of F_q^n that the level search proves on one core, and
-    its nodes; None in place of the minimum once the budget runs out.  No
-    canonical-witness pass."""
-    size, _, nodes, optimal = _level_search(f, n, *_search_space(f, n), budget, 1)
-    return (size if optimal else None), nodes
 
 
 class _GapSearch:
@@ -968,9 +934,9 @@ def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
     n = min(n, max(q - 2, 1))
     if n == 1:
         return q - 1, 0
-    if n == 2:
-        size, nodes = _level_minimum(f, 2, budget)
-        return (None if size is None else q * q - size), nodes
+    if n == 2:  # the level search on one core, with no canonical pass
+        size, _, nodes, optimal = _level_search(f, 2, *_search_space(f, 2), budget, 1)
+        return (q * q - size if optimal else None), nodes
     cap, nodes = _gap_size(f, n - 1, budget)
     if cap is None:
         return None, nodes

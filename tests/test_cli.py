@@ -377,6 +377,26 @@ def test_verify_and_stats_refuse_files_they_cannot_read(tmp_path, capsys, text):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# an empty file, text that is not JSON, and bytes that are not UTF-8
+@pytest.mark.parametrize("data", [b"", b"{oops", b"\xff\xfe[]"],
+                         ids=["empty", "malformed", "not-utf-8"])
+def test_unreadable_json_errors_name_the_file(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    set_path = tmp_path / "set.json"
+    wit_path = tmp_path / "wit.json"
+    code, _, _ = run(capsys, ["construct", "--field", "2", "--n", "2", "--seed", "1",
+                              "--output", str(set_path), "--witness-out", str(wit_path)])
+    assert code == 0
+    for argv in (["verify", str(bad)],
+                 ["stats", str(bad), "--witness", str(wit_path)],
+                 ["stats", str(set_path), "--witness", str(bad)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+
 def test_stats_matches_example(tmp_path, capsys):
     set_path = tmp_path / "set.json"
     wit_path = tmp_path / "wit.json"
@@ -610,9 +630,7 @@ def test_size_cap_env(tmp_path, capsys, monkeypatch):
 def test_selftest_runs_clean(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
-    lines = [ln for ln in out.splitlines() if ln]
-    assert len(lines) >= 15
-    assert all(ln.startswith("ok") for ln in lines)
+    assert out.splitlines() == [f"ok   {label}" for label, _ in cli._selftest_checks()]
 
 
 def test_selftest_reports_a_failing_check(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import errno
 import functools
-import gc
 import inspect
 import itertools
 import math
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya import core, oracles, search
+from kakeya import oracles, search
 from kakeya.bounds import kakeya_lower_bound_ceiling
 from kakeya.core import KakeyaVerdict, OffsetAssignment, build_union, is_kakeya, level_masks
 from kakeya.field import factor_prime_power, field_inv, field_mul, field_pow, make_field
@@ -44,18 +43,14 @@ CANONICAL_WITNESSES = {
 }
 # (p, k, n) cells on which the axis maps are checked point by point
 AXIS_CELLS = [(5, 1, 2), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3), (2, 1, 4)]
-# (p, k, n) cells for the carried counts; a hyperplane of F_2^9 (q = 2,
-# n = 9) has 256 points, so that cell's counts take two bytes each
+# (p, k, n) cells for the carried counts: the level search is planar
 COUNT_CELLS = [(2, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
-               (2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 4), (2, 1, 9)]
+               (11, 1, 2), (2, 4, 2)]
 # nodes_explored with workers=1; the prunes and the branching order fix them.
 # For n >= 3 they count the gap-set engine's nodes: (3,3) follows from the
 # lemmas alone, and (4,3) from them and (4,2), which closes on its greedy bound.
 NODE_COUNTS = [((5, 1, 2), 12), ((7, 1, 2), 204), ((2, 3, 2), 0), ((3, 2, 2), 2_568),
                ((3, 1, 3), 0), ((2, 2, 3), 0), ((2, 1, 4), 0)]
-# nodes of the level search alone on n >= 3 cells, from the greedy
-# incumbent with the paper's bound as the early exit
-LEVEL_NODE_COUNTS = [((3, 1, 3), 10), ((2, 2, 3), 236)]
 
 
 def _assignment_minimum_brute(f, n):
@@ -114,9 +109,10 @@ def test_exact_matches_brute_force_assignment_scan():
         result = minimal_kakeya_exact(f, n)
         assert result.proof_of_optimality
         assert result.min_size == brute
-        assert _search_from_scratch(f, n) == brute
-        assert _search_from_scratch(f, n, axes=False) == brute
-        assert _search_from_scratch(f, n, frame=False) == brute
+        if n == 2:  # the level search runs in the plane only
+            assert _search_from_scratch(f, n) == brute
+            assert _search_from_scratch(f, n, axes=False) == brute
+            assert _search_from_scratch(f, n, frame=False) == brute
 
 
 def test_run_stops_on_a_spent_budget_or_a_met_lower_bound():
@@ -161,7 +157,7 @@ def test_workers_take_up_the_shared_incumbent_with_each_batch():
 
 
 def test_search_from_scratch_agrees_across_normalization():
-    for p, k, n in [(7, 1, 2), (3, 1, 3), (2, 2, 3)]:
+    for p, k, n in [(7, 1, 2), (2, 2, 2), (2, 3, 2)]:
         f = make_field(p, k)
         plain = _search_from_scratch(f, n, frame=False)
         assert _search_from_scratch(f, n) == plain
@@ -223,7 +219,7 @@ def test_axis_key_names_the_orbit(p, k, n):
         assert key in images
 
 
-@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (7, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)])
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (7, 1, 2), (2, 2, 2), (2, 3, 2)])
 def test_nodes_two_down_with_one_key_have_one_subtree_minimum(p, k, n):
     """Every node two levels below the search's root, searched to the end
     on its own: nodes that share a key share the subtree minimum."""
@@ -262,24 +258,23 @@ def test_scaling_levels_keeps_the_union_size():
 
 def test_overlap_bound_on_hand_made_gains():
     bound = search._overlap_bound
-    assert bound([], 3) == 0
-    assert bound([0, 0, 0], 1) == 0
-    assert bound([6], 4) == 6
-    assert bound([6, 6], 1) == 11  # one pair shares one point
-    assert bound([3, 9, 5], 3) == 11  # 9 + (5 - 3); adding 3 would cost 6
-    assert bound([4, 4, 4, 4], 2) == 6  # t = 2 and t = 3 tie, t = 4 gives 4
+    assert bound([]) == 0
+    assert bound([0, 0, 0]) == 0
+    assert bound([6]) == 6
+    assert bound([6, 6]) == 11  # one pair shares one point
+    assert bound([3, 9, 5]) == 14  # 9 + (5 - 1) + (3 - 2)
+    assert bound([1, 2, 2]) == 3  # 2 + (2 - 1); adding 1 would cost 2
     rng = random.Random(3)
     for _ in range(300):
         gains = [rng.randrange(30) for _ in range(rng.randrange(9))]
-        pair = rng.randrange(1, 7)
         top = sorted(gains, reverse=True)
-        best = max(sum(top[:t]) - t * (t - 1) // 2 * pair for t in range(len(top) + 1))
-        assert bound(gains, pair) == best
+        best = max(sum(top[:t]) - t * (t - 1) // 2 for t in range(len(top) + 1))
+        assert bound(gains) == best
 
 
 def test_overlap_bound_never_exceeds_what_a_completion_adds():
     rng = random.Random(11)
-    for p, k, n in [(5, 1, 2), (7, 1, 2), (3, 1, 3), (2, 2, 3)]:
+    for p, k, n in [(5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2)]:
         f = make_field(p, k)
         masks = level_masks(f, n)
         s = len(masks)
@@ -296,7 +291,7 @@ def test_overlap_bound_never_exceeds_what_a_completion_adds():
                 full = mask
                 for d in order[cut:]:
                     full |= masks[d][rng.randrange(f.q)]
-                assert full.bit_count() - msize >= search._overlap_bound(gains, f.q ** (n - 2))
+                assert full.bit_count() - msize >= search._overlap_bound(gains)
 
 
 @functools.cache
@@ -316,8 +311,6 @@ def test_carried_counts_match_popcounts(data):
     p, k, n = data.draw(st.sampled_from(COUNT_CELLS))
     f, masks, table = _count_table(p, k, n)
     s = len(masks)
-    if (p, k, n) == (2, 1, 9):
-        assert table.w == 2
     order = data.draw(st.permutations(range(s)))
     cut = data.draw(st.integers(0, min(s, 12)))
     mask, counts = 0, table.full
@@ -335,21 +328,21 @@ def test_carried_counts_match_popcounts(data):
         min((mask | masks[d][lvl]).bit_count() - msize for lvl in range(f.q)) for d in free]
 
 
-@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 2, 3), (2, 1, 9), (257, 1, 1)])
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 3, 2), (257, 1, 1)])
 def test_count_rows_mark_the_hyperplanes_through_each_point(p, k, n):
-    """Row x has a 1 in lane (d, c) exactly when x is on hyperplane (d, c);
-    (2,9) has two-byte lanes, and F_257 has more levels than a byte holds."""
+    """Row x has a 1 in byte lane (d, c) exactly when x is on line (d, c);
+    F_257 has more levels than a byte holds."""
     f = make_field(p, k)
     dirs = enumerate_directions(f, n)
     masks = level_masks(f, n, dirs)
     table = search._Counts(f, n, masks)
-    q, shift = f.q, 8 * table.w
+    q = f.q
     for x, row in enumerate(table.pts):
         levels = [next(c for c in range(q) if masks[d][c] >> x & 1) for d in range(len(dirs))]
-        assert row == sum(1 << shift * (d * q + c) for d, c in enumerate(levels))
+        assert row == sum(1 << 8 * (d * q + c) for d, c in enumerate(levels))
 
 
-@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 1, 9), (257, 1, 1)])
+@pytest.mark.parametrize("p,k,n", [(5, 1, 2), (2, 3, 2), (257, 1, 1)])
 def test_count_rows_built_in_blocks_match_one_block(p, k, n, monkeypatch):
     """Blocks of 1 and of 7 points, the last one short, give the rows that
     one block gives."""
@@ -362,23 +355,6 @@ def test_count_rows_built_in_blocks_match_one_block(p, k, n, monkeypatch):
         assert (table.pts, table.full) == (whole.pts, whole.full)
 
 
-def test_count_lanes_are_one_or_two_bytes(monkeypatch):
-    assert [search._lane_width(most) for most in (0, 255, 256, 65_535)] == [1, 1, 2, 2]
-    with pytest.raises(ValueError, match="hyperplanes of 65536 points need count lanes wider"):
-        search._lane_width(1 << 16)
-
-    # Masks within the cap leave fewer than 2^16 points per hyperplane, so
-    # only a raised cap reaches the refusal, still before any direction is
-    # listed: F_2^17 has 2^16 points per hyperplane.
-    def refuse(*args):
-        raise AssertionError("directions listed")
-
-    monkeypatch.setattr(core, "MASK_BITS_CAP", 1 << 60)
-    monkeypatch.setattr(search, "enumerate_directions", refuse)
-    with pytest.raises(ValueError, match="hyperplanes of 65536 points need count lanes wider"):
-        minimal_kakeya_exact(make_field(2, 1), 17)
-
-
 def test_search_beyond_one_byte_per_field_element():
     result = minimal_kakeya_exact(make_field(257, 1), 1)
     assert result.proof_of_optimality
@@ -386,15 +362,15 @@ def test_search_beyond_one_byte_per_field_element():
 
 
 def test_child_floor_never_exceeds_the_childs_own_bound():
-    """A child's hyperplane takes at most `pair` points from any other
-    direction's, so the floor priced from its parent's gains never passes
+    """A child's line takes at most one point from any other direction's,
+    so the floor priced from its parent's gains never passes
     the overlap bound of the child's own gains, whatever direction and level
     it takes.  For the direction of the largest gain, the one `_node`
     branches on, the floor is the parent's overlap bound less that gain."""
     rng = random.Random(5)
     for p, k, n in COUNT_CELLS:
         f, masks, table = _count_table(p, k, n)
-        q, s, pair = f.q, len(masks), f.q ** (n - 2)
+        q, s = f.q, len(masks)
         for _ in range(25):
             order = rng.sample(range(s), s)
             cut = rng.randrange(min(s - 1, 12))  # at least two directions stay free
@@ -406,14 +382,14 @@ def test_child_floor_never_exceeds_the_childs_own_bound():
             free = order[cut:]
             gains = table.gains(table.lanes(counts), free)
             top = gains.index(max(gains))
-            assert search._overlap_bound(gains, pair) - gains[top] == search._child_floor(
-                gains[:top] + gains[top + 1:], pair)
+            assert search._overlap_bound(gains) - gains[top] == search._child_floor(
+                gains[:top] + gains[top + 1:])
             i = rng.randrange(len(free))
             rest = free[:i] + free[i + 1:]
-            floor = search._child_floor(gains[:i] + gains[i + 1:], pair)
+            floor = search._child_floor(gains[:i] + gains[i + 1:])
             for lvl in range(q):
                 child = table.cover(counts, masks[free[i]][lvl] & ~mask)
-                assert floor <= search._overlap_bound(table.gains(table.lanes(child), rest), pair)
+                assert floor <= search._overlap_bound(table.gains(table.lanes(child), rest))
 
 
 def _random_planar_children(rng, p, k):
@@ -444,13 +420,13 @@ def test_planar_price_is_the_built_childs_own():
     for p, k in [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
         for _ in range(30):
             table, mask, counts, d, rest, gains, lines = _random_planar_children(rng, p, k)
-            floor = search._child_floor(gains, table.pair)
+            floor = search._child_floor(gains)
             for row in table.masks[d]:
                 price = search._planar_price(lines, gains, row & ~mask)
                 built = table.gains(table.lanes(table.cover(counts, row & ~mask)), rest)
                 assert price == built
-                bound = search._overlap_bound(price, table.pair)
-                assert bound == search._overlap_bound(built, table.pair)
+                bound = search._overlap_bound(price)
+                assert bound == search._overlap_bound(built)
                 assert bound >= floor
 
 
@@ -467,8 +443,8 @@ def test_planar_price_matches_a_point_by_point_count():
 
 
 def test_planar_count_lanes_are_bytes():
-    """The planar price finds the cheapest lines with `bytes.find`, so
-    every plane the count table admits has one-byte lanes."""
+    """A lane holds the uncovered points of one line, at most q of them in
+    one byte, so every plane the count table admits has q < 256."""
     admitted = []
     for q in range(2, 257):
         if factor_prime_power(q) is None:
@@ -478,10 +454,15 @@ def test_planar_count_lanes_are_bytes():
         except ValueError:
             continue
         admitted.append(q)
-        assert search._lane_width(q) == 1
     assert admitted[:3] == [2, 3, 4]
     # the planar canonical pass recurses once per free direction, q - 1 deep
     assert admitted[-1] - 1 == 138 < sys.getrecursionlimit() // 4
+
+
+def test_level_search_refuses_cells_above_the_plane():
+    # lines meet in one point only in the plane; the planar price relies on it
+    with pytest.raises(AssertionError, match="lines of the plane"):
+        search._search_space(make_field(2, 1), 3)
 
 
 @pytest.mark.parametrize("p,k,opened,nodes", [(5, 1, 6, 6), (7, 1, 35, 9), (3, 2, 38, 8)])
@@ -535,11 +516,6 @@ def test_node_counts_are_pinned(cell, nodes):
     assert minimal_kakeya_exact(make_field(*cell[:2]), cell[2], workers=1).nodes_explored == nodes
 
 
-@pytest.mark.parametrize("cell,nodes", LEVEL_NODE_COUNTS)
-def test_level_search_node_counts_are_pinned(cell, nodes):
-    assert search._level_minimum(make_field(*cell[:2]), cell[2], 10**6)[1] == nodes
-
-
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (4, 2)])
 def test_powerset_oracle_agreement(p, n):
     field = make_field(2, 2) if p == 4 else make_field(p, 1)
@@ -567,6 +543,22 @@ def test_powerset_oracle_size_guard():
         minimal_kakeya_powerset(f, 3)  # 27 points is past the subset limit
 
 
+def test_gap_oracle_agrees_with_the_powerset_and_planar_minima():
+    """The brute-force gap-set scan finds q^n less the minimum: the powerset
+    oracle's on every cell it reaches, and Blokhuis and Mazzocca's on the
+    planes q = 2, ..., 5."""
+    for q in range(2, 17):
+        field = factor_prime_power(q)
+        if field is None:
+            continue
+        f = make_field(*field)
+        for n in range(1, 5):
+            if q**n <= 16:
+                assert oracles.gap_size_brute(f, n) == q**n - minimal_kakeya_powerset(f, n)[0]
+        if q <= 5:
+            assert oracles.gap_size_brute(f, 2) == q * q - _planar_minimum(q)
+
+
 def test_normalization_does_not_change_minimum():
     """The search fixes the axis directions at level 0; a search with every
     direction free finds the same minimum."""
@@ -574,7 +566,8 @@ def test_normalization_does_not_change_minimum():
         f = make_field(p, 1)
         result = minimal_kakeya_exact(f, n)
         assert result.proof_of_optimality and result.min_size == expected
-        assert _search_from_scratch(f, n, frame=False) == expected
+        if n == 2:  # the level search runs in the plane only
+            assert _search_from_scratch(f, n, frame=False) == expected
 
 
 def test_worker_counts_agree():
@@ -757,11 +750,10 @@ def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
     runner.start()
     runner.join(60)
     hung = runner.is_alive()
-    for proc, _ in ctx.started:
+    # a search that returned has joined and closed its workers
+    for proc in multiprocessing.active_children():
+        proc.terminate()
         proc.join(5)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(5)
     runner.join(10)
     assert not hung
     assert not multiprocessing.active_children()
@@ -1013,11 +1005,14 @@ def test_dead_worker_is_reported_while_its_sibling_runs(monkeypatch, dying):
 
 def test_failed_start_stops_the_workers_already_started(monkeypatch):
     """A start that fails (here EAGAIN, as when no process id is free)
-    terminates and joins the workers started before it."""
+    terminates, joins and closes the workers started before it.  A closed
+    process has no exit code to read, so it is recorded as `close` is
+    called."""
     fork = multiprocessing.get_context("fork")
     monkeypatch.setattr(multiprocessing, "get_context", lambda *args: fork)
     start = multiprocessing.process.BaseProcess.start
-    started = []
+    close = multiprocessing.process.BaseProcess.close
+    started, exitcodes = [], []
 
     def start_once(proc):
         if started:
@@ -1025,11 +1020,16 @@ def test_failed_start_stops_the_workers_already_started(monkeypatch):
         start(proc)
         started.append(proc)
 
+    def close_recording(proc):
+        exitcodes.append(proc.exitcode)
+        close(proc)
+
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_once)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "close", close_recording)
     with pytest.raises(OSError, match="no process id free"):
         minimal_kakeya_exact(make_field(11, 1), 2, workers=2)
     # alone, the first worker would search (11,2) for about 0.4 s
-    assert len(started) == 1 and started[0].exitcode is not None
+    assert len(started) == 1 and len(exitcodes) == 1 and exitcodes[0] is not None
     assert not multiprocessing.active_children()
 
 
@@ -1039,11 +1039,8 @@ def test_parallel_searches_leave_no_file_open(monkeypatch):
         return len(os.listdir("/proc/self/fd"))
 
     f = make_field(7, 1)
-    # the first shared value of a process opens the file that backs them all;
-    # files an earlier test left in cyclic garbage (a kept traceback holds
-    # its workers) close whenever the collector runs, so collect them first
+    # the first shared value of a process opens the file that backs them all
     minimal_kakeya_exact(f, 2, workers=2)
-    gc.collect()
     before = open_files()
     for _ in range(5):
         minimal_kakeya_exact(f, 2, workers=2)
