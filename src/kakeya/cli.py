@@ -449,6 +449,17 @@ def _selftest_checks():
                 assert search._planar_price(lines, gains, row & ~mask) == (
                     oracles.cheapest_gains_brute(f, 2, PointSet(f.q, 2, mask | row), free))
 
+    def tangent_vs_brute(p, k):
+        # the levels -1/b from per-element field calls, the size the search
+        # takes from its masks against the union built point by point
+        from .field import field_inv, field_mul, field_neg
+        f = make_field(p, k)
+        _, table, _ = search._search_space(f, 2)
+        size, levels = search._tangent_seed(f, 2, table.masks)
+        minus_one = field_neg(f, 1)
+        assert levels == [0, 0] + [field_mul(f, minus_one, field_inv(f, b)) for b in range(1, f.q)]
+        assert oracles.union_brute(f, 2, OffsetAssignment(tuple(levels))).cardinality == size
+
     checks = [
         ("field axioms F_2", lambda: oracles.check_field_axioms(make_field(2, 1))),
         ("field axioms F_4", lambda: oracles.check_field_axioms(make_field(2, 2))),
@@ -483,6 +494,8 @@ def _selftest_checks():
         ("canonical witness vs brute-force lex scan (3,3)", lambda: canonical_vs_lex_scan(3, 1, 3)),
         ("child price vs brute force (7,2), F_9^2",
          lambda: (child_price_vs_brute(7, 1), child_price_vs_brute(3, 2))),
+        ("tangent incumbent vs brute-force union (5,2), F_4^2, F_8^2",
+         lambda: (tangent_vs_brute(5, 1), tangent_vs_brute(2, 2), tangent_vs_brute(2, 3))),
         ("union vs brute force (3,3)", lambda: union_vs_brute(3, 1, 3)),
         ("union vs brute force F_4^3", lambda: union_vs_brute(2, 2, 3)),
         ("union vs brute force (5,3)", lambda: union_vs_brute(5, 1, 3)),

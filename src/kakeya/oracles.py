@@ -248,6 +248,39 @@ def gap_size_brute(f: FieldSpec, n: int) -> int:
     return 1 + most(0, levels[0])
 
 
+def framed_gap_size_brute(f: FieldSpec, n: int, cap: int) -> int:
+    """The most points of a gap set of F_q^n that holds the frame
+    {0, e_1, ..., e_n} and has at most `cap` points on any hyperplane, by a
+    depth-first scan: the other points join in index order, and a set grows
+    while every direction still misses a level and no hyperplane passes the
+    cap.  Levels are per-element dot products.  Needs cap >= n and n < q-1, so
+    that the frame alone qualifies."""
+    q, total = f.q, f.q**n
+    normals = [d.normal for d in enumerate_directions(f, n)]
+    levels = [[dot(f, u, point_coords(x, q, n)) for u in normals] for x in range(total)]
+    frame = [0] + [q**i for i in range(n)]
+    # counts[d][c]: the set's points on hyperplane (d, c)
+    counts = [[0] * q for _ in normals]
+    for x in frame:
+        for row, lvl in zip(counts, levels[x]):
+            row[lvl] += 1
+    rest = [x for x in range(total) if x not in frame]
+
+    def most(start: int) -> int:
+        best = 0
+        for i in range(start, len(rest)):
+            x = rest[i]
+            for row, lvl in zip(counts, levels[x]):
+                row[lvl] += 1
+            if all(0 in row and max(row) <= cap for row in counts):
+                best = max(best, 1 + most(i + 1))
+            for row, lvl in zip(counts, levels[x]):
+                row[lvl] -= 1
+        return best
+
+    return len(frame) + most(0)
+
+
 def gap_levels_brute(f: FieldSpec, n: int, gaps) -> list[set[int]]:
     """Per direction in enumeration order, the levels of the given points
     (indices), from per-element dot products."""

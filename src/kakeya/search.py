@@ -34,7 +34,9 @@ exactly when the child's new points meet one of that direction's cheapest
 lines (`_planar_price`).  A child cut by its floor or its price counts as
 one node, as its entry would; only priced survivors are covered and
 entered, with their gains and bound.  No prune changes the minimum or the
-canonical witness.
+canonical witness.  The incumbent starts as the tangent union
+(`_tangent_seed`), which meets the lower bound for every even q, so those
+planes need no search; only for odd q does the greedy seed run as well.
 
 Each node carries, beside its union mask, one packed integer of counts:
 for every (direction, level), the points of that line the union has not
@@ -764,6 +766,25 @@ def _greedy_seed(f: FieldSpec, n: int, s: int) -> tuple[int, list[int]]:
     return seed.min_size, list(seed.witness.levels)
 
 
+def _tangent_seed(f: FieldSpec, n: int, masks) -> tuple[int, list[int]]:
+    """The tangent incumbent of F_q^n, n <= 2: size and levels.  In the
+    plane the axes sit at level 0 and normal (1, b) at level -1/b, the
+    lines x = 0, y = 0 and the tangents of a parabola (Blokhuis and
+    Mazzocca, 2008); its union has q(q+1)/2 points for even q, the ceiling
+    of the lower bound, and q(q+1)/2 + (q-1)/2, the planar minimum, for odd
+    q.  For n = 1 it is the axis alone.  Normal (1, b) sits at position
+    b + 1, and the size is the popcount of the OR of the level `masks`."""
+    levels = [0] * len(masks)
+    if n == 2:
+        minus_one = f.add_tables[1].index(0)
+        for b in range(1, f.q):
+            levels[b + 1] = f.mul_rows[b].index(minus_one)  # b * level = -1
+    mask = 0
+    for row, lvl in zip(masks, levels):
+        mask |= row[lvl]
+    return mask.bit_count(), levels
+
+
 def _search_space(f: FieldSpec, n: int):
     """The directions of F_q^n, n <= 2, the count table over their level
     masks, and the level search's root: the open node (mask, counts, free
@@ -794,12 +815,19 @@ def _search_space(f: FieldSpec, n: int):
 def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
                   workers: int) -> tuple[int, list[int], int, bool]:
     """Branch and bound over level assignments below the open node `root`
-    of `_search_space`, from the greedy incumbent, stopped early once the
-    incumbent meets the ceiling of the lower bound; the axis maps merge
-    nodes two levels down.  Returns the best size and its levels, the nodes
-    visited and whether that size is proven minimal."""
+    of `_search_space`, stopped early once the incumbent meets the ceiling
+    of the lower bound; the axis maps merge nodes two levels down.  The
+    incumbent is the tangent union, which meets that ceiling for n = 1 and
+    every even q; otherwise the greedy seed runs as well and the smaller
+    of the two is kept, the greedy's on a tie.  Returns the best size and
+    its levels, the nodes visited and whether that size is proven
+    minimal."""
     lb_ceil = math.ceil(_instance_lower_bound(f.q, n))
-    best_size, best_levels = _greedy_seed(f, n, table.s)
+    best_size, best_levels = _tangent_seed(f, n, table.masks)
+    if best_size > lb_ceil:
+        greedy_size, greedy_levels = _greedy_seed(f, n, table.s)
+        if greedy_size <= best_size:
+            best_size, best_levels = greedy_size, greedy_levels
     if best_size <= lb_ceil:
         return best_size, best_levels, 0, True
     axes = _AxisMaps(f, dirs, root[2])
@@ -952,11 +980,11 @@ def minimal_kakeya_exact(
 ) -> SearchResult:
     """Exact minimum cardinality of a Kakeya set w.r.t. hyperplanes in F_q^n.
 
-    For n <= 2, branch and bound over level assignments from a greedy
-    incumbent, then `_lex_smallest_witness` over the same count table.  For
-    n >= 3, q^n less the largest gap set (`_gap_size`), then
-    `_open_point_witness`, with no level mask or count table of the cell
-    and no worker process.  With proof_of_optimality the witness is
+    For n <= 2, branch and bound over level assignments from the tangent
+    incumbent (`_level_search`), then `_lex_smallest_witness` over the same
+    count table.  For n >= 3, q^n less the largest gap set (`_gap_size`),
+    then `_open_point_witness`, with no level mask or count table of the
+    cell and no worker process.  With proof_of_optimality the witness is
     canonical (the lexicographically smallest optimal assignment).  The
     search and the canonical pass may each visit node_budget nodes; if
     either runs out, the best upper bound found (for n >= 3 the greedy one)

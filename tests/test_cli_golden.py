@@ -42,6 +42,9 @@ CASES = {
                          "--witness-out", "{dir}/witness_out.json"],
     "stats": ["stats", "{dir}/accept.json", "--witness", "{dir}/witness.json"],
     "search-plane": ["search", "--field", "5", "--n", "2"],
+    # even planes proven on the tangent seed; the greedy's 612 misses (32,2)'s 528
+    "search-plane-8": ["search", "--field", "8", "--n", "2"],
+    "search-plane-32": ["search", "--field", "32", "--n", "2"],
     "search-space": ["search", "--field", "2", "--n", "3"],
     "search-heuristic": ["search", "--field", "4", "--n", "2", "--heuristic-only",
                          "--restarts", "4", "--seed", "3"],

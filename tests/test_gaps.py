@@ -19,7 +19,8 @@ from kakeya.bounds import kakeya_lower_bound, kakeya_lower_bound_ceiling
 from kakeya.core import build_union, is_kakeya
 from kakeya.field import field_add, field_mul, field_sub, make_field
 from kakeya.geometry import enumerate_directions, point_coords, point_index
-from kakeya.oracles import annihilator_brute, dot, gap_size_brute, is_gap_set_brute, rank, rref
+from kakeya.oracles import (annihilator_brute, dot, framed_gap_size_brute, gap_size_brute,
+                            is_gap_set_brute, rank, rref)
 from kakeya.pointset import PointSet
 from kakeya.search import minimal_kakeya_exact, minimal_kakeya_powerset
 
@@ -176,6 +177,17 @@ def test_gap_engine_agrees_with_the_brute_force_scan(p, k, n):
     assert gap == gap_size_brute(f, n)
     result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality and result.min_size == f.q**n - gap
+
+
+@pytest.mark.parametrize("cap", range(3, 10))
+def test_gap_engine_agrees_with_the_framed_scan(cap):
+    """The branch and bound runs only for 3 <= n < q-1, beyond every cell
+    the unframed scan finishes, so on F_5^3 it is checked cap by cap
+    against a scan of the gap sets that hold the frame: the engine reports
+    the most points of one, or cap when none has more."""
+    f = make_field(5, 1)
+    engine = search._GapSearch(f, 3, cap, 10**4)
+    assert engine.run() == max(cap, framed_gap_size_brute(f, 3, cap))
 
 
 @pytest.mark.parametrize("cell", sorted(CANONICAL_WITNESSES))

@@ -48,7 +48,7 @@ COUNT_CELLS = [(2, 1, 2), (5, 1, 2), (7, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
                (11, 1, 2), (2, 4, 2)]
 # nodes_explored with workers=1; the prunes and the branching order fix them.
 # For n >= 3 they count the gap-set engine's nodes: (3,3) follows from the
-# lemmas alone, and (4,3) from them and (4,2), which closes on its greedy bound.
+# lemmas alone, and (4,3) from them and (4,2), which closes on its tangent bound.
 NODE_COUNTS = [((5, 1, 2), 12), ((7, 1, 2), 204), ((2, 3, 2), 0), ((3, 2, 2), 2_568),
                ((3, 1, 3), 0), ((2, 2, 3), 0), ((2, 1, 4), 0)]
 
@@ -496,6 +496,40 @@ def test_planar_minima_match_the_literature(p, k):
     assert is_kakeya(f, union).ok
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 33) if factor_prime_power(q)])
+def test_tangent_union_is_kakeya_at_the_planar_minimum(q):
+    """The tangent seed's union is Kakeya and has q(q+1)/2 points for even
+    q, the ceiling of the lower bound, and q(q+1)/2 + (q-1)/2 for odd q;
+    up to q = 8 it is the union built point by point."""
+    f = make_field(*factor_prime_power(q))
+    masks = level_masks(f, 2)
+    size, levels = search._tangent_seed(f, 2, masks)
+    assignment = OffsetAssignment(tuple(levels))
+    union = build_union(f, 2, assignment)
+    assert union.cardinality == size == _planar_minimum(q)
+    assert is_kakeya(f, union).ok
+    if q % 2 == 0:
+        assert size == kakeya_lower_bound_ceiling(q, 2)
+    if q <= 8:
+        assert union == oracles.union_brute(f, 2, assignment)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the greedy seed ran")
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_even_planes_are_proven_with_no_greedy_seed(k, monkeypatch):
+    """The tangent seed meets the bound on every even plane, so the search
+    visits no node and the greedy never runs; (32,2), where the greedy's 612
+    missed the bound, is proven with the rest."""
+    monkeypatch.setattr(search, "greedy_upper_bound", _refuse)
+    f = make_field(2, k)
+    result = minimal_kakeya_exact(f, 2)
+    assert result.proof_of_optimality and result.nodes_explored == 0
+    assert result.min_size == _planar_minimum(f.q)
+
+
 def test_9_2_node_count_guard():
     result = minimal_kakeya_exact(make_field(3, 2), 2)
     assert result.proof_of_optimality and result.min_size == 49
@@ -625,14 +659,21 @@ def _worse_seed(f, n, s):
     return f.q**n, [0] * s
 
 
+def _worse_seeds(monkeypatch):
+    """Both incumbents of the level search replaced by `_worse_seed`."""
+    monkeypatch.setattr(search, "_greedy_seed", _worse_seed)
+    monkeypatch.setattr(search, "_tangent_seed", lambda f, n, masks: _worse_seed(f, n, len(masks)))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (3, 2)])
 def test_search_beats_a_worse_seed(p, k, workers, monkeypatch):
-    """The greedy seed is already optimal on every planar cell up to (11,2),
-    so only a worse seed makes the search's own incumbent the answer."""
+    """The greedy and tangent seeds are both optimal on every odd planar
+    cell up to (11,2), so only worse seeds make the search's own incumbent
+    the answer."""
     f = make_field(p, k)
     plain = minimal_kakeya_exact(f, 2, workers=workers)
-    monkeypatch.setattr(search, "_greedy_seed", _worse_seed)
+    _worse_seeds(monkeypatch)
     seeded = minimal_kakeya_exact(f, 2, workers=workers)
     assert seeded.proof_of_optimality and plain.proof_of_optimality
     assert (seeded.min_size, seeded.witness) == (plain.min_size, plain.witness)
@@ -642,9 +683,9 @@ def test_search_beats_a_worse_seed(p, k, workers, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
 def test_search_out_of_budget_reports_its_own_incumbent(p, k, workers, monkeypatch):
-    """40 nodes find a union smaller than the worse seed's but prove nothing."""
+    """40 nodes find a union smaller than the worse seeds' but prove nothing."""
     f = make_field(p, k)
-    monkeypatch.setattr(search, "_greedy_seed", _worse_seed)
+    _worse_seeds(monkeypatch)
     result = minimal_kakeya_exact(f, 2, node_budget=40, workers=workers)
     assert not result.proof_of_optimality
     assert result.min_size < f.q**2
@@ -1062,7 +1103,7 @@ def test_budget_exhaustion_degrades_gracefully():
 
 def test_witness_pass_out_of_budget_reports_a_bound():
     f = make_field(2, 1)
-    # the greedy seed meets the lower-bound ceiling, so branch and bound
+    # the tangent seed meets the lower-bound ceiling, so branch and bound
     # visits no node and only the canonical-witness pass hits the budget
     result = minimal_kakeya_exact(f, 2, node_budget=1)
     assert result.nodes_explored == 0
@@ -1080,7 +1121,7 @@ def test_budget_validation():
         minimal_kakeya_exact(f, 2, node_budget=0)
     with pytest.raises(ValueError):
         minimal_kakeya_exact(f, 2, workers=0)
-    # (8,2) closes on its greedy bound, so the largest worker count starts none
+    # (8,2) closes on its tangent bound, so the largest worker count starts none
     assert minimal_kakeya_exact(make_field(2, 3), 2, workers=search.MAX_WORKERS).min_size == 36
 
 
