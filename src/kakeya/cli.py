@@ -490,6 +490,7 @@ def _selftest_checks():
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
         ("canonical witness vs brute-force lex scan of every assignment (5,2)",
          lambda: canonical_vs_lex_scan(5, 1, 2)),
+        ("canonical witness vs brute-force lex scan (7,2)", lambda: canonical_vs_lex_scan(7, 1, 2)),
         ("canonical witness vs brute-force lex scan (2,4)", lambda: canonical_vs_lex_scan(2, 1, 4)),
         ("canonical witness vs brute-force lex scan (3,3)", lambda: canonical_vs_lex_scan(3, 1, 3)),
         ("child price vs brute force (7,2), F_9^2",

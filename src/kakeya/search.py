@@ -48,10 +48,11 @@ child subtracts one precomputed per-point row for each point it covers.
 The canonical-witness pass scans assignments in lexicographic order with
 the axes at level 0, tries only levels 0 and 1 while every level so far is
 0, and cuts a child whose union passes the proven size.  In the plane
-(`_lex_smallest_witness`) it also reads the count table for the overlap
-bound and the child floor.  Above it an optimum leaves only g(q, n) =
-O(q^2) points open, so `_open_point_witness` keeps the union's complement
-and builds no level mask or table of the cell.
+(`_lex_smallest_witness`) it also prices each child as the level search
+does, carrying the cheapest gains down its path from the root's.  Above
+it an optimum leaves only g(q, n) = O(q^2) points open, so
+`_open_point_witness` keeps the union's complement and builds no level
+mask or table of the cell.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -522,47 +523,59 @@ def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tup
 
     While every level so far is 0 only levels 0 and 1 are tried: an optimum
     whose first nonzero level is c > 1 scales by 1/c (x -> x/c keeps the
-    axes at 0) to a lexicographically smaller one.  A child is cut once its
-    union passes the target, a node on entry once its union plus the
-    overlap bound does, and, once a child fails, each later sibling, as one
-    node, once its union plus `_child_floor` does; without these bounds the
-    pass on (13,2) visits about 6x the nodes.  The count table's charge
-    admits no plane past q = 139, so the scan recurses at most 138 deep.
+    axes at 0) to a lexicographically smaller one.  The cheapest gains are
+    counted once, at the root, and carried down the path.  A child whose
+    union passes the target is dropped and is no node.  Any other child is
+    one node: it is cut once its union plus `_child_floor` of the node's
+    other gains passes the target, then once its union plus the overlap
+    bound of its exact price (`_planar_price`) does, as it would be on
+    entry.  Only a child that survives both is covered and entered; without
+    these bounds the pass on (13,2) visits about 6x the nodes.  The count
+    table's charge admits no plane past q = 139, so the scan recurses at
+    most 138 deep.
     """
     mask, counts, free, levels = root
     levels = list(levels)
-    q, depth = table.q, len(free)
+    q, masks = table.q, table.masks
     tick = itertools.count(1)  # numbers the nodes as they are visited
 
-    def visit(i: int, mask: int, counts: int, zero: bool) -> bool:
-        if next(tick) > budget:
-            raise _BudgetExhausted
+    def visit(i: int, mask: int, counts: int, zero: bool, gains) -> bool:
+        # an entered node: `gains` are its cheapest gains on free[i:], and its
+        # union plus their overlap bound is within the target
         msize = mask.bit_count()
-        if i == depth:
-            return msize == target
         lanes = table.lanes(counts)
-        gains = table.gains(lanes, free[i:])
-        if msize + _overlap_bound(gains) > target:
-            return False
-        d, floor = free[i], None  # the floor is priced once a child fails
+        d, rest, rest_gains = free[i], free[i + 1:], gains[1:]
+        floor = _child_floor(rest_gains)
+        lines = None  # the cheapest lines of `rest`, built for the first priced child
         for lvl in range(2 if zero else q):
             csize = msize + lanes[d * q + lvl]
             if csize > target:
                 continue
-            if floor is not None and csize + floor > target:
-                if next(tick) > budget:  # cut by the floor, as on entry
-                    raise _BudgetExhausted
-                continue
+            if next(tick) > budget:  # one node, cut below or entered
+                raise _BudgetExhausted
             levels[d] = lvl
-            row = table.masks[d][lvl]
-            if visit(i + 1, mask | row, table.cover(counts, row & ~mask), zero and lvl == 0):
+            if not rest:
+                if csize == target:
+                    return True
+                continue
+            if csize + floor > target:
+                continue
+            new = masks[d][lvl] & ~mask
+            if lines is None:
+                lines = table.cheapest_lines(lanes, rest, rest_gains)
+            cgains = _planar_price(lines, rest_gains, new)
+            if csize + _overlap_bound(cgains) > target:
+                continue
+            if visit(i + 1, mask | new, table.cover(counts, new), zero and lvl == 0, cgains):
                 return True
-            if floor is None:  # the child's open directions are the node's, less d
-                floor = _child_floor(gains[1:])
         return False
 
+    msize, gains = mask.bit_count(), table.gains(table.lanes(counts), free)
     try:
-        if visit(0, mask, counts, True):
+        if next(tick) > budget:  # the root
+            raise _BudgetExhausted
+        if msize + _overlap_bound(gains) <= target and (
+                visit(0, mask, counts, True, gains) if free else msize == target):
             return tuple(levels)
     except _BudgetExhausted:
         return None

@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import inspect
 import itertools
 import math
@@ -837,13 +838,14 @@ def test_witness_canonical_in_normalized_space():
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2),
-                                   (2, 1, 3), (3, 1, 3), (2, 1, 4)])
+                                   (7, 1, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4)])
 def test_witness_matches_a_brute_force_lex_scan(p, k, n):
     """The canonical pass starts with the axis directions at level 0, tries
     levels 0 and 1 only while every level so far is 0, and, in the plane,
-    cuts nodes by the overlap bound and siblings by the child floor; above
-    it, by union size alone.  None of these may change the first optimum of
-    a scan over every assignment."""
+    cuts children by the child floor and by their price; above it, by union
+    size alone.  None of these may change the first optimum of a scan over
+    every assignment.  F_9^2 is the pass with the most floor and price cuts
+    that the scan reaches."""
     f = make_field(p, k)
     result = minimal_kakeya_exact(f, n)
     assert result.proof_of_optimality
@@ -897,6 +899,42 @@ def test_canonical_pass_runs_out_at_a_floor_cut_sibling():
     for budget in range(1, 47):
         assert _canonical_pass(f, 2, 31, budget) is None
     assert _canonical_pass(f, 2, 31, 47) == CANONICAL_WITNESSES[7, 1, 2]
+
+
+# (p, k, proven size, pass nodes, the first 16 hex digits of the sha256 of
+# the witness's levels as bytes) of planar passes past the brute-force lex
+# scan; the pass runs alone at the proven size, so (13,2)'s search is not paid
+PLANAR_PASS_DIGESTS = [(13, 1, 97, 64_568, "4318bd60c7f9c532"),
+                       (2, 4, 136, 123, "6325988719ce7134"),
+                       (2, 5, 528, 3_659, "1e99aeea62b29fab")]
+
+
+@pytest.mark.parametrize("p,k,size,nodes,digest", PLANAR_PASS_DIGESTS)
+def test_planar_passes_past_the_lex_scan_are_pinned(p, k, size, nodes, digest):
+    f = make_field(p, k)
+    levels = _canonical_pass(f, 2, size, nodes)
+    assert hashlib.sha256(bytes(levels)).hexdigest()[:16] == digest
+    assert _canonical_pass(f, 2, size, nodes - 1) is None
+
+
+@pytest.mark.parametrize("p,k,size", [(7, 1, 31), (3, 2, 49)])
+def test_planar_pass_counts_gains_once_at_its_root(p, k, size, monkeypatch):
+    """The pass counts the cheapest gains at its root and carries each
+    child's down the lex path from its parent's (`_planar_price`); no later
+    node recounts them."""
+    calls = []
+    gains = search._Counts.gains
+
+    def record(self, lanes, free):
+        calls.append(len(free))
+        return gains(self, lanes, free)
+
+    monkeypatch.setattr(search._Counts, "gains", record)
+    f = make_field(p, k)
+    _, table, root = search._search_space(f, 2)
+    witness = search._lex_smallest_witness(table, root, size, 10**6)
+    assert witness == CANONICAL_WITNESSES[p, k, 2]
+    assert calls == [len(root[2])]
 
 
 # (p, k, n): every n >= 3 cell of tests/test_gaps.py's GAP_TABLE, with (3,6)
