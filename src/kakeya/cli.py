@@ -373,19 +373,25 @@ def _selftest_checks():
 
     def hole_flags_vs_brute(p, k, n):
         # one and two gaps are read along the gaps; |S| - 1 and |S|, more
-        # than a Kakeya set leaves, along the directions
+        # than a Kakeya set leaves, along the directions; q gaps that fail
+        # first just before and at the switch from column reads to the bulk
+        # rows along the gaps, and the check stops there
         import random as _random
-        from .core import _hole_flags
+        from .core import _column_reads, _hole_flags
         from .geometry import _direction_count
         f = make_field(p, k)
         s = _direction_count(f.q, n)
         rng = _random.Random(11)
-        for count in (1, 2, s - 1, s):
-            gaps = rng.sample(range(f.q**n), count)
+        cases = [rng.sample(range(f.q**n), count) for count in (1, 2, s - 1, s)]
+        switch = _column_reads(f.q, f.q)
+        cases += [oracles.failing_gaps_brute(f, n, d, seed=d) for d in (switch - 1, switch)]
+        for gaps in cases:
             pset = PointSet(f.q, n, PointSet.full(f.q, n).bits & ~sum(1 << i for i in gaps))
             rows = [{c for c, hole in enumerate(row) if hole}
                     for row in _hole_flags(f, pset)]
             assert rows == oracles.gap_levels_brute(f, n, gaps)
+            free = [len(row) < f.q for row in rows]
+            assert is_kakeya(f, pset).failing_index == (None if all(free) else free.index(False))
 
     def union_vs_brute(p, k, n):
         # random unions fill the space; the search's witness leaves its gaps open
@@ -488,6 +494,7 @@ def _selftest_checks():
         ("complement duality F_3^2", lambda: complement_duality(3, 1, 2)),
         ("hole flags vs gap-level brute force (3,3)", lambda: hole_flags_vs_brute(3, 1, 3)),
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
+        ("hole flags vs gap-level brute force (7,3)", lambda: hole_flags_vs_brute(7, 1, 3)),
         ("canonical witness vs brute-force lex scan of every assignment (5,2)",
          lambda: canonical_vs_lex_scan(5, 1, 2)),
         ("canonical witness vs brute-force lex scan (7,2)", lambda: canonical_vs_lex_scan(7, 1, 2)),

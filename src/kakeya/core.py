@@ -12,13 +12,18 @@ checks need only the (direction x gap) table of levels, and since u . g =
 g . u it is built along its shorter side: one level vector per gap when
 there are fewer gaps G than directions |S| (and no more than the paper's
 bound leaves a Kakeya set), else one per direction.  A check costs
-O(min(G, |S|) q^n) kernel work, and none for a gap-free set.  For the same
-reason a union of assigned hyperplanes leaves few points open, and
-build_union reads its directions only until fewer points are open than
-directions are left, then one level vector per open point.  A point's
-levels at all the normals are n strided slices of its level vector, one
-per lead coordinate of the normal (geometry._normal_slices).  E holds
-every assigned hyperplane exactly when it holds their union.
+O(min(G, |S|) q^n) kernel work, and none for a gap-free set.  Either side
+stops at the first failing direction: along the directions no later
+vector is built, and along the gaps a direction's hole flags are read
+from its column of the table only when asked for, until the columns read
+cost about what all the rows cost at once; the rest are then built
+together (_hole_flags).  For the same reason a union of assigned
+hyperplanes leaves few points open, and build_union reads its directions
+only until fewer points are open than directions are left, then one
+level vector per open point.  A point's levels at all the normals are n
+strided slices of its level vector, one per lead coordinate of the normal
+(geometry._normal_slices).  E holds every assigned hyperplane exactly when
+it holds their union.
 """
 
 from __future__ import annotations
@@ -226,38 +231,51 @@ def _hole_flags(f: FieldSpec, pset: PointSet):
     one is taken:
     - fewer gaps than directions, and few enough for a Kakeya set: one
       level vector per gap, read at every normal by lead coordinate (see
-      _normal_slices) and ORed into one row of flags per level, in
-      O(q |S| + q^n) bytes.  This needs byte levels (q <= 256);
-    - otherwise one level vector per direction, read at the gaps, lazily,
-      so that a caller can stop at its first failing direction.
+      _normal_slices), joined into one gap-major table of G |S| levels.
+      Direction d's levels at the gaps are then one column of it, and its
+      flags are read from that column only when the caller asks for them,
+      so that a caller can stop at its first failing direction.  Once the
+      columns read cost about what all the rows cost at once (see
+      _column_reads), the rest come from _gap_hole_rows.  This needs byte
+      levels (q <= 256), and F_256, whose levels take every byte, goes to
+      the rows at once;
+    - otherwise one level vector per direction, read at the gaps, lazily
+      too.
     A set with a hyperplane in every direction has at least (q^2n - q^n) /
     (q^n + q^2 - 2q) points (for n = 1, at least one).  A set with more
-    gaps than that allows is not Kakeya, and along the directions it stops
-    at the first that fails, where along its gaps it could not stop.
+    gaps than that allows is not Kakeya and is read along the directions.
     """
     q, n, total = pset.q, pset.n, pset.universe
-    gap_flags = _gap_flags(pset)
-    gaps = list(compress(range(total), gap_flags))
+    count = total - pset.cardinality
     s = (total - 1) // (q - 1)
     # the bound above, in integers
-    if (f.mul_rows is not None and len(gaps) < s
+    if (f.mul_rows is not None and count < s
             and pset.cardinality * (total + q * q - 2 * q) >= total * total - total):
         slices, order = _normal_slices(q, n)
         level_vector = _level_kernel(f)
-        rows = [0] * q  # rows[c]: byte j is 1 when a gap has level c at lead position j
-        for g in _coords_of(gaps, q, n):
-            vector = level_vector(g)
-            at_normals = b"".join([vector[i] for i in slices])
-            for c in range(q):
-                rows[c] |= int.from_bytes(_level_flags(at_normals, c), "little")
-        table = bytearray(q * s)
-        for c, row in enumerate(rows):
-            table[c::q] = row.to_bytes(s, "little")
-        for i in map(q.__mul__, order):
-            yield table[i:i + q]
+        # the gaps, lowest first, one bit cleared at a time: there are few
+        missing, gaps = (1 << total) - 1 ^ pset.bits, []
+        while missing:
+            low = missing & -missing
+            gaps.append(low.bit_length() - 1)
+            missing ^= low
+        # table[g * s + j]: the level of gap #g at the normal in lead position j
+        table = b"".join([vector[i] for vector in map(level_vector, _coords_of(gaps, q, n))
+                          for i in slices])
+        lazy = _column_reads(q, count)
+        every = b"\xff" * count
+        for j in order[:lazy]:
+            # each level found at a gap maps to 0xFF, every other level to itself
+            yield bytes.maketrans(table[j::s], every)[:q].translate(_IS_FF)
+        if lazy < s:
+            rows = _gap_hole_rows(table, q, s, count)
+            for i in map(q.__mul__, order[lazy:]):
+                yield rows[i:i + q]
         return
     vectors = _direction_levels(f, _normal_coords(q, n))
+    gap_flags = _gap_flags(pset)
     if q >= 256:
+        gaps = list(compress(range(total), gap_flags))
         for vector in vectors:
             holes = set(map(vector.__getitem__, gaps))
             yield bytes(map(holes.__contains__, range(q)))
@@ -270,6 +288,34 @@ def _hole_flags(f: FieldSpec, pset: PointSet):
                 total, "little")
             # each level found at a gap maps to 0xFF, every other level to itself
             yield bytes.maketrans(at_gaps, every)[:q].translate(_IS_FF)
+
+
+def _column_reads(q: int, count: int) -> int:
+    """How many directions _hole_flags reads one column at a time, for
+    count gaps, before it builds the rest of the rows with _gap_hole_rows:
+    a column costs about 3 bytes operations and the rows about
+    q (5 + 2 ceil(log2 count)), so the switch comes once the columns read
+    cost about what the rows cost.  F_256 has no spare byte to mark a
+    level found, so it reads no column."""
+    return q * (5 + 2 * (count - 1).bit_length()) // 3 if q < 256 else 0
+
+
+def _gap_hole_rows(table: bytes, q: int, s: int, count: int) -> bytearray:
+    """The hole flags of every direction from the gap-major table of
+    _hole_flags (count rows of s levels, in lead order): byte j q + c is 1
+    when a gap has level c at lead position j.  Per level, one translate
+    flags the whole table, and the gaps' rows are ORed pairwise by shifts,
+    ceil(log2 count) of them."""
+    holes = bytearray(q * s)
+    width = 8 * s
+    low = (1 << width) - 1
+    for c in range(q):
+        flags, rows = int.from_bytes(_level_flags(table, c), "little"), count
+        while rows > 1:
+            rows = (rows + 1) // 2
+            flags |= flags >> rows * width
+        holes[c::q] = (flags & low).to_bytes(s, "little")
+    return holes
 
 
 def _span_points(level_vector, rows, q: int) -> list[int]:

@@ -288,6 +288,26 @@ def gap_levels_brute(f: FieldSpec, n: int, gaps) -> list[set[int]]:
     return [{dot(f, d.normal, x) for x in coords} for d in enumerate_directions(f, n)]
 
 
+def failing_gaps_brute(f: FieldSpec, n: int, d: int, seed: int, tries: int = 200):
+    """q points (indices), one on each level of direction #d, drawn at
+    random until every earlier direction misses a level of them, or None
+    when `tries` draws find none: F_q^n less these points is a near-full
+    set whose first direction without a full hyperplane is #d.  Levels from
+    per-element dot products."""
+    q = f.q
+    dirs = enumerate_directions(f, n)
+    coords = [point_coords(x, q, n) for x in range(q**n)]
+    by_level = [[] for _ in range(q)]
+    for x, point in enumerate(coords):
+        by_level[dot(f, dirs[d].normal, point)].append(x)
+    rng = random.Random(seed)
+    for _ in range(tries):
+        gaps = [rng.choice(points) for points in by_level]
+        if all(len({dot(f, e.normal, coords[x]) for x in gaps}) < q for e in dirs[:d]):
+            return gaps
+    return None
+
+
 def cheapest_gains_brute(f: FieldSpec, n: int, covered: PointSet, free) -> list[int]:
     """Per direction of `free` (positions in enumeration order), the fewest
     points outside `covered` on any of its hyperplanes, counted point by

@@ -738,14 +738,17 @@ def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) 
     """Randomized-order greedy: per restart, assign each direction the
     level overlapping the current union most (ties to the smallest level).
     Always a valid upper bound; never a proof of optimality.  Every Kakeya
-    union has at least the ceiling of the lower bound, so the restarts stop
-    at the first that meets it; nodes_explored reports `restarts` anyway."""
+    union has at least the ceiling of the lower bound, and in the plane the
+    Blokhuis-Mazzocca minimum, q(q+1)/2 plus (q-1)/2 for odd q, so the
+    restarts stop at the first that meets it; nodes_explored reports
+    `restarts` anyway."""
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     masks = level_masks(f, n)
     q, s = f.q, len(masks)
     lb = _instance_lower_bound(q, n)
     lb_ceil = math.ceil(lb)
+    floor = q * (q + 1) // 2 + (q % 2) * (q - 1) // 2 if n == 2 else lb_ceil
     rng = random.Random(seed)
     best_size = None
     best_levels = None
@@ -766,7 +769,7 @@ def greedy_upper_bound(f: FieldSpec, n: int, restarts: int = 32, seed: int = 0) 
         size = mask.bit_count()
         if best_size is None or size < best_size:
             best_size, best_levels = size, levels
-            if size <= lb_ceil:
+            if size <= floor:
                 break
     witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, lb_ceil)

@@ -40,6 +40,7 @@ from kakeya.geometry import (
 from kakeya.oracles import (
     coset_containment_brute,
     dot,
+    failing_gaps_brute,
     gap_levels_brute,
     incidence_count_direct,
     is_gap_set_brute,
@@ -615,6 +616,57 @@ def test_hole_flags_of_the_f_256_plane_match_the_gap_level_brute_force(count):
     gaps = random.Random(count).sample(range(f.q**2), count)
     rows = list(_hole_flags(f, _without(f, 2, gaps)))
     assert [{c for c in range(f.q) if row[c]} for row in rows] == gap_levels_brute(f, 2, gaps)
+
+
+# q gaps, one on each level of direction #d and none filling an earlier
+# direction: near-full sets that fail first at #d.  On (3,3), F_4^3 and
+# (7,3) they are read along their gaps, and #d falls before, at and after
+# the switch from column reads to the bulk rows; F_256 reads no column.
+@pytest.mark.parametrize("p,k,n", GATHER_CELLS + [(7, 1, 3), (2, 8, 2)])
+def test_gap_side_rejects_match_the_gap_level_brute_force(p, k, n):
+    f = make_field(p, k)
+    s = len(enumerate_directions(f, n))
+    switch = core._column_reads(f.q, f.q)
+    targets = range(s) if s <= 57 else (0, 1, s - 1)  # every direction up to (7,3)
+    checked = []
+    for d in targets:
+        gaps = failing_gaps_brute(f, n, d, seed=d)
+        if gaps is None:
+            continue
+        holes = gap_levels_brute(f, n, gaps)
+        pset = _without(f, n, gaps)
+        assert [{c for c in range(f.q) if row[c]} for row in _hole_flags(f, pset)] == holes
+        verdict = is_kakeya(f, pset)
+        assert not verdict.ok and verdict.witness is None
+        assert verdict.failing_index == d == [len(h) for h in holes].index(f.q)
+        checked.append(d)
+    assert checked[0] == 0
+    if (p, k, n) in [(3, 1, 3), (2, 2, 3), (7, 1, 3), (2, 8, 2)]:
+        assert {switch - 1, switch} & set(range(s)) <= set(checked)
+    if (p, k, n) in [(2, 2, 3), (7, 1, 3)]:
+        assert switch + 1 in checked
+
+
+def test_a_reject_before_the_switch_builds_no_bulk_rows(monkeypatch):
+    # F_7^3 less 7 points, the benchmark's near-miss shape: 25 of its 57
+    # directions are read one column at a time
+    f = make_field(7, 1)
+    assert core._column_reads(7, 7) == 25
+    built = []
+    real = core._gap_hole_rows
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_gap_hole_rows", counted)
+    for d, bulk in ((0, 0), (24, 0), (25, 1), (56, 1)):
+        pset = _without(f, 3, failing_gaps_brute(f, 3, d, seed=d))
+        del built[:]
+        assert is_kakeya(f, pset).failing_index == d
+        assert len(built) == bulk
+        del built[:]
+        assert len(list(_hole_flags(f, pset))) == 57 and len(built) == 1
 
 
 def test_enumeration_cap_refuses_before_any_level_vector(monkeypatch):

@@ -1220,12 +1220,13 @@ def test_greedy_results_do_not_depend_on_its_early_stop(p, k, n):
 
 
 @pytest.mark.parametrize("p,k,restarts,shuffles", [(2, 1, 64, 1), (2, 2, 64, 1), (2, 3, 64, 1),
-                                                   (2, 4, 16, 8), (2, 4, 64, 8), (5, 1, 64, 64)])
+                                                   (2, 4, 16, 8), (2, 4, 64, 8), (5, 1, 64, 1)])
 def test_greedy_restarts_stop_at_the_lower_bound(p, k, restarts, shuffles, monkeypatch):
-    """No union is smaller than the ceiling of the lower bound, so the
-    restarts stop at the first that meets it: restart 0 on (2,2), (4,2) and
-    (8,2), restart 7 on (16,2), and none on (5,2), whose greedy union has 17
-    points against a ceiling of 15."""
+    """No planar union is smaller than the Blokhuis-Mazzocca minimum (the
+    ceiling of the lower bound for even q), so the restarts stop at the
+    first that meets it: restart 0 on (2,2), (4,2), (8,2) and (5,2), whose
+    greedy union has the 17 points of the minimum against a ceiling of 15,
+    and restart 7 on (16,2)."""
     orders = []
 
     class Random(random.Random):
