@@ -362,7 +362,8 @@ def _selftest_checks():
 
     def gap_engine_vs_brute(p, k, n):
         f = make_field(p, k)
-        assert search._gap_size(f, n, 10**6)[0] == oracles.gap_size_brute(f, n)
+        gaps, _, proven = search._gap_size(f, n, 10**6)
+        assert proven and len(gaps) == oracles.gap_size_brute(f, n)
 
     def complement_duality(p, k, n):
         f = make_field(p, k)
@@ -429,11 +430,19 @@ def _selftest_checks():
                 else:
                     assert first is None
 
-    def canonical_vs_lex_scan(p, k, n):
+    def gap_witness_vs_brute(p, k, n):
+        # the search's witness leaves exactly its largest gap set open, and
+        # each direction takes the least level that misses every gap
         f = make_field(p, k)
+        gaps, _, proven = search._gap_size(f, n, 10**6)
         result = search.minimal_kakeya_exact(f, n)
-        assert result.proof_of_optimality
-        assert result.witness.levels == oracles.lex_smallest_optimum_brute(f, n, result.min_size)
+        assert proven and result.proof_of_optimality
+        union = oracles.union_brute(f, n, result.witness)
+        assert set(range(f.q**n)) - set(union.indices()) == set(gaps)
+        coords = [point_coords(x, f.q, n) for x in gaps]
+        for d, lvl in zip(enumerate_directions(f, n), result.witness.levels):
+            met = {oracles.dot(f, d.normal, x) for x in coords}
+            assert lvl not in met and set(range(lvl)) <= met
 
     def child_price_vs_brute(p, k):
         # every child of one open direction of random partial unions
@@ -495,11 +504,9 @@ def _selftest_checks():
         ("hole flags vs gap-level brute force (3,3)", lambda: hole_flags_vs_brute(3, 1, 3)),
         ("hole flags vs gap-level brute force F_4^3", lambda: hole_flags_vs_brute(2, 2, 3)),
         ("hole flags vs gap-level brute force (7,3)", lambda: hole_flags_vs_brute(7, 1, 3)),
-        ("canonical witness vs brute-force lex scan of every assignment (5,2)",
-         lambda: canonical_vs_lex_scan(5, 1, 2)),
-        ("canonical witness vs brute-force lex scan (7,2)", lambda: canonical_vs_lex_scan(7, 1, 2)),
-        ("canonical witness vs brute-force lex scan (2,4)", lambda: canonical_vs_lex_scan(2, 1, 4)),
-        ("canonical witness vs brute-force lex scan (3,3)", lambda: canonical_vs_lex_scan(3, 1, 3)),
+        ("gap-set witness vs brute force (3,3), F_4^3, (2,4), (5,3)",
+         lambda: (gap_witness_vs_brute(3, 1, 3), gap_witness_vs_brute(2, 2, 3),
+                  gap_witness_vs_brute(2, 1, 4), gap_witness_vs_brute(5, 1, 3))),
         ("child price vs brute force (7,2), F_9^2",
          lambda: (child_price_vs_brute(7, 1), child_price_vs_brute(3, 2))),
         ("tangent incumbent vs brute-force union (5,2), F_4^2, F_8^2",
@@ -581,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, field=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget for the search (for n >= 3 the gap-set search and "
-                        "the planar search under it), and again for the "
-                        "canonical-witness pass")
+                        "the planar search under it); the witness is built, not searched")
     p.add_argument("--workers", type=int, default=1,
                    help=f"processes for branch and bound when n <= 2; at most {MAX_WORKERS};"
                         " the top of the tree is split into open nodes that workers pull;"

@@ -59,8 +59,8 @@ from .pointset import PointSet
 # level_masks holds |S| * q * q^n bits (512 MiB here); larger tables are
 # refused before any mask is built.
 MASK_BITS_CAP = 1 << 32
-# Nodes an exact search may visit by default, in the search and again in
-# the canonical-witness pass.
+# Nodes an exact search may visit by default; building the witness of a
+# proof visits none.
 DEFAULT_NODE_BUDGET = 10_000_000
 # Most processes one parallel search may start.
 MAX_WORKERS = 64

@@ -323,24 +323,6 @@ def cheapest_gains_brute(f: FieldSpec, n: int, covered: PointSet, free) -> list[
     return [min(row) for row in counts]
 
 
-def lex_smallest_optimum_brute(f: FieldSpec, n: int, size: int):
-    """The lexicographically smallest level assignment, over the directions
-    in enumeration order, whose union of hyperplanes has `size` points, or
-    None if none has.  Every assignment is scanned in order; hyperplanes
-    come from per-element dot products."""
-    q = f.q
-    dirs = enumerate_directions(f, n)
-    on = [[set() for _ in range(q)] for _ in dirs]  # on[d][c]: points of hyperplane (d, c)
-    for x in range(q**n):
-        coords = point_coords(x, q, n)
-        for d, direction in enumerate(dirs):
-            on[d][dot(f, direction.normal, coords)].add(x)
-    for levels in itertools.product(range(q), repeat=len(dirs)):
-        if len(set().union(*(on[d][c] for d, c in enumerate(levels)))) == size:
-            return levels
-    return None
-
-
 def check_field_axioms(f: FieldSpec, triple_sample: int = 2000, seed: int = 0) -> None:
     """Exhaustive field-axiom check; raises AssertionError on any failure.
 

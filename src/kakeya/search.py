@@ -2,11 +2,16 @@
 
 For n >= 3 the minimum is q^n - g(q, n), where g is the most points of a
 gap set: a set on which every direction's functional misses a value, so
-that its complement is Kakeya.  `_gap_size` computes g from the planar
-value and a few lemmas, with a small branch and bound over gap sets that
-hold a fixed frame of n+1 points when n < q-1.  The rest of this module is
-the level search, which proves the planar minima (n <= 2), and the
-canonical-witness pass, which every proof ends with.
+that its complement is Kakeya.  `_gap_size` finds a largest gap set from
+the planar one and a few lemmas, with a small branch and bound over gap
+sets that hold a fixed frame of n+1 points when n < q-1.  The rest of
+this module is the level search, which proves the planar minima (n <= 2).
+
+A proof ships a witness the code builds: in the plane the level search's
+best levels, which are the tangent union of Blokhuis and Mazzocca
+(`_tangent_seed`) on every plane; above it, per direction the least level
+whose hyperplane misses a largest gap set (`_gap_witness`).  Either way
+`_verify_result` rebuilds the union, verifies it and checks its size.
 
 Any Kakeya set contains one full hyperplane per direction, and that union
 is itself Kakeya, so the global minimum is attained on unions determined
@@ -15,8 +20,7 @@ assignments rather than 2^(q^n) subsets.  Three kinds of maps of F_q^n
 keep the union size and shrink it further:
 
 - translations shift levels by normal . t, so fixing the n standard-basis
-  directions to level 0 removes a factor q^n and keeps the canonical
-  witness (see `_search_space`);
+  directions to level 0 removes a factor q^n (see `_search_space`);
 - scalings x -> a*x (a != 0) send every level c to a*c, so while every
   level on a search path is 0 a node tries only levels 0 and 1;
 - the maps that permute the n axis hyperplanes (a coordinate permutation,
@@ -29,14 +33,14 @@ directions meet in exactly one point.  Branch and bound also cuts a node
 by a pairwise-overlap bound: the open directions add at least the sum of
 their t largest cheapest gains less C(t,2).  The same fact floors a child
 before it is built, since each of its gains is at most one below its
-parent's (`_child_floor`), and prices it exactly: a gain drops by one
-exactly when the child's new points meet one of that direction's cheapest
-lines (`_planar_price`).  A child cut by its floor or its price counts as
-one node, as its entry would; only priced survivors are covered and
-entered, with their gains and bound.  No prune changes the minimum or the
-canonical witness.  The incumbent starts as the tangent union
-(`_tangent_seed`), which meets the lower bound for every even q, so those
-planes need no search; only for odd q does the greedy seed run as well.
+parent's, and prices it exactly: a gain drops by one exactly when the
+child's new points meet one of that direction's cheapest lines
+(`_planar_price`).  A child cut by its floor or its price counts as one
+node, as its entry would; only priced survivors are covered and entered,
+with their gains and bound.  No prune changes the minimum.  The incumbent
+starts as the tangent union (`_tangent_seed`), which meets the lower
+bound for every even q, so those planes need no search; only for odd q
+does the greedy seed run as well.
 
 Each node carries, beside its union mask, one packed integer of counts:
 for every (direction, level), the points of that line the union has not
@@ -44,15 +48,6 @@ covered yet, one byte each (`_Counts`).  A level's gain is its count, so a
 node reads its branching direction, its options and its cheapest lines
 off one `to_bytes` of the counts instead of recounting q*|free| unions; a
 child subtracts one precomputed per-point row for each point it covers.
-
-The canonical-witness pass scans assignments in lexicographic order with
-the axes at level 0, tries only levels 0 and 1 while every level so far is
-0, and cuts a child whose union passes the proven size.  In the plane
-(`_lex_smallest_witness`) it also prices each child as the level search
-does, carrying the cheapest gains down its path from the root's.  Above
-it an optimum leaves only g(q, n) = O(q^2) points open, so
-`_open_point_witness` keeps the union's complement and builds no level
-mask or table of the cell.
 
 With workers > 1 the parent expands the top of the tree, with the same
 cuts, into a list of open nodes in depth-first order (about 8 per worker).
@@ -74,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,14 +236,6 @@ def _overlap_bound(gains) -> int:
             break
         total += step
     return total
-
-
-def _child_floor(gains) -> int:
-    """Fewest new points any completion of a child adds, priced from its
-    parent's cheapest gains on the child's open directions.  The child's
-    line meets each of theirs in one point, so each gain drops by at most
-    one, and `_overlap_bound` never falls as a gain grows."""
-    return _overlap_bound([g - 1 for g in gains])
 
 
 class _AxisMaps:
@@ -447,9 +433,10 @@ class _Searcher:
         rest, rest_gains = free[:i] + free[i + 1:], gains[:i] + gains[i + 1:]
         row = table.masks[d]
         two_down = self.axes is not None and len(rest) == len(self.axes.open) - 2
-        # The least any child's completion adds: `_child_floor` of the gains
-        # left once d's, the largest, is taken out, which is `lower` less
-        # that gain.
+        # The least any child's completion adds: the child's line takes at
+        # most one point of any other line, so each gain left once d's, the
+        # largest, is taken out drops by at most one, and the overlap bound
+        # of the gains so lowered is `lower` less d's gain.
         floor = lower - gains[i]
         lines = None  # the cheapest lines of `rest`, built for the first priced child
         for lvl in sorted(range(2 if zero else q), key=added.__getitem__):
@@ -512,130 +499,6 @@ class _Searcher:
             level = self._opened
         self._opened = None
         return level
-
-
-def _lex_smallest_witness(table: _Counts, root, target: int, budget: int) -> tuple[int, ...] | None:
-    """The canonical witness in the plane: the first (hence lexicographically
-    smallest) assignment of the proven optimal size, scanning the free
-    directions of the level search's `root` (the axes at level 0, see
-    `_search_space`) in enumeration order and levels ascending; None once
-    more than `budget` nodes would be visited.
-
-    While every level so far is 0 only levels 0 and 1 are tried: an optimum
-    whose first nonzero level is c > 1 scales by 1/c (x -> x/c keeps the
-    axes at 0) to a lexicographically smaller one.  The cheapest gains are
-    counted once, at the root, and carried down the path.  A child whose
-    union passes the target is dropped and is no node.  Any other child is
-    one node: it is cut once its union plus `_child_floor` of the node's
-    other gains passes the target, then once its union plus the overlap
-    bound of its exact price (`_planar_price`) does, as it would be on
-    entry.  Only a child that survives both is covered and entered; without
-    these bounds the pass on (13,2) visits about 6x the nodes.  The count
-    table's charge admits no plane past q = 139, so the scan recurses at
-    most 138 deep.
-    """
-    mask, counts, free, levels = root
-    levels = list(levels)
-    q, masks = table.q, table.masks
-    tick = itertools.count(1)  # numbers the nodes as they are visited
-
-    def visit(i: int, mask: int, counts: int, zero: bool, gains) -> bool:
-        # an entered node: `gains` are its cheapest gains on free[i:], and its
-        # union plus their overlap bound is within the target
-        msize = mask.bit_count()
-        lanes = table.lanes(counts)
-        d, rest, rest_gains = free[i], free[i + 1:], gains[1:]
-        floor = _child_floor(rest_gains)
-        lines = None  # the cheapest lines of `rest`, built for the first priced child
-        for lvl in range(2 if zero else q):
-            csize = msize + lanes[d * q + lvl]
-            if csize > target:
-                continue
-            if next(tick) > budget:  # one node, cut below or entered
-                raise _BudgetExhausted
-            levels[d] = lvl
-            if not rest:
-                if csize == target:
-                    return True
-                continue
-            if csize + floor > target:
-                continue
-            new = masks[d][lvl] & ~mask
-            if lines is None:
-                lines = table.cheapest_lines(lanes, rest, rest_gains)
-            cgains = _planar_price(lines, rest_gains, new)
-            if csize + _overlap_bound(cgains) > target:
-                continue
-            if visit(i + 1, mask | new, table.cover(counts, new), zero and lvl == 0, cgains):
-                return True
-        return False
-
-    msize, gains = mask.bit_count(), table.gains(table.lanes(counts), free)
-    try:
-        if next(tick) > budget:  # the root
-            raise _BudgetExhausted
-        if msize + _overlap_bound(gains) <= target and (
-                visit(0, mask, counts, True, gains) if free else msize == target):
-            return tuple(levels)
-    except _BudgetExhausted:
-        return None
-    raise AssertionError("no assignment of the proven optimal size found")
-
-
-def _open_point_witness(f: FieldSpec, n: int, target: int, budget: int) -> tuple[int, ...] | None:
-    """The canonical witness above the plane: the first assignment, in the
-    order and under the rules of `_lex_smallest_witness`, whose union has
-    `target` points; None once more than `budget` nodes would be visited.
-
-    The scan keeps the union's complement: with the axes at level 0 the open
-    points are the (q-1)^n with no zero coordinate.  A child keeps the open
-    points off its hyperplane and is cut when fewer than q^n - target would
-    stay open, so a node reads only its open points' levels under its own
-    direction and nothing q^n-sized is built.  The count table's charge
-    admits no n >= 3 cell past q = 23, so the field's byte tables exist.
-    The path is one level per direction, often deeper than Python's
-    recursion limit, so the scan keeps a stack of its nodes' children.
-    """
-    q, keep = f.q, f.q**n - target
-    # shift[c][x] is the translate table y -> c*x + y
-    shift = [[f.add_tables[r] for r in row] for row in f.mul_rows]
-    # off[c] maps level c to 0 and every other level to 1
-    off = [b"\1" * c + b"\0" + b"\1" * (255 - c) for c in range(q)]
-    normals = list(_normal_coords(q, n))
-    free = [pos for pos, u in enumerate(normals) if u.count(0) < n - 1]
-    levels = [0] * len(normals)
-
-    def children(i: int, cols, nopen: int, zero: bool):
-        # nodes (depth, open points' coordinate columns, open count, zero)
-        # the first nonzero coordinate of a normal is 1; zeros are skipped
-        (lead, _), *rest = [(j, c) for j, c in enumerate(normals[free[i]]) if c]
-        lv = cols[lead]
-        for j, c in rest:
-            lv = bytes(map(operator.getitem, map(shift[c].__getitem__, cols[j]), lv))
-        for lvl in range(2 if zero else q):
-            cut = lv.count(lvl)
-            if nopen - cut >= keep:
-                levels[free[i]] = lvl
-                kept = cols
-                if cut:
-                    flags = lv.translate(off[lvl])
-                    kept = [bytes(itertools.compress(col, flags)) for col in cols]
-                yield i + 1, kept, nopen - cut, zero and lvl == 0
-
-    cols = [bytes(col) for col in zip(*itertools.product(range(1, q), repeat=n))]
-    stack, tick = [iter([(0, cols, len(cols[0]), True)])], itertools.count(1)
-    while stack:
-        for i, cols, nopen, zero in stack[-1]:
-            if next(tick) > budget:
-                return None
-            if i < len(free):
-                stack.append(children(i, cols, nopen, zero))
-            elif nopen == keep:
-                return tuple(levels)
-            break
-        else:  # every child tried: the node fails
-            stack.pop()
-    raise AssertionError("no assignment of the proven optimal size found")
 
 
 def _verify_result(f: FieldSpec, n: int, witness: OffsetAssignment, size: int, lb_ceil: int) -> None:
@@ -809,12 +672,9 @@ def _search_space(f: FieldSpec, n: int):
     Above the plane lines no longer meet in one point, so `_planar_price`
     would cut unsoundly; that route is `_gap_size`.
 
-    Fixing the axes changes neither the minimum nor the lexicographically
-    smallest optimum.  Translating along x_i moves the level of e_i, and of
-    no direction listed before it: e_i sits at position (q^i - 1)/(q - 1),
-    after exactly the normals supported on coordinates below i.  So the
-    translations that put e_0, ..., e_(n-1) at level 0 in turn keep the size
-    and never raise an assignment in the lexicographic order."""
+    Fixing the axes does not change the minimum: a translation of F_q^n
+    keeps the size of every union and moves the level of each e_i, so some
+    translate of any optimum has the axes at level 0."""
     assert n <= 2, "the level search prices children as lines of the plane"
     q = f.q
     _Counts.check(q, n)
@@ -834,15 +694,17 @@ def _level_search(f: FieldSpec, n: int, dirs, table, root, node_budget: int,
     of `_search_space`, stopped early once the incumbent meets the ceiling
     of the lower bound; the axis maps merge nodes two levels down.  The
     incumbent is the tangent union, which meets that ceiling for n = 1 and
-    every even q; otherwise the greedy seed runs as well and the smaller
-    of the two is kept, the greedy's on a tie.  Returns the best size and
-    its levels, the nodes visited and whether that size is proven
-    minimal."""
+    every even q; otherwise the greedy seed runs as well and replaces it
+    only when strictly smaller, which it cannot be: the tangent union has
+    the planar minimum's size.  The search records only unions smaller
+    than the incumbent, so on every plane the best levels are the tangent
+    union's.  Returns the best size and its
+    levels, the nodes visited and whether that size is proven minimal."""
     lb_ceil = math.ceil(_instance_lower_bound(f.q, n))
     best_size, best_levels = _tangent_seed(f, n, table.masks)
     if best_size > lb_ceil:
         greedy_size, greedy_levels = _greedy_seed(f, n, table.s)
-        if greedy_size <= best_size:
+        if greedy_size < best_size:
             best_size, best_levels = greedy_size, greedy_levels
     if best_size <= lb_ceil:
         return best_size, best_levels, 0, True
@@ -875,7 +737,8 @@ class _GapSearch:
     direction's last open level and takes no count past the cap; a point
     that fails once fails below too, so each child keeps a subset of its
     parent's candidates.  The incumbent starts at `cap`: only a larger gap
-    set changes g.
+    set changes g.  `best_points` holds the points of the first set of each
+    larger size, and stays None while no set beats the cap.
     """
 
     def __init__(self, f: FieldSpec, n: int, cap: int, budget: int):
@@ -887,6 +750,7 @@ class _GapSearch:
         self.cap = cap
         self.budget = budget
         self.best = cap
+        self.best_points: tuple[int, ...] | None = None
         self.nodes = 0
 
     def run(self) -> int | None:
@@ -898,7 +762,7 @@ class _GapSearch:
             counts, banned = self._add(x, counts)
             cands &= ~banned & ~(1 << x)
         try:
-            self._node(len(self.frame), counts, cands)
+            self._node(tuple(self.frame), counts, cands)
         except _BudgetExhausted:
             return None
         return self.best
@@ -944,24 +808,28 @@ class _GapSearch:
                     break
         return best
 
-    def _node(self, size: int, counts, cands: int) -> None:
+    def _node(self, points: tuple[int, ...], counts, cands: int) -> None:
         if self.nodes >= self.budget:
             raise _BudgetExhausted
         self.nodes += 1
+        size = len(points)
         if size > self.best:
-            self.best = size
+            self.best, self.best_points = size, points
         if not cands or self._ceiling(counts, cands) <= self.best:
             return
         while size + cands.bit_count() > self.best:
             low = cands & -cands
             cands ^= low
-            child_counts, banned = self._add(low.bit_length() - 1, counts)
-            self._node(size + 1, child_counts, cands & ~banned)
+            x = low.bit_length() - 1
+            child_counts, banned = self._add(x, counts)
+            self._node(points + (x,), child_counts, cands & ~banned)
 
 
-def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
-    """g(q, n), the most points of a gap set of F_q^n, and the nodes spent
-    on it; None in place of g once `budget` nodes would be exceeded.
+def _gap_size(f: FieldSpec, n: int, budget: int):
+    """(gaps, nodes, proven): a gap set of F_q^n as point indices, the
+    nodes spent on it, and whether it is proven largest, so that it has
+    g(q, n) points.  Once `budget` nodes would be exceeded the largest gap
+    set found so far comes back unproven.
 
     C is a gap set when every direction's functional u misses a value on
     C, so the complement of C is Kakeya and the minimum is q^n - g(q, n).
@@ -972,20 +840,56 @@ def _gap_size(f: FieldSpec, n: int, budget: int) -> tuple[int | None, int]:
     {0, e_1, ..., e_n} inside it.  When n >= q-1 the frame has q affinely
     independent points, which some u sends onto F_q, so then
     g(q, n) = g(q, n-1); in one step, g(q, n) = g(q, min(n, max(q-2, 1))).
-    The planar value comes from the level search.
+    A gap set of F_q^m, m < n, is one of F_q^n as it stands: its points keep
+    their indices, with coordinates m to n-1 zero.  In the plane the gap set
+    is the complement of the level search's union; on a line, every point
+    but 0.
     """
     q = f.q
     n = min(n, max(q - 2, 1))
     if n == 1:
-        return q - 1, 0
-    if n == 2:  # the level search on one core, with no canonical pass
-        size, _, nodes, optimal = _level_search(f, 2, *_search_space(f, 2), budget, 1)
-        return (q * q - size if optimal else None), nodes
-    cap, nodes = _gap_size(f, n - 1, budget)
-    if cap is None:
-        return None, nodes
-    engine = _GapSearch(f, n, cap, budget - nodes)
-    return engine.run(), nodes + engine.nodes
+        return range(1, q), 0, True
+    if n == 2:  # the level search on one core
+        dirs, table, root = _search_space(f, 2)
+        _, levels, nodes, proven = _level_search(f, 2, dirs, table, root, budget, 1)
+        mask = 0
+        for row, lvl in zip(table.masks, levels):
+            mask |= row[lvl]
+        return tuple(x for x in range(q * q) if not mask >> x & 1), nodes, proven
+    gaps, nodes, proven = _gap_size(f, n - 1, budget)
+    if not proven:
+        return gaps, nodes, False
+    engine = _GapSearch(f, n, len(gaps), budget - nodes)
+    proven = engine.run() is not None
+    return engine.best_points or gaps, nodes + engine.nodes, proven
+
+
+def _gap_witness(f: FieldSpec, n: int, gaps) -> tuple[int, ...]:
+    """Per direction of F_q^n, the least level whose hyperplane misses
+    every point of the gap set `gaps` (indices).  The union of these
+    hyperplanes is Kakeya and avoids the gaps; its complement is a gap set
+    that holds them, so when `gaps` is a largest gap set the union has
+    exactly q^n - |gaps| points.
+
+    The gaps' levels under a normal u are read from their coordinate
+    columns through the field's byte tables, which exist for every n >= 3
+    cell the count table's charge admits (q <= 23).  A column that is zero
+    at every gap, as the coordinates a lower-dimensional gap set is lifted
+    by are, adds nothing and is skipped."""
+    q = f.q
+    # shift[c][x] is the translate table y -> c*x + y
+    shift = [[f.add_tables[r] for r in row] for row in f.mul_rows]
+    cols = [(j, bytes(x // q**j % q for x in gaps)) for j in range(n)]
+    cols = [(j, col) for j, col in cols if any(col)]
+    zeros = bytes(len(gaps))
+    levels = []
+    for u in _normal_coords(q, n):
+        lv = zeros
+        for j, col in cols:
+            if u[j]:
+                lv = bytes(map(bytes.__getitem__, map(shift[u[j]].__getitem__, col), lv))
+        levels.append(next(c for c in range(q) if c not in lv))
+    return tuple(levels)
 
 
 def minimal_kakeya_exact(
@@ -997,17 +901,16 @@ def minimal_kakeya_exact(
     """Exact minimum cardinality of a Kakeya set w.r.t. hyperplanes in F_q^n.
 
     For n <= 2, branch and bound over level assignments from the tangent
-    incumbent (`_level_search`), then `_lex_smallest_witness` over the same
-    count table.  For n >= 3, q^n less the largest gap set (`_gap_size`),
-    then `_open_point_witness`, with no level mask or count table of the
-    cell and no worker process.  With proof_of_optimality the witness is
-    canonical (the lexicographically smallest optimal assignment).  The
-    search and the canonical pass may each visit node_budget nodes; if
-    either runs out, the best upper bound found (for n >= 3 the greedy one)
-    is returned with the flag false.  nodes_explored counts the search's
-    nodes, with those of every worker, and never exceeds node_budget.  An
-    oversized cell is refused before anything is built or priced, by the
-    same count-table charge for every n.
+    incumbent (`_level_search`); the witness is its best levels, the
+    tangent union on every plane.  For n >= 3, q^n less the largest gap
+    set (`_gap_size`), with no level mask or count table of the cell and
+    no worker process; the witness takes per direction the least level
+    that misses that gap set (`_gap_witness`).  node_budget caps the
+    search's nodes, with those of every worker; if it runs out, the size
+    of the best union found is returned as an upper bound with
+    proof_of_optimality false.  Every witness is rebuilt and verified
+    before it is returned.  An oversized cell is refused before anything
+    is built or priced, by the same count-table charge for every n.
     """
     if node_budget < 1:
         raise ValueError(f"node budget must be >= 1, got {node_budget}")
@@ -1017,26 +920,17 @@ def minimal_kakeya_exact(
     _Counts.check(f.q, n)
     lb = _instance_lower_bound(f.q, n)
 
-    best_levels, canonical = None, None
     if n >= 3:
-        gap, nodes = _gap_size(f, n, node_budget)
-        if gap is not None:
-            best_size = f.q**n - gap
-            canonical = _open_point_witness(f, n, best_size, node_budget)
+        gaps, nodes, optimal = _gap_size(f, n, node_budget)
+        witness = OffsetAssignment(_gap_witness(f, n, gaps))
+        # the complement of the union may outgrow a gap set not proven largest
+        best_size = (f.q**n - len(gaps) if optimal
+                     else build_union(f, n, witness).cardinality)
     else:
         dirs, table, root = _search_space(f, n)
         best_size, best_levels, nodes, optimal = _level_search(
             f, n, dirs, table, root, node_budget, workers)
-        if optimal:
-            canonical = _lex_smallest_witness(table, root, best_size, node_budget)
-
-    # a proof must come with the canonical witness, or the size is a bound
-    optimal = canonical is not None
-    if optimal:
-        best_levels = list(canonical)
-    elif best_levels is None:
-        best_size, best_levels = _greedy_seed(f, n, (f.q**n - 1) // (f.q - 1))
-    witness = OffsetAssignment(tuple(best_levels))
+        witness = OffsetAssignment(tuple(best_levels))
     _verify_result(f, n, witness, best_size, math.ceil(lb))
     return SearchResult(best_size, witness, nodes, optimal, lb)
 

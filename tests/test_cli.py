@@ -309,15 +309,20 @@ def test_stats_rejects_witness_levels_that_are_not_integers(tmp_path, capsys, le
         assert err.startswith("error: witness levels must be a list of integers")
 
 
-def test_search_exits_3_when_the_witness_pass_runs_out(capsys):
-    # (2,2) is proven by the greedy seed alone; one node is too few for the
-    # canonical-witness pass, so the result is only an upper bound
+def test_search_proves_2_2_on_a_budget_of_1(capsys):
+    # the tangent union meets the lower bound, so the proof visits no node
     code, out, _ = run(capsys, ["search", "--field", "2", "--n", "2", "--budget", "1"])
-    assert code == 3
-    assert out.startswith("upper bound: 3")
-    code, out, _ = run(capsys, ["search", "--field", "2", "--n", "2"])
     assert code == 0
     assert out.startswith("exact minimum: 3")
+    assert out.endswith("nodes explored: 0\n")
+
+
+def test_search_proves_64_2_at_0_nodes(capsys):
+    # every even plane closes on the tangent union, whose levels are the witness
+    code, out, _ = run(capsys, ["search", "--field", "64", "--n", "2"])
+    assert code == 0
+    assert out.startswith("exact minimum: 2080 ")
+    assert out.endswith("nodes explored: 0\n")
 
 
 def test_verify_minus_point_witness(tmp_path, capsys):
@@ -479,7 +484,7 @@ def test_search_json(capsys):
 
 
 def test_search_deeper_than_the_recursion_limit_exits_0_with_a_proof(capsys):
-    # the canonical-witness pass goes one level down per direction: 1,023 here
+    # 1,023 directions, each given the least level that misses the gap set
     code, out, _ = run(capsys, ["search", "--field", "2", "--n", "10", "--format", "json"])
     assert code == 0
     obj = json.loads(out)
@@ -488,13 +493,14 @@ def test_search_deeper_than_the_recursion_limit_exits_0_with_a_proof(capsys):
 
 
 def test_search_budget_exhaustion_exit_code(capsys):
+    # (3,3) is proven at 0 nodes; (5,3) needs 12 for its planar base alone
     code, out, _ = run(capsys, [
-        "search", "--field", "3", "--n", "3", "--budget", "1", "--format", "json",
+        "search", "--field", "5", "--n", "3", "--budget", "1", "--format", "json",
     ])
     assert code == 3
     obj = json.loads(out)
     assert obj["proof_of_optimality"] is False
-    assert obj["min_size"] >= 24
+    assert obj["min_size"] >= obj["lower_bound_ceiling"]
 
 
 def test_search_refuses_oversized_mask_tables(capsys, monkeypatch):

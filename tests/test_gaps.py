@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from kakeya import cli, search
 from kakeya.bounds import kakeya_lower_bound, kakeya_lower_bound_ceiling
-from kakeya.core import build_union, is_kakeya
+from kakeya.core import OffsetAssignment, build_union, is_kakeya
 from kakeya.field import field_add, field_mul, field_sub, make_field
 from kakeya.geometry import enumerate_directions, point_coords, point_index
 from kakeya.oracles import (annihilator_brute, dot, framed_gap_size_brute, gap_size_brute,
@@ -36,24 +36,24 @@ GAP_TABLE = (
 # (p, k, n) cells whose gap sets the brute-force scan reaches: g <= 6 here,
 # and F_8^2 (g = 28) did not finish in 120 s
 BRUTE_GAP_CELLS = [(2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 4), (2, 1, 5)]
-# canonical witnesses of the level search's proofs; (5,3) took it 650,306 nodes
-CANONICAL_WITNESSES = {
-    (3, 1, 3): (0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0),
-    (2, 1, 4): (0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1),
-    (5, 1, 3): (0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 2, 4, 0, 4, 4, 0, 3, 2, 0, 3, 3, 2, 0, 1,
-                0, 1, 1, 3, 4, 0, 0),
+# gap-set witnesses of proven cells: per direction the least level that
+# misses the largest gap set `_gap_size` finds, a lifted line or plane one
+GAP_WITNESSES = {
+    (3, 1, 3): (0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0),
+    (2, 1, 4): (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0),
+    (5, 1, 3): (0, 0, 4, 2, 3, 1, 1, 0, 0, 4, 2, 3, 1, 0, 0, 4, 2, 3, 1, 0, 0, 4, 2, 3, 1,
+                0, 0, 4, 2, 3, 1),
 }
 # (p, k, n, minimum, nodes_explored, the first 16 hex digits of the sha256
-# of the witness's levels as bytes) of proofs past the reach of the
-# brute-force lex scan, so the canonical pass keeps them byte for byte
-WITNESS_DIGESTS = [
-    (2, 1, 10, 1023, 0, "4fb34aedbfd1764c"),
-    (3, 1, 7, 2185, 0, "d08287c52f69ba19"),
-    (2, 2, 5, 1018, 0, "764e5f50683c12a2"),
-    (5, 1, 5, 3117, 119, "87b794255e12a896"),
-    (2, 2, 6, 4090, 0, "0892bf28835b74b2"),
-    (2, 1, 12, 4095, 0, "1135bdaee56f3d67"),
-    (3, 1, 8, 6559, 0, "c3ecb65149d4fc41"),
+# of the witness's levels as bytes) of larger proofs, kept byte for byte
+GAP_WITNESS_DIGESTS = [
+    (2, 1, 10, 1023, 0, "788c84f7e7524be5"),
+    (3, 1, 7, 2185, 0, "6a51f1dbb856008d"),
+    (2, 2, 5, 1018, 0, "a2f86dca1e455cea"),
+    (5, 1, 5, 3117, 119, "b09267dbf331f9c8"),
+    (2, 2, 6, 4090, 0, "458b2f90c85c567e"),
+    (2, 1, 12, 4095, 0, "c0a04d04e6b5ac30"),
+    (3, 1, 8, 6559, 0, "ad6638a737fbf286"),
 ]
 # (p, k, n) cells for the duality test
 DUALITY_CELLS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)]
@@ -66,8 +66,9 @@ def _field(q):
 @pytest.mark.parametrize("q,n,g,most", GAP_TABLE)
 def test_gap_sizes(q, n, g, most):
     f = _field(q)
-    found, nodes = search._gap_size(f, n, 10**6)
-    assert found == g
+    gaps, nodes, proven = search._gap_size(f, n, 10**6)
+    assert proven and len(gaps) == g
+    assert is_gap_set_brute(f, n, gaps)
     assert g <= most == q**n - kakeya_lower_bound_ceiling(q, n)
     if n >= max(3, q - 1):  # g(q, n) = g(q, n-1) with no node of its own
         assert nodes == search._gap_size(f, n - 1, 10**6)[1]
@@ -75,8 +76,9 @@ def test_gap_sizes(q, n, g, most):
 
 def test_gap_size_takes_lemma_d_in_one_step():
     # one call per n would pass Python's recursion limit
-    assert search._gap_size(make_field(2, 1), 5000, 1) == (1, 0)
-    assert search._gap_size(make_field(3, 1), 5000, 1) == (2, 0)
+    for p in (2, 3):
+        gaps, nodes, proven = search._gap_size(make_field(p, 1), 5000, 1)
+        assert (list(gaps), nodes, proven) == (list(range(1, p)), 0, True)
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 1, 3)])
@@ -85,7 +87,7 @@ def test_gap_sizes_match_every_subset(p, k, n):
     points = range(f.q**n)
     largest = max(len(c) for r in range(len(points) + 1)
                   for c in itertools.combinations(points, r) if is_gap_set_brute(f, n, c))
-    assert search._gap_size(f, n, 10**6)[0] == largest
+    assert len(search._gap_size(f, n, 10**6)[0]) == largest
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -96,7 +98,7 @@ def test_gap_search_on_planar_cells(q):
     expected = q * q - (minimal_kakeya_powerset(f, 2)[0] if q == 4 else 17)
     engine = search._GapSearch(f, 2, q - 1, 10**6)
     assert engine.run() == expected
-    assert search._gap_size(f, 2, 10**6)[0] == expected
+    assert len(search._gap_size(f, 2, 10**6)[0]) == expected
 
 
 def _grow(engine, points):
@@ -173,10 +175,10 @@ def test_gap_search_ceiling_bounds_every_completion(q):
 @pytest.mark.parametrize("p,k,n", BRUTE_GAP_CELLS)
 def test_gap_engine_agrees_with_the_brute_force_scan(p, k, n):
     f = make_field(p, k)
-    gap, _ = search._gap_size(f, n, 10**6)
-    assert gap == gap_size_brute(f, n)
+    gaps, _, proven = search._gap_size(f, n, 10**6)
+    assert proven and len(gaps) == gap_size_brute(f, n)
     result = minimal_kakeya_exact(f, n)
-    assert result.proof_of_optimality and result.min_size == f.q**n - gap
+    assert result.proof_of_optimality and result.min_size == f.q**n - len(gaps)
 
 
 @pytest.mark.parametrize("cap", range(3, 10))
@@ -190,15 +192,45 @@ def test_gap_engine_agrees_with_the_framed_scan(cap):
     assert engine.run() == max(cap, framed_gap_size_brute(f, 3, cap))
 
 
-@pytest.mark.parametrize("cell", sorted(CANONICAL_WITNESSES))
-def test_canonical_witnesses_of_the_level_search_are_kept(cell):
+def test_gap_engine_records_the_sets_that_beat_its_cap():
+    """No proven cell has a gap set larger than the cap, so the recording
+    path is run on F_5^3 with a cap of 5, below g(5,2) = 8: the set it
+    keeps is a gap set of `best` points, and the least levels that miss it
+    cover everything else."""
+    f = make_field(5, 1)
+    engine = search._GapSearch(f, 3, 5, 10**4)
+    assert engine.run() == engine.best == 6
+    assert len(set(engine.best_points)) == 6
+    assert is_gap_set_brute(f, 3, engine.best_points)
+    union = build_union(f, 3, OffsetAssignment(search._gap_witness(f, 3, engine.best_points)))
+    assert union.cardinality == 125 - 6
+    assert is_kakeya(f, union).ok
+    proven = search._GapSearch(f, 3, 8, 10**4)
+    assert proven.run() == 8 and proven.best_points is None
+
+
+def test_budget_limited_7_3_reports_the_lifted_tangent_bound(capsys):
+    # (7,2) is proven in 204 nodes; the gap search on (7,3) then runs out,
+    # and the lifted complement of the tangent union leaves 343 - 18 points
+    f = _field(7)
+    result = minimal_kakeya_exact(f, 3, node_budget=2000)
+    assert not result.proof_of_optimality
+    assert (result.min_size, result.nodes_explored) == (325, 2000)
+    union = build_union(f, 3, result.witness)
+    assert union.cardinality == 325 and is_kakeya(f, union).ok
+    assert cli.main(["search", "--field", "7", "--n", "3", "--budget", "2000"]) == 3
+    assert capsys.readouterr().out.startswith("upper bound: 325")
+
+
+@pytest.mark.parametrize("cell", sorted(GAP_WITNESSES))
+def test_gap_witnesses_are_kept(cell):
     result = minimal_kakeya_exact(make_field(*cell[:2]), cell[2])
     assert result.proof_of_optimality
-    assert result.witness.levels == CANONICAL_WITNESSES[cell]
+    assert result.witness.levels == GAP_WITNESSES[cell]
 
 
-@pytest.mark.parametrize("p,k,n,minimum,nodes,digest", WITNESS_DIGESTS)
-def test_canonical_witnesses_past_the_lex_scan_are_pinned(p, k, n, minimum, nodes, digest):
+@pytest.mark.parametrize("p,k,n,minimum,nodes,digest", GAP_WITNESS_DIGESTS)
+def test_gap_witness_digests_are_pinned(p, k, n, minimum, nodes, digest):
     result = minimal_kakeya_exact(make_field(p, k), n)
     assert result.proof_of_optimality
     assert (result.min_size, result.nodes_explored) == (minimum, nodes)
@@ -208,8 +240,7 @@ def test_canonical_witnesses_past_the_lex_scan_are_pinned(p, k, n, minimum, node
 @pytest.mark.parametrize("q,n,minimum,nodes", [(5, 3, 117, 119), (4, 4, 250, 0), (5, 4, 617, 119),
                                                (2, 12, 4095, 0)])
 def test_cells_beyond_the_level_search_are_proven_fast(q, n, minimum, nodes):
-    # the level search took 650,306 nodes on (5,3) and 57,873 on (4,4); a
-    # canonical pass priced from the count table took 3.8 s on (2,12)
+    # the level search took 650,306 nodes on (5,3) and 57,873 on (4,4)
     f = _field(q)
     start = time.process_time()
     result = minimal_kakeya_exact(f, n)
@@ -221,7 +252,7 @@ def test_cells_beyond_the_level_search_are_proven_fast(q, n, minimum, nodes):
 
 @pytest.mark.parametrize("q,n,minimum", [(4, 6, 4090), (3, 7, 2185)])
 def test_cells_with_more_directions_than_the_recursion_limit_are_proven(q, n, minimum):
-    # 1,365 and 1,093 directions: the canonical-witness pass goes that deep
+    # 1,365 and 1,093 directions, one level each, none found by recursion
     result = minimal_kakeya_exact(_field(q), n)
     assert len(result.witness) > sys.getrecursionlimit()
     assert result.proof_of_optimality
@@ -230,20 +261,25 @@ def test_cells_with_more_directions_than_the_recursion_limit_are_proven(q, n, mi
 
 def test_gap_engine_stays_within_its_budget():
     f = _field(5)
-    # (5,2) takes 12 nodes, then the gap search on (5,3) 107
+    # (5,2) takes 12 nodes, then the gap search on (5,3) 107; an unproven
+    # gap set is the best found so far, the tangent union's complement once
+    # the planar search has begun
     for budget in (1, 11, 12, 13, 60, 118):
-        gap, nodes = search._gap_size(f, 3, budget)
-        assert gap is None and nodes <= budget
-    assert search._gap_size(f, 3, 119) == (8, 119)
+        gaps, nodes, proven = search._gap_size(f, 3, budget)
+        assert not proven and nodes <= budget
+        assert len(gaps) == 8 and is_gap_set_brute(f, 3, gaps)
+    gaps, nodes, proven = search._gap_size(f, 3, 119)
+    assert (len(gaps), nodes, proven) == (8, 119, True)
 
 
-def test_exhausted_gap_engine_reports_the_greedy_bound(capsys):
+def test_exhausted_gap_engine_reports_the_lifted_bound(capsys):
+    # the planar gap set, lifted, is a largest one of F_5^3 but unproven
     f = _field(5)
     result = minimal_kakeya_exact(f, 3, node_budget=60)
     assert not result.proof_of_optimality
     assert result.nodes_explored <= 60
     union = build_union(f, 3, result.witness)
-    assert union.cardinality == result.min_size >= 117
+    assert union.cardinality == result.min_size == 117
     assert is_kakeya(f, union).ok
     assert cli.main(["search", "--field", "5", "--n", "3", "--budget", "60", "--format",
                      "json"]) == 3

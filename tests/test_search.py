@@ -1,7 +1,5 @@
 import errno
 import functools
-import hashlib
-import inspect
 import itertools
 import math
 import multiprocessing
@@ -34,13 +32,14 @@ KNOWN_MINIMA = [(2, 2, 3), (2, 3, 7), (3, 2, 7)]
 BRUTE_CELLS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
 # planar fields (p, k) whose minimum the search proves within a few seconds
 PLANAR_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (2, 2), (2, 3)]
-# canonical witnesses of proven cells, which no prune may change
-CANONICAL_WITNESSES = {
-    (5, 1, 2): (0, 0, 0, 1, 2, 4),
-    (7, 1, 2): (0, 0, 0, 1, 3, 6, 3, 1),
-    (3, 2, 2): (0, 0, 0, 1, 4, 7, 2, 7, 4, 2),
-    (2, 2, 3): (0, 0, 0, 0, 1, 0, 1, 3, 2, 3, 0, 3, 2, 1, 2, 0, 2, 1, 3, 1, 0),
-    (11, 1, 2): (0, 0, 0, 1, 3, 6, 10, 4, 10, 6, 3, 1),
+# witnesses of proven cells, which no prune may change: in the plane the
+# tangent union, above it the least levels that miss a largest gap set
+PROVEN_WITNESSES = {
+    (5, 1, 2): (0, 0, 4, 2, 3, 1),
+    (7, 1, 2): (0, 0, 6, 3, 2, 5, 4, 1),
+    (3, 2, 2): (0, 0, 2, 1, 3, 7, 8, 6, 4, 5),
+    (2, 2, 3): (0, 0, 1, 3, 2, 1, 0, 0, 1, 3, 2, 0, 0, 1, 3, 2, 0, 0, 1, 3, 2),
+    (11, 1, 2): (0, 0, 10, 5, 7, 8, 2, 9, 3, 4, 6, 1),
 }
 # (p, k, n) cells on which the axis maps are checked point by point
 AXIS_CELLS = [(5, 1, 2), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3), (2, 1, 4)]
@@ -362,6 +361,13 @@ def test_search_beyond_one_byte_per_field_element():
     assert (result.min_size, result.witness.levels) == (1, (0,))
 
 
+def _child_floor(gains):
+    """Fewest new points any completion of a child adds, priced from its
+    parent's cheapest gains on the child's open directions: each drops by
+    at most one, and the overlap bound never falls as a gain grows."""
+    return search._overlap_bound([g - 1 for g in gains])
+
+
 def test_child_floor_never_exceeds_the_childs_own_bound():
     """A child's line takes at most one point from any other direction's,
     so the floor priced from its parent's gains never passes
@@ -383,11 +389,11 @@ def test_child_floor_never_exceeds_the_childs_own_bound():
             free = order[cut:]
             gains = table.gains(table.lanes(counts), free)
             top = gains.index(max(gains))
-            assert search._overlap_bound(gains) - gains[top] == search._child_floor(
+            assert search._overlap_bound(gains) - gains[top] == _child_floor(
                 gains[:top] + gains[top + 1:])
             i = rng.randrange(len(free))
             rest = free[:i] + free[i + 1:]
-            floor = search._child_floor(gains[:i] + gains[i + 1:])
+            floor = _child_floor(gains[:i] + gains[i + 1:])
             for lvl in range(q):
                 child = table.cover(counts, masks[free[i]][lvl] & ~mask)
                 assert floor <= search._overlap_bound(table.gains(table.lanes(child), rest))
@@ -421,7 +427,7 @@ def test_planar_price_is_the_built_childs_own():
     for p, k in [(2, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
         for _ in range(30):
             table, mask, counts, d, rest, gains, lines = _random_planar_children(rng, p, k)
-            floor = search._child_floor(gains)
+            floor = _child_floor(gains)
             for row in table.masks[d]:
                 price = search._planar_price(lines, gains, row & ~mask)
                 built = table.gains(table.lanes(table.cover(counts, row & ~mask)), rest)
@@ -456,7 +462,7 @@ def test_planar_count_lanes_are_bytes():
             continue
         admitted.append(q)
     assert admitted[:3] == [2, 3, 4]
-    # the planar canonical pass recurses once per free direction, q - 1 deep
+    # the level search recurses once per free direction, q - 1 deep
     assert admitted[-1] - 1 == 138 < sys.getrecursionlimit() // 4
 
 
@@ -531,6 +537,19 @@ def test_even_planes_are_proven_with_no_greedy_seed(k, monkeypatch):
     assert result.min_size == _planar_minimum(f.q)
 
 
+@pytest.mark.parametrize("p,k", PLANAR_FIELDS + [(2, 4), (2, 5)])
+def test_planar_witnesses_are_the_tangent_union(p, k):
+    """A planar proof ships the tangent union: the greedy seed replaces it
+    only when strictly smaller and the search records only smaller unions,
+    so the witness does not depend on which optimum a worker meets first."""
+    f = make_field(p, k)
+    _, levels = search._tangent_seed(f, 2, level_masks(f, 2))
+    for workers in (1, 2):
+        result = minimal_kakeya_exact(f, 2, workers=workers)
+        assert result.proof_of_optimality
+        assert result.witness.levels == tuple(levels)
+
+
 def test_9_2_node_count_guard():
     result = minimal_kakeya_exact(make_field(3, 2), 2)
     assert result.proof_of_optimality and result.min_size == 49
@@ -543,7 +562,7 @@ def test_11_2_node_count_guard():
     assert result.proof_of_optimality and result.min_size == 71
     assert result.nodes_explored <= 65_000
     assert result.nodes_explored == 60_355
-    assert result.witness.levels == CANONICAL_WITNESSES[11, 1, 2]
+    assert result.witness.levels == PROVEN_WITNESSES[11, 1, 2]
 
 
 @pytest.mark.parametrize("cell,nodes", NODE_COUNTS)
@@ -611,10 +630,10 @@ def test_worker_counts_agree():
         results = [minimal_kakeya_exact(f, n, workers=w) for w in (1, 2, 3, 4)]
         assert all(r.proof_of_optimality for r in results)
         assert len({r.min_size for r in results}) == 1
-        # the canonical witness once optimality is proven
+        # a proven witness is built, so it is one for every worker count
         assert len({r.witness for r in results}) == 1
-        if (p, k, n) in CANONICAL_WITNESSES:
-            assert results[0].witness.levels == CANONICAL_WITNESSES[p, k, n]
+        if (p, k, n) in PROVEN_WITNESSES:
+            assert results[0].witness.levels == PROVEN_WITNESSES[p, k, n]
 
 
 def test_every_worker_gets_open_nodes(monkeypatch):
@@ -671,13 +690,15 @@ def _worse_seeds(monkeypatch):
 def test_search_beats_a_worse_seed(p, k, workers, monkeypatch):
     """The greedy and tangent seeds are both optimal on every odd planar
     cell up to (11,2), so only worse seeds make the search's own incumbent
-    the answer."""
+    the answer.  That incumbent is the witness, verified before it is
+    returned; which optimum a worker finds first is not fixed."""
     f = make_field(p, k)
     plain = minimal_kakeya_exact(f, 2, workers=workers)
     _worse_seeds(monkeypatch)
     seeded = minimal_kakeya_exact(f, 2, workers=workers)
     assert seeded.proof_of_optimality and plain.proof_of_optimality
-    assert (seeded.min_size, seeded.witness) == (plain.min_size, plain.witness)
+    assert seeded.min_size == plain.min_size
+    assert build_union(f, 2, seeded.witness).cardinality == seeded.min_size
     assert seeded.nodes_explored >= plain.nodes_explored
 
 
@@ -702,7 +723,7 @@ def test_parallel_workers_share_the_node_budget():
         result = minimal_kakeya_exact(f, 2, node_budget=3_000, workers=workers)
         assert result.proof_of_optimality and result.min_size == 49
         assert result.nodes_explored <= 3_000
-        assert result.witness.levels == CANONICAL_WITNESSES[3, 2, 2]
+        assert result.witness.levels == PROVEN_WITNESSES[3, 2, 2]
     # more workers than cores draw on the shared count without overdrawing it
     for budget in (200, 800):
         assert minimal_kakeya_exact(f, 2, node_budget=budget, workers=8).nodes_explored <= budget
@@ -810,151 +831,6 @@ def test_more_workers_than_cores_take_each_open_node_once(monkeypatch):
     assert next_task.value == len(tasks) + 8
 
 
-def test_witness_is_lexicographically_smallest():
-    f = make_field(2, 1)
-    # the axis directions are fixed, yet the witness is the least of all
-    result = minimal_kakeya_exact(f, 2)
-    optima = [
-        levels
-        for levels in itertools.product(range(2), repeat=3)
-        if build_union(f, 2, OffsetAssignment(levels)).cardinality == result.min_size
-    ]
-    assert result.witness.levels == min(optima)
-    assert result.witness.levels == (0, 0, 1)
-
-
-def test_witness_canonical_in_normalized_space():
-    f = make_field(3, 1)
-    result = minimal_kakeya_exact(f, 2)
-    dirs = enumerate_directions(f, 2)
-    fixed = [i for i, d in enumerate(dirs) if d.normal in {(1, 0), (0, 1)}]
-    optima = []
-    for levels in itertools.product(range(3), repeat=len(dirs)):
-        if any(levels[i] != 0 for i in fixed):
-            continue
-        if build_union(f, 2, OffsetAssignment(levels)).cardinality == result.min_size:
-            optima.append(levels)
-    assert result.witness.levels == min(optima)
-
-
-@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 3, 2),
-                                   (7, 1, 2), (3, 2, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4)])
-def test_witness_matches_a_brute_force_lex_scan(p, k, n):
-    """The canonical pass starts with the axis directions at level 0, tries
-    levels 0 and 1 only while every level so far is 0, and, in the plane,
-    cuts children by the child floor and by their price; above it, by union
-    size alone.  None of these may change the first optimum of a scan over
-    every assignment.  F_9^2 is the pass with the most floor and price cuts
-    that the scan reaches."""
-    f = make_field(p, k)
-    result = minimal_kakeya_exact(f, n)
-    assert result.proof_of_optimality
-    brute = oracles.lex_smallest_optimum_brute(f, n, result.min_size)
-    assert result.witness.levels == brute
-    assert next(c for c in brute if c) == 1
-
-
-def test_canonical_pass_runs_deeper_than_the_recursion_limit():
-    # (2,8) has 255 directions, one level of the pass each; the limit leaves
-    # room for 100 more frames than the test runs in
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + 100)
-    try:
-        result = minimal_kakeya_exact(make_field(2, 1), 8)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert result.proof_of_optimality and result.min_size == 255
-    assert len(result.witness) == 255
-
-
-# nodes the canonical-witness pass visits on its way to the witness
-CANONICAL_PASS_NODES = [((7, 1, 2), 47), ((3, 2, 2), 635), ((11, 1, 2), 5_444),
-                        ((5, 1, 3), 31), ((2, 2, 4), 83), ((2, 1, 6), 58)]
-
-
-def _canonical_pass(f, n, target, budget):
-    """The canonical-witness pass as `minimal_kakeya_exact` runs it: from
-    the level search's root with the count table in the plane, over the
-    open points above it."""
-    if n >= 3:
-        return search._open_point_witness(f, n, target, budget)
-    _, table, root = search._search_space(f, n)
-    return search._lex_smallest_witness(table, root, target, budget)
-
-
-@pytest.mark.parametrize("cell,nodes", CANONICAL_PASS_NODES)
-def test_canonical_pass_node_counts_are_pinned(cell, nodes):
-    p, k, n = cell
-    f = make_field(p, k)
-    result = minimal_kakeya_exact(f, n)
-    assert _canonical_pass(f, n, result.min_size, nodes) == result.witness.levels
-    assert _canonical_pass(f, n, result.min_size, nodes - 1) is None
-
-
-def test_canonical_pass_runs_out_at_a_floor_cut_sibling():
-    """A budget spent on a sibling that the child floor cuts ends the pass
-    as any other node does: on (7,2) nodes 6, 9 and 10, among others, are
-    such siblings, and no budget below the pinned 47 gives a witness."""
-    f = make_field(7, 1)
-    for budget in range(1, 47):
-        assert _canonical_pass(f, 2, 31, budget) is None
-    assert _canonical_pass(f, 2, 31, 47) == CANONICAL_WITNESSES[7, 1, 2]
-
-
-# (p, k, proven size, pass nodes, the first 16 hex digits of the sha256 of
-# the witness's levels as bytes) of planar passes past the brute-force lex
-# scan; the pass runs alone at the proven size, so (13,2)'s search is not paid
-PLANAR_PASS_DIGESTS = [(13, 1, 97, 64_568, "4318bd60c7f9c532"),
-                       (2, 4, 136, 123, "6325988719ce7134"),
-                       (2, 5, 528, 3_659, "1e99aeea62b29fab")]
-
-
-@pytest.mark.parametrize("p,k,size,nodes,digest", PLANAR_PASS_DIGESTS)
-def test_planar_passes_past_the_lex_scan_are_pinned(p, k, size, nodes, digest):
-    f = make_field(p, k)
-    levels = _canonical_pass(f, 2, size, nodes)
-    assert hashlib.sha256(bytes(levels)).hexdigest()[:16] == digest
-    assert _canonical_pass(f, 2, size, nodes - 1) is None
-
-
-@pytest.mark.parametrize("p,k,size", [(7, 1, 31), (3, 2, 49)])
-def test_planar_pass_counts_gains_once_at_its_root(p, k, size, monkeypatch):
-    """The pass counts the cheapest gains at its root and carries each
-    child's down the lex path from its parent's (`_planar_price`); no later
-    node recounts them."""
-    calls = []
-    gains = search._Counts.gains
-
-    def record(self, lanes, free):
-        calls.append(len(free))
-        return gains(self, lanes, free)
-
-    monkeypatch.setattr(search._Counts, "gains", record)
-    f = make_field(p, k)
-    _, table, root = search._search_space(f, 2)
-    witness = search._lex_smallest_witness(table, root, size, 10**6)
-    assert witness == CANONICAL_WITNESSES[p, k, 2]
-    assert calls == [len(root[2])]
-
-
-# (p, k, n): every n >= 3 cell of tests/test_gaps.py's GAP_TABLE, with (3,6)
-PASS_GRID = ([(2, 1, n) for n in range(3, 9)] + [(3, 1, n) for n in range(3, 7)]
-             + [(2, 2, n) for n in range(3, 6)] + [(5, 1, 3), (5, 1, 4)])
-
-
-@pytest.mark.parametrize("p,k,n", PASS_GRID)
-def test_canonical_pass_above_the_plane_barely_backtracks(p, k, n):
-    """On union size alone the pass above the plane goes nearly straight
-    down: at most |free| + q nodes, where |free| is the directions off the
-    axes.  A cell that starts to backtrack fails here instead of quietly
-    spending the pass's budget."""
-    f = make_field(p, k)
-    result = minimal_kakeya_exact(f, n)
-    assert result.proof_of_optimality
-    free = len(result.witness) - n
-    assert _canonical_pass(f, n, result.min_size, free + f.q) == result.witness.levels
-
-
 @pytest.mark.parametrize("p,k,n", [(3, 1, 3), (2, 2, 3), (2, 1, 4), (5, 1, 3), (2, 1, 8)])
 def test_only_the_planar_base_builds_a_count_table(p, k, n, monkeypatch):
     """Above the plane no count table, level mask or direction list of the
@@ -983,16 +859,11 @@ def test_only_the_planar_base_builds_a_count_table(p, k, n, monkeypatch):
     assert set(masks) == set(dirs) == ({2} if f.q >= 4 else set())
 
 
-def test_lex_scan_finds_nothing_for_a_size_no_union_has():
-    # the unions of F_2^2 have 3 or 4 points
-    assert oracles.lex_smallest_optimum_brute(make_field(2, 1), 2, 2) is None
-
-
 def test_children_cut_by_the_floor_count_as_nodes():
     f = make_field(3, 2)
     proven = minimal_kakeya_exact(f, 2, node_budget=2_568)
     assert proven.proof_of_optimality and proven.nodes_explored == 2_568
-    assert proven.witness.levels == CANONICAL_WITNESSES[3, 2, 2]
+    assert proven.witness.levels == PROVEN_WITNESSES[3, 2, 2]
     short = minimal_kakeya_exact(f, 2, node_budget=2_567)
     assert not short.proof_of_optimality and short.nodes_explored == 2_567
 
@@ -1002,7 +873,7 @@ def test_children_cut_by_their_price_count_as_nodes():
     f = make_field(7, 1)
     proven = minimal_kakeya_exact(f, 2, node_budget=204)
     assert proven.proof_of_optimality and proven.nodes_explored == 204
-    assert proven.witness.levels == CANONICAL_WITNESSES[7, 1, 2]
+    assert proven.witness.levels == PROVEN_WITNESSES[7, 1, 2]
     short = minimal_kakeya_exact(f, 2, node_budget=203)
     assert not short.proof_of_optimality and short.nodes_explored == 203
 
@@ -1129,28 +1000,25 @@ def test_parallel_searches_leave_no_file_open(monkeypatch):
 
 
 def test_budget_exhaustion_degrades_gracefully():
-    f = make_field(3, 1)
+    # (5,3) needs 12 nodes for its planar base alone
+    f = make_field(5, 1)
     result = minimal_kakeya_exact(f, 3, node_budget=1)
     assert not result.proof_of_optimality
     assert result.nodes_explored <= 1
     union = build_union(f, 3, result.witness)
     assert union.cardinality == result.min_size
     assert is_kakeya(f, union).ok
-    assert result.min_size >= kakeya_lower_bound_ceiling(3, 3)
+    assert result.min_size >= kakeya_lower_bound_ceiling(5, 3)
 
 
-def test_witness_pass_out_of_budget_reports_a_bound():
-    f = make_field(2, 1)
-    # the tangent seed meets the lower-bound ceiling, so branch and bound
-    # visits no node and only the canonical-witness pass hits the budget
-    result = minimal_kakeya_exact(f, 2, node_budget=1)
-    assert result.nodes_explored == 0
-    assert not result.proof_of_optimality
-    assert result.min_size == 3
-    union = build_union(f, 2, result.witness)
-    assert union.cardinality == 3 and is_kakeya(f, union).ok
-    proven = minimal_kakeya_exact(f, 2)
-    assert proven.proof_of_optimality and proven.nodes_explored == 0
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 4)])
+def test_cells_proven_at_0_nodes_need_no_budget(p, k, n):
+    """A proof that visits no node is whole at a budget of 1: building its
+    witness spends none."""
+    f = make_field(p, k)
+    result = minimal_kakeya_exact(f, n, node_budget=1)
+    assert result.proof_of_optimality and result.nodes_explored == 0
+    assert result == minimal_kakeya_exact(f, n)
 
 
 def test_budget_validation():
@@ -1275,8 +1143,8 @@ def test_exact_3_3_value():
 
 
 def test_degenerate_n_1():
-    # greedy meets the lower bound 1, so no searcher is ever built, and the
-    # root, the one axis direction at level 0, is the canonical pass's leaf
+    # the tangent union, the one axis direction at level 0, meets the lower
+    # bound 1, so no searcher is ever built
     f = make_field(5, 1)
     for workers in (1, 2):
         result = minimal_kakeya_exact(f, 1, workers=workers)
